@@ -78,8 +78,7 @@ def eval_postfix(expr, regs, cfa, mem):
 
 def rules_at(sf, pc):
     """Effective RuleMap at pc: INIT rules overlaid with deltas at <= pc."""
-    addrs = [c.address for c in sf.cfi_regions]
-    i = bisect.bisect_right(addrs, pc) - 1
+    i = bisect.bisect_right(sf.cfi_starts, pc) - 1
     if i < 0:
         raise NoUnwindInfo("pc %#x before any CFI region" % pc)
     region = sf.cfi_regions[i]

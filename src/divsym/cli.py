@@ -146,13 +146,14 @@ def cmd_crash(args):
 
 
 def cmd_report(args):
-    dump = collector.parse_minidump(Path(args.dump).read_text(encoding="utf-8"))
     dd_bytes = Path(args.delta).read_bytes()
     default_sf = parse_symbol_file(Path(args.default_sym).read_text(encoding="utf-8"))
     log = parse_opportunity_log(Path(args.opplog).read_text(encoding="utf-8"))
     key = bytes.fromhex(args.key) if args.key else None
-    trace = collector.report(dump, dd_bytes, default_sf, log, key)
-    sys.stdout.write(trace.text())
+    for path in args.dump:
+        dump = collector.parse_minidump(Path(path).read_text(encoding="utf-8"))
+        trace = collector.report(dump, dd_bytes, default_sf, log, key)
+        sys.stdout.write(trace.text())
     return EXIT_OK
 
 
@@ -215,8 +216,9 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_crash)
 
-    p = sub.add_parser("report", help="produce a stack trace from a dump")
-    p.add_argument("--dump", required=True)
+    p = sub.add_parser("report",
+                       help="produce a stack trace from each dump of one build")
+    p.add_argument("--dump", required=True, nargs="+", metavar="DUMP")
     p.add_argument("--delta", required=True)
     p.add_argument("--default-sym", required=True)
     p.add_argument("--opplog", required=True)

@@ -12,12 +12,17 @@ symbol file, unwind, and map frame pcs to FUNC/line records.  Caller
 frames are mapped at return address minus one instruction so the call
 site's line is reported; the rendered trace text carries only
 source-level information and is therefore identical across seeds.
+Every crash of one shipped build carries the same delta blob, so the
+exact symbol file is memoised across reports (see REPORT_CACHE_SIZE).
 """
 
 from __future__ import annotations
 
+import bisect
+import hashlib
 import time
 import zlib
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
 from divsym import cfi
@@ -226,8 +231,10 @@ def parse_minidump(text):
 # reporting
 
 def _locate(sf, pc):
-    for f in sf.funcs:
-        if f.address <= pc < f.address + f.size:
+    i = bisect.bisect_right(sf.func_starts, pc) - 1
+    if i >= 0:
+        f = sf.funcs[i]
+        if pc < f.address + f.size:
             for ln in f.lines:
                 if ln.address <= pc < ln.address + ln.size:
                     return f.name, ln.filenum, ln.line
@@ -249,15 +256,40 @@ def trace_from_dump(dump, sf, max_frames=cfi.DEFAULT_MAX_FRAMES):
                       frames=tuple(out), truncation=reason)
 
 
+# Exact symbol files that report() reconstructed, least recently used
+# first.  Key: (SHA-256 of the delta blob, HMAC key, id(default_sf),
+# id(log)); value: (default_sf, log, exact).  The value keeps default_sf
+# and log alive, so their ids cannot be reused while the entry exists.
+# One entry for a 308-function program holds about 2.6 MB.
+REPORT_CACHE_SIZE = 8
+_report_cache = OrderedDict()
+
+
 def report(dump, dd_bytes, default_sf, log, key=None):
-    """Full server path: delta data + default symbol file -> stack trace."""
-    dd = unpack(dd_bytes, key)
+    """Full server path: delta data + default symbol file -> stack trace.
+
+    A cache hit needs the same blob bytes and key and the very same
+    default_sf and log objects.  Only a blob that unpacked under that key,
+    HMAC check included, and reconstructed without error is cached, so a
+    hit skips no check the blob has not passed.  The dump's module id is
+    checked on every call.
+    """
+    slot = (hashlib.sha256(dd_bytes).digest(), key, id(default_sf), id(log))
+    entry = _report_cache.get(slot)
+    hit = entry is not None and entry[0] is default_sf and entry[1] is log
+    dd = None if hit else unpack(dd_bytes, key)
     if dump.module_id != default_sf.module_id:
         raise ReplicationInputError(
             "dump module %r does not match symbol file" % dump.module_id)
-    approx = replicate(default_sf, log, dd.seeds, dd.options())
-    exact = apply(approx, dd.patch)
-    return trace_from_dump(dump, exact)
+    if hit:
+        _report_cache.move_to_end(slot)
+    else:
+        approx = replicate(default_sf, log, dd.seeds, dd.options())
+        entry = (default_sf, log, apply(approx, dd.patch))
+        _report_cache[slot] = entry
+        while len(_report_cache) > REPORT_CACHE_SIZE:
+            _report_cache.popitem(last=False)
+    return trace_from_dump(dump, entry[2])
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,10 @@ VERSION = 1
 FLAG_AUTH = 0x01
 TAG_LEN = 32
 HEADER_LEN = 10
+# Largest payload unpack inflates.  The container comes from the client,
+# and DEFLATE expands up to about 1000x.  A patch that replaced every line
+# of a 308-function program's symbol file (233 KB) would stay far below.
+MAX_PAYLOAD_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -387,12 +391,14 @@ def _parse_payload(text):
     if s[0] != "seeds" or len(s) != 4:
         raise DeltaFormatError("bad seeds record")
     seeds = SeedTuple(int(s[1], 16), int(s[2], 16), int(s[3], 16))
-    num, den = lines[2].split()[1].split("/")
+    num, den = (int(v) for v in lines[2].split()[1].split("/"))
+    if den == 0 or not 0 <= num <= den:
+        raise DeltaFormatError("bad nop fraction %d/%d" % (num, den))
     kv = dict(t.split("=", 1) for t in lines[3].split()[1:])
     patch, pos = _parse_patch(lines, 4)
     if pos != len(lines):
         raise DeltaFormatError("trailing data in delta payload")
-    return DeltaData(seeds=seeds, nop_num=int(num), nop_den=int(den),
+    return DeltaData(seeds=seeds, nop_num=num, nop_den=den,
                      default_padding=bool(int(kv["default_padding"])),
                      sp_fp_opt=bool(int(kv["sp_fp_opt"])),
                      pad_scheme=bool(int(kv["pad"])),
@@ -435,8 +441,16 @@ def unpack(blob, key=None):
             raise AuthenticationError("authentication tag mismatch")
     elif key is not None:
         raise AuthenticationError("key supplied but container is unauthenticated")
+    inflater = zlib.decompressobj(-15)
     try:
-        text = zlib.decompress(blob[HEADER_LEN:HEADER_LEN + plen], -15).decode()
+        raw = inflater.decompress(blob[HEADER_LEN:HEADER_LEN + plen],
+                                  MAX_PAYLOAD_BYTES + 1)
+        if len(raw) > MAX_PAYLOAD_BYTES:
+            raise DeltaFormatError("payload inflates past %d bytes"
+                                   % MAX_PAYLOAD_BYTES)
+        if not inflater.eof:
+            raise DeltaFormatError("corrupt payload: truncated stream")
+        text = raw.decode()
     except (zlib.error, UnicodeDecodeError) as e:
         raise DeltaFormatError("corrupt payload: %s" % e) from e
     return _parse_payload(text)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from divsym.errors import SymbolFormatError, SymbolParseError
 
@@ -68,6 +69,20 @@ class SymbolFile:
     funcs: tuple = ()
     cfi_regions: tuple = ()
     publics: tuple = ()  # ((address, name), ...)
+
+    # Address indexes for bisect lookups, built on first use.  They rely
+    # on the invariant validate() enforces: funcs and cfi_regions are
+    # sorted by address and do not overlap.
+
+    @cached_property
+    def func_starts(self):
+        """Start address of each FUNC record, in order."""
+        return tuple(f.address for f in self.funcs)
+
+    @cached_property
+    def cfi_starts(self):
+        """Start address of each STACK CFI INIT region, in order."""
+        return tuple(c.address for c in self.cfi_regions)
 
 
 def _rule_sort_key(reg):

@@ -1,12 +1,47 @@
 from pathlib import Path
 
+from divsym import deltadata
 from divsym.cli import main
 from divsym.collector import sample_call_chains
+from divsym.diversify import SeedTuple
 from divsym.progmodel import parse_model
+from hostile import inflation_bomb
 
 
 def run(*argv):
     return main(list(argv))
+
+
+def _build_and_crash(tmp_path, n_dumps):
+    """Default build, one diversified build, its delta and n_dumps crashes
+    of it; returns the report arguments shared by every dump, and the
+    dump paths."""
+    corpus = tmp_path / "corpus"
+    run("gen", "--seed", "17", "--n", "1", "--out", str(corpus))
+    model_path = next(corpus.glob("*.model"))
+    model = parse_model(model_path.read_text())
+    dflt = tmp_path / "default"
+    div = tmp_path / "div"
+    run("build", "--model", str(model_path), "--out", str(dflt))
+    run("diversify", "--model", str(model_path), "--seeds", "1,2,3",
+        "--out", str(div))
+    delta = tmp_path / "delta.dbpd"
+    run("delta", "--default-sym", str(dflt / "default.sym"),
+        "--opplog", str(dflt / "opportunity.log"),
+        "--div-sym", str(div / "diversified.sym"),
+        "--seeds", "1,2,3", "--out", str(delta))
+    dumps = []
+    for k, chain in enumerate(sample_call_chains(model, n_dumps, 4)):
+        dump = tmp_path / ("dump%d.mdl" % k)
+        run("crash", "--image", str(div / "diversified.img"),
+            "--model", str(model_path),
+            "--chain", ",".join("%s:%d:%d" % c for c in chain),
+            "--out", str(dump))
+        dumps.append(str(dump))
+    common = ["--delta", str(delta),
+              "--default-sym", str(dflt / "default.sym"),
+              "--opplog", str(dflt / "opportunity.log")]
+    return common, dumps
 
 
 def test_full_pipeline(tmp_path, capsys):
@@ -120,6 +155,29 @@ def test_patch_corrupt_exit_code(tmp_path, capsys):
                "--opplog", str(tmp_path / "dflt_da" / "opportunity.log"))
     assert code in (2, 4)  # replication-input or patch-corrupt, never success
     assert code != 0
+
+
+def test_report_several_dumps_in_order(tmp_path, capsys):
+    common, dumps = _build_and_crash(tmp_path, 2)
+    capsys.readouterr()
+    singles = []
+    for dump in dumps:
+        assert run("report", "--dump", dump, *common) == 0
+        singles.append(capsys.readouterr().out)
+    assert singles[0] != singles[1]
+    assert run("report", "--dump", dumps[1], dumps[0], *common) == 0
+    assert capsys.readouterr().out == singles[1] + singles[0]
+
+
+def test_hostile_delta_exit_code(tmp_path, capsys):
+    common, dumps = _build_and_crash(tmp_path, 1)
+    delta = Path(common[1])
+    nop = deltadata.pack(deltadata.DeltaData(seeds=SeedTuple(1, 2, 3),
+                                             nop_num=1, nop_den=0))
+    for blob in (nop, inflation_bomb()):
+        delta.write_bytes(blob)
+        assert run("report", "--dump", dumps[0], *common) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_input_error_exit_code(tmp_path):

@@ -1,16 +1,20 @@
 import pytest
 
-from divsym import cfi
+from divsym import cfi, collector
 from divsym.collector import (MinidumpLite, corpus_metrics, emit_minidump,
                               parse_minidump, report, sample_call_chains,
                               simulate_crash, trace_from_dump)
-from divsym.deltadata import delta_from_options, diff, pack
+from divsym.deltadata import (DeltaData, Patch, PatchOp, apply,
+                              delta_from_options, diff, pack, unpack)
 from divsym.diversify import SeedTuple, build_default, build_diversified
-from divsym.errors import AuthenticationError, HarnessError, ReplicationInputError
+from divsym.errors import (AuthenticationError, DeltaFormatError,
+                           HarnessError, PatchCorruptError,
+                           ReplicationInputError)
 from divsym.image import crash_info
 from divsym.progmodel import BuildOptions, generate_corpus
 from divsym.replicate import replicate
 from divsym.symfile import emit_symbol_file
+from hostile import inflation_bomb
 
 OPTS = BuildOptions()
 SEEDS = SeedTuple(0xD1, 0xD2, 0xD3)
@@ -196,11 +200,170 @@ def test_report_module_mismatch():
 def test_reconstruction_inside_report_is_exact():
     model = _model()
     blob, dres, log, truth, dec = _delta_blob(model, SEEDS)
-    from divsym.deltadata import unpack, apply
     dd = unpack(blob)
     approx = replicate(dres.symfile, log, dd.seeds, dd.options())
     exact = apply(approx, dd.patch)
     assert emit_symbol_file(exact) == emit_symbol_file(truth.symfile)
+
+
+def _locate_linear(sf, pc):
+    """Reference for collector._locate: scan every function in order."""
+    for f in sf.funcs:
+        if f.address <= pc < f.address + f.size:
+            for ln in f.lines:
+                if ln.address <= pc < ln.address + ln.size:
+                    return f.name, ln.filenum, ln.line
+            return f.name, None, 0
+    return None, None, 0
+
+
+def test_locate_matches_linear_scan():
+    model = _model()
+    dres, _ = build_default(model, OPTS)
+    truth, _ = build_diversified(model, SEEDS, OPTS)
+    for sf in (dres.symfile, truth.symfile):
+        funcs = sf.funcs
+        gaps = [pc for f, g in zip(funcs, funcs[1:])
+                for pc in range(f.address + f.size, g.address)]
+        assert gaps, "no gap between functions to probe"
+        end = funcs[-1].address + funcs[-1].size
+        pcs = gaps + [end, end + 4, 0xFFFFFFFF]
+        for f in funcs:
+            pcs += [f.address, f.address + f.size - 1]
+            for ln in f.lines:
+                pcs += [ln.address, ln.address + ln.size - 1,
+                        ln.address + ln.size]
+        for pc in pcs:
+            assert collector._locate(sf, pc) == _locate_linear(sf, pc), hex(pc)
+
+
+@pytest.fixture
+def replications(monkeypatch):
+    """Start from an empty report cache and count the reconstructions
+    report() runs: one replicate call per cache miss."""
+    collector._report_cache.clear()
+    calls = []
+    real = collector.replicate
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(collector, "replicate", counted)
+    yield calls
+    collector._report_cache.clear()
+
+
+def _frames(trace):
+    return trace.text(), [f.pc for f in trace.frames]
+
+
+def test_cached_traces_equal_uncached(replications):
+    model = _model()
+    chains = sample_call_chains(model, 4, 8)
+    for seeds in (SEEDS, SeedTuple(0xE1, 0xE2, 0xE3)):
+        blob, dres, log, truth, dec = _delta_blob(model, seeds)
+        info = crash_info(truth, dec, model.module_name)
+        dd = unpack(blob)
+        exact = apply(replicate(dres.symfile, log, dd.seeds, dd.options()),
+                      dd.patch)
+        before = len(replications)
+        for chain in chains + chains:
+            dump = simulate_crash(info, model, chain)
+            assert _frames(report(dump, blob, dres.symfile, log)) == \
+                _frames(trace_from_dump(dump, exact))
+        assert len(replications) == before + 1
+    assert len(collector._report_cache) == 2
+
+
+def test_cached_success_does_not_skip_authentication(replications):
+    model = _model()
+    key = b"k" * 16
+    blob, dres, log, truth, dec = _delta_blob(model, SEEDS, key=key)
+    info = crash_info(truth, dec, model.module_name)
+    dump = simulate_crash(info, model, _chain(model, 2))
+    assert report(dump, blob, dres.symfile, log, key).frames
+    with pytest.raises(AuthenticationError):
+        report(dump, blob, dres.symfile, log, b"wrong")
+    with pytest.raises(AuthenticationError):
+        report(dump, blob, dres.symfile, log)
+    assert report(dump, blob, dres.symfile, log, key).frames
+    assert len(replications) == 1
+
+
+def test_module_mismatch_on_cache_hit(replications):
+    model = _model()
+    blob, dres, log, truth, dec = _delta_blob(model, SEEDS)
+    info = crash_info(truth, dec, model.module_name)
+    dump = simulate_crash(info, model, _chain(model, 2))
+    report(dump, blob, dres.symfile, log)
+    wrong = MinidumpLite("Linux arm 0 other", dump.crash_reason,
+                         dump.crash_address, dump.registers, dump.stack)
+    with pytest.raises(ReplicationInputError):
+        report(wrong, blob, dres.symfile, log)
+    assert len(replications) == 1
+
+
+def test_report_cache_is_bounded_lru(replications):
+    model = _model()
+    dres, log = build_default(model, OPTS)
+    truth, dec = build_diversified(model, SEEDS, OPTS)
+    patch = diff(replicate(dres.symfile, log, SEEDS, OPTS), truth.symfile)
+    dd = delta_from_options(SEEDS, OPTS, patch)
+    # One build packed under distinct keys: distinct blobs, distinct entries.
+    keys = [b"key%d" % i for i in range(collector.REPORT_CACHE_SIZE + 1)]
+    blobs = [pack(dd, k) for k in keys]
+    dump = simulate_crash(crash_info(truth, dec, model.module_name), model,
+                          _chain(model, 2))
+
+    def misses(i):
+        before = len(replications)
+        report(dump, blobs[i], dres.symfile, log, keys[i])
+        assert len(collector._report_cache) <= collector.REPORT_CACHE_SIZE
+        return len(replications) - before
+
+    assert [misses(i) for i in range(len(keys) - 1)] == [1] * (len(keys) - 1)
+    assert misses(0) == 0          # hit: entry 0 becomes most recent
+    assert misses(len(keys) - 1) == 1   # evicts entry 1, the least recent
+    assert len(collector._report_cache) == collector.REPORT_CACHE_SIZE
+    assert misses(0) == 0
+    assert misses(1) == 1
+
+
+def test_failed_reconstruction_is_not_cached(replications):
+    model = _model()
+    blob, dres, log, truth, dec = _delta_blob(model, SEEDS)
+    info = crash_info(truth, dec, model.module_name)
+    dump = simulate_crash(info, model, _chain(model, 2))
+    # Unpacks and replicates, but the patch does not fit the approximation.
+    bad = pack(DeltaData(seeds=SEEDS, patch=Patch((PatchOp("K", 3),))))
+    for _ in range(2):
+        with pytest.raises(PatchCorruptError):
+            report(dump, bad, dres.symfile, log)
+        with pytest.raises(DeltaFormatError):
+            report(dump, blob[:-1], dres.symfile, log)
+    assert len(replications) == 2
+    assert not collector._report_cache
+
+
+def test_report_rejects_decompression_bomb():
+    model = _model()
+    blob, dres, log, truth, dec = _delta_blob(model, SEEDS)
+    dump = simulate_crash(crash_info(truth, dec, model.module_name), model,
+                          _chain(model, 2))
+    with pytest.raises(DeltaFormatError, match="inflates past"):
+        report(dump, inflation_bomb(), dres.symfile, log)
+
+
+@pytest.mark.parametrize("num,den", [(1, 0), (3, 2)])
+def test_report_rejects_bad_nop_fraction(num, den):
+    model = _model()
+    blob, dres, log, truth, dec = _delta_blob(model, SEEDS)
+    dump = simulate_crash(crash_info(truth, dec, model.module_name), model,
+                          _chain(model, 2))
+    bad = pack(DeltaData(seeds=SEEDS, nop_num=num, nop_den=den))
+    with pytest.raises(DeltaFormatError, match="nop fraction"):
+        report(dump, bad, dres.symfile, log)
 
 
 def test_corpus_metrics_shuffle_is_seeds_only():
