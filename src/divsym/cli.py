@@ -59,6 +59,7 @@ def _options(args):
         kw["sp_fp_opt"] = args.sp_fp_opt
     if getattr(args, "nop_prob", None):
         kw["nop_num"], kw["nop_den"] = _parse_ratio(args.nop_prob)
+        deltadata.check_nop_fraction(kw["nop_num"], kw["nop_den"])
     if getattr(args, "desync", None):
         kw["desync_num"], kw["desync_den"] = _parse_ratio(args.desync)
     return BuildOptions(**kw)

@@ -259,9 +259,14 @@ def trace_from_dump(dump, sf, max_frames=cfi.DEFAULT_MAX_FRAMES):
 # Exact symbol files that report() reconstructed, least recently used
 # first.  Key: (SHA-256 of the delta blob, HMAC key, id(default_sf),
 # id(log)); value: (default_sf, log, exact).  The value keeps default_sf
-# and log alive, so their ids cannot be reused while the entry exists.
-# One entry for a 308-function program holds about 2.6 MB.
-REPORT_CACHE_SIZE = 8
+# and log alive, so while the entry exists no other object can have their
+# ids, and a hit on the key means the very same objects.
+# The capacity is the number of builds in the one measured report workload
+# (triage-repeat crashes two builds of one program); one entry for its
+# 308-function program holds about 2.6 MB.  No workload with more builds
+# has been measured, so neither the hit rate nor the memory of a larger
+# cache is known.
+REPORT_CACHE_SIZE = 2
 _report_cache = OrderedDict()
 
 
@@ -276,7 +281,7 @@ def report(dump, dd_bytes, default_sf, log, key=None):
     """
     slot = (hashlib.sha256(dd_bytes).digest(), key, id(default_sf), id(log))
     entry = _report_cache.get(slot)
-    hit = entry is not None and entry[0] is default_sf and entry[1] is log
+    hit = entry is not None
     dd = None if hit else unpack(dd_bytes, key)
     if dump.module_id != default_sf.module_id:
         raise ReplicationInputError(

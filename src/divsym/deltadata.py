@@ -373,6 +373,16 @@ def _parse_patch(lines, pos):
     return Patch(tuple(ops)), pos
 
 
+def check_nop_fraction(num, den):
+    """Raise DeltaFormatError unless num/den is a probability.
+
+    pack() and the payload parser both apply it, so every container the
+    writer produces is one the reader accepts.
+    """
+    if den == 0 or not 0 <= num <= den:
+        raise DeltaFormatError("bad nop fraction %d/%d" % (num, den))
+
+
 def _emit_payload(dd):
     out = ["DDATA v1",
            "seeds %016x %016x %016x" % (dd.seeds.pad_seed, dd.seeds.nop_seed,
@@ -392,8 +402,7 @@ def _parse_payload(text):
         raise DeltaFormatError("bad seeds record")
     seeds = SeedTuple(int(s[1], 16), int(s[2], 16), int(s[3], 16))
     num, den = (int(v) for v in lines[2].split()[1].split("/"))
-    if den == 0 or not 0 <= num <= den:
-        raise DeltaFormatError("bad nop fraction %d/%d" % (num, den))
+    check_nop_fraction(num, den)
     kv = dict(t.split("=", 1) for t in lines[3].split()[1:])
     patch, pos = _parse_patch(lines, 4)
     if pos != len(lines):
@@ -408,6 +417,7 @@ def _parse_payload(text):
 
 def pack(dd, key=None):
     """Serialize, DEFLATE, and optionally authenticate the delta data."""
+    check_nop_fraction(dd.nop_num, dd.nop_den)
     comp = zlib.compressobj(6, zlib.DEFLATED, -15)
     payload = comp.compress(_emit_payload(dd).encode()) + comp.flush()
     flags = FLAG_AUTH if key is not None else 0

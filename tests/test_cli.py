@@ -1,11 +1,9 @@
 from pathlib import Path
 
-from divsym import deltadata
 from divsym.cli import main
 from divsym.collector import sample_call_chains
-from divsym.diversify import SeedTuple
 from divsym.progmodel import parse_model
-from hostile import inflation_bomb
+from hostile import bad_nop_container, inflation_bomb
 
 
 def run(*argv):
@@ -172,12 +170,31 @@ def test_report_several_dumps_in_order(tmp_path, capsys):
 def test_hostile_delta_exit_code(tmp_path, capsys):
     common, dumps = _build_and_crash(tmp_path, 1)
     delta = Path(common[1])
-    nop = deltadata.pack(deltadata.DeltaData(seeds=SeedTuple(1, 2, 3),
-                                             nop_num=1, nop_den=0))
-    for blob in (nop, inflation_bomb()):
+    for blob in (bad_nop_container(1, 0), inflation_bomb()):
         delta.write_bytes(blob)
         assert run("report", "--dump", dumps[0], *common) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_writer_refuses_nop_fraction_reader_rejects(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    run("gen", "--seed", "21", "--n", "1", "--out", str(corpus))
+    model_path = next(corpus.glob("*.model"))
+    dflt = tmp_path / "default"
+    run("build", "--model", str(model_path), "--out", str(dflt))
+    div = tmp_path / "div"
+    delta = tmp_path / "delta.dbpd"
+    for ratio in ("3/2", "0/0", "-1/5", "1/0"):
+        assert run("diversify", "--model", str(model_path),
+                   "--seeds", "7,8,9", "--out", str(div),
+                   "--nop-prob=" + ratio) == 2
+        assert run("delta", "--default-sym", str(dflt / "default.sym"),
+                   "--opplog", str(dflt / "opportunity.log"),
+                   "--div-sym", str(dflt / "default.sym"),
+                   "--seeds", "7,8,9", "--nop-prob=" + ratio,
+                   "--out", str(delta)) == 2
+    assert not div.exists() and not delta.exists()
+    assert "nop fraction" in capsys.readouterr().err
 
 
 def test_input_error_exit_code(tmp_path):

@@ -14,7 +14,7 @@ from divsym.image import crash_info
 from divsym.progmodel import BuildOptions, generate_corpus
 from divsym.replicate import replicate
 from divsym.symfile import emit_symbol_file
-from hostile import inflation_bomb
+from hostile import bad_nop_container, inflation_bomb
 
 OPTS = BuildOptions()
 SEEDS = SeedTuple(0xD1, 0xD2, 0xD3)
@@ -355,15 +355,20 @@ def test_report_rejects_decompression_bomb():
         report(dump, inflation_bomb(), dres.symfile, log)
 
 
-@pytest.mark.parametrize("num,den", [(1, 0), (3, 2)])
+@pytest.mark.parametrize("num,den", [(1, 0), (0, 0), (3, 2), (-1, 5)])
 def test_report_rejects_bad_nop_fraction(num, den):
     model = _model()
     blob, dres, log, truth, dec = _delta_blob(model, SEEDS)
     dump = simulate_crash(crash_info(truth, dec, model.module_name), model,
                           _chain(model, 2))
-    bad = pack(DeltaData(seeds=SEEDS, nop_num=num, nop_den=den))
     with pytest.raises(DeltaFormatError, match="nop fraction"):
-        report(dump, bad, dres.symfile, log)
+        report(dump, bad_nop_container(num, den, SEEDS), dres.symfile, log)
+
+
+@pytest.mark.parametrize("num,den", [(1, 0), (0, 0), (3, 2), (-1, 5)])
+def test_pack_refuses_bad_nop_fraction(num, den):
+    with pytest.raises(DeltaFormatError, match="nop fraction"):
+        pack(DeltaData(seeds=SEEDS, nop_num=num, nop_den=den))
 
 
 def test_corpus_metrics_shuffle_is_seeds_only():
