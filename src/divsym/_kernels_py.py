@@ -38,13 +38,16 @@ def nop_gaps(seed, n_gaps, threshold):
     """Gap indices (1-based) selected for NOP insertion.
 
     One SplitMix64 draw per gap; gap g fires when the low 32 bits of
-    draw g are below threshold.  threshold = (num << 32) // den.
+    draw g are below threshold.  threshold = (num << 32) // den.  The
+    mix64 finalizer is inlined: this loop is the build side's hottest.
     """
     out = []
     state = seed & MASK64
     for g in range(1, n_gaps + 1):
         state = (state + SPLITMIX_GAMMA) & MASK64
-        if (mix64(state) & 0xFFFFFFFF) < threshold:
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        if ((z ^ (z >> 31)) & 0xFFFFFFFF) < threshold:
             out.append(g)
     return out
 

@@ -344,32 +344,60 @@ def _emit_patch(patch):
     return "\n".join(out) + "\n"
 
 
+def _int(tok, error, what, base=10):
+    """int(tok, base), raising error (a DivsymError) if tok is no number."""
+    try:
+        return int(tok, base)
+    except ValueError:
+        raise error("bad number %r in %s" % (tok, what)) from None
+
+
+def _count(tok, line):
+    n = _int(tok, PatchCorruptError, "patch op %r" % line)
+    if n < 0:
+        raise PatchCorruptError("negative count in patch op %r" % line)
+    return n
+
+
+# tokens on each op line, op letter included
+_OP_TOKENS = {"K": 2, "S": 3, "D": 2, "R": 3, "I": 2}
+
+
 def _parse_patch(lines, pos):
+    if pos >= len(lines):
+        raise PatchCorruptError("missing patch header")
     head = lines[pos].split()
     if len(head) != 3 or head[0] != "PATCH" or head[1] != "v1":
         raise PatchCorruptError("bad patch header %r" % lines[pos])
-    n_ops = int(head[2])
+    n_ops = _count(head[2], lines[pos])
     pos += 1
     ops = []
     for _ in range(n_ops):
-        toks = lines[pos].split()
+        if pos >= len(lines):
+            raise PatchCorruptError("patch ends after %d of %d ops"
+                                    % (len(ops), n_ops))
+        line = lines[pos]
+        toks = line.split()
         pos += 1
-        if toks[0] == "K":
-            ops.append(PatchOp("K", int(toks[1])))
-        elif toks[0] == "S":
-            ops.append(PatchOp("S", int(toks[1]), delta=int(toks[2])))
-        elif toks[0] == "D":
-            ops.append(PatchOp("D", int(toks[1])))
-        elif toks[0] == "R":
-            n, k = int(toks[1]), int(toks[2])
-            ops.append(PatchOp("R", n, lines=tuple(lines[pos:pos + k])))
-            pos += k
-        elif toks[0] == "I":
-            k = int(toks[1])
-            ops.append(PatchOp("I", lines=tuple(lines[pos:pos + k])))
-            pos += k
+        kind = toks[0] if toks else ""
+        if kind not in _OP_TOKENS:
+            raise PatchCorruptError("unknown patch op %r" % kind)
+        if len(toks) != _OP_TOKENS[kind]:
+            raise PatchCorruptError("bad patch op %r" % line)
+        n = _count(toks[1], line)
+        if kind == "S":
+            ops.append(PatchOp("S", n, delta=_int(toks[2], PatchCorruptError,
+                                                  "patch op %r" % line)))
+        elif kind in ("K", "D"):
+            ops.append(PatchOp(kind, n))
         else:
-            raise PatchCorruptError("unknown patch op %r" % toks[0])
+            k = _count(toks[-1], line)
+            if k > len(lines) - pos:
+                raise PatchCorruptError("%s op wants %d lines, %d left"
+                                        % (kind, k, len(lines) - pos))
+            ops.append(PatchOp(kind, n if kind == "R" else 0,
+                               lines=tuple(lines[pos:pos + k])))
+            pos += k
     return Patch(tuple(ops)), pos
 
 
@@ -393,26 +421,38 @@ def _emit_payload(dd):
     return "\n".join(out) + "\n" + _emit_patch(dd.patch)
 
 
+_FLAG_KEYS = ("default_padding", "sp_fp_opt", "pad", "shuffle")
+
+
 def _parse_payload(text):
     lines = text.splitlines()
     if len(lines) < 4 or lines[0] != "DDATA v1":
         raise DeltaFormatError("bad delta payload header")
     s = lines[1].split()
-    if s[0] != "seeds" or len(s) != 4:
+    if len(s) != 4 or s[0] != "seeds":
         raise DeltaFormatError("bad seeds record")
-    seeds = SeedTuple(int(s[1], 16), int(s[2], 16), int(s[3], 16))
-    num, den = (int(v) for v in lines[2].split()[1].split("/"))
+    seeds = SeedTuple(*(_int(v, DeltaFormatError, "seeds record", 16)
+                        for v in s[1:]))
+    nop = lines[2].split()
+    frac = nop[1].split("/") if len(nop) == 2 and nop[0] == "nop" else ()
+    if len(frac) != 2:
+        raise DeltaFormatError("bad nop record %r" % lines[2])
+    num, den = (_int(v, DeltaFormatError, "nop record") for v in frac)
     check_nop_fraction(num, den)
-    kv = dict(t.split("=", 1) for t in lines[3].split()[1:])
+    flags = lines[3].split()
+    kv = dict(t.partition("=")[::2] for t in flags[1:])
+    if flags[:1] != ["flags"] or len(flags) != 5 \
+            or sorted(kv) != sorted(_FLAG_KEYS):
+        raise DeltaFormatError("bad flags record %r" % lines[3])
+    flag = {k: bool(_int(kv[k], DeltaFormatError, "flags record"))
+            for k in _FLAG_KEYS}
     patch, pos = _parse_patch(lines, 4)
     if pos != len(lines):
         raise DeltaFormatError("trailing data in delta payload")
     return DeltaData(seeds=seeds, nop_num=num, nop_den=den,
-                     default_padding=bool(int(kv["default_padding"])),
-                     sp_fp_opt=bool(int(kv["sp_fp_opt"])),
-                     pad_scheme=bool(int(kv["pad"])),
-                     shuffle_scheme=bool(int(kv["shuffle"])),
-                     patch=patch)
+                     default_padding=flag["default_padding"],
+                     sp_fp_opt=flag["sp_fp_opt"], pad_scheme=flag["pad"],
+                     shuffle_scheme=flag["shuffle"], patch=patch)
 
 
 def pack(dd, key=None):

@@ -13,7 +13,9 @@ its decisions.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 from divsym._speed import nop_gaps
 from divsym.errors import ModelError
@@ -27,6 +29,7 @@ __all__ = [
     "build_default", "build_diversified", "OpportunityLog", "LogFunction",
     "LogBlock", "DecisionLog", "log_from_layout", "emit_opportunity_log",
     "parse_opportunity_log", "emit_decision_log", "parse_decision_log",
+    "bucket_gaps",
 ]
 
 PAD_CHOICES = 32          # padding in {8, 16, ..., 256}
@@ -92,6 +95,9 @@ def gap_decisions(identifier, block_index, n_gaps, nop_seed, num, den):
     Reseeds per block from identifier '#' block_index, one draw per gap;
     a gap fires when the draw's low 32 bits are below num/den of 2^32.
     The same routine runs on the build system and in the replicator.
+    Each side draws a block once per build: build_diversified takes its
+    decision log from the pass that grows the spans, and replicate draws
+    each block of the opportunity log once.
     """
     if n_gaps <= 0 or num <= 0:
         return ()
@@ -100,39 +106,56 @@ def gap_decisions(identifier, block_index, n_gaps, nop_seed, num, den):
     return tuple(nop_gaps(seed, n_gaps, threshold))
 
 
+def bucket_gaps(gaps, sizes):
+    """Number of gaps landing in each span of the given instruction sizes.
+
+    Gap g (after instruction g, 1-based) lands in the first span whose
+    running total is >= g, i.e. the span holding instruction g.  A span of
+    size 0 shares its running total with the span before it, so it takes
+    no gap.  Gaps past the last span are dropped.
+    """
+    counts = [0] * len(sizes)
+    bounds = list(accumulate(sizes))
+    n = len(bounds)
+    for g in gaps:
+        j = bisect_left(bounds, g)
+        if j < n:
+            counts[j] += 1
+    return counts
+
+
 def _grow_spans(spans, gaps):
     """Insert one instruction after each gap index; NOPs inherit the
     preceding instruction's source line."""
-    counts = [s.instrs for s in spans]
-    bounds = []
-    c = 0
-    for n in counts:
-        c += n
-        bounds.append(c)
-    for g in gaps:
-        for j, b in enumerate(bounds):
-            if g <= b:
-                counts[j] += 1
-                break
-    return tuple(LineSpan(s.line, s.filenum, n) for s, n in zip(spans, counts))
+    counts = bucket_gaps(gaps, [s.instrs for s in spans])
+    return tuple(LineSpan(s.line, s.filenum, s.instrs + k)
+                 for s, k in zip(spans, counts))
+
+
+def _nop_pass(model, nop_seed, num, den):
+    """(model with NOPs inserted, decision-log nops): one gap_decisions
+    call per code block."""
+    if num < 0 or den <= 0 or num > den:
+        raise ModelError("NOP probability %d/%d outside [0, 1]" % (num, den))
+    functions = []
+    nops = []
+    for f in model.functions:
+        blocks = []
+        for b in f.blocks:
+            if b.kind == "code":
+                gaps = gap_decisions(f.identifier, b.index, b.instr_count - 1,
+                                     nop_seed, num, den)
+                if gaps:
+                    nops.append((f.identifier, b.index, gaps))
+                    b = replace(b, spans=_grow_spans(b.spans, gaps))
+            blocks.append(b)
+        functions.append(replace(f, blocks=tuple(blocks)))
+    return replace(model, functions=tuple(functions)), tuple(nops)
 
 
 def insert_nops(model, nop_seed, num, den):
     """Apply NOP insertion to every code block; data blocks untouched."""
-    if num < 0 or den <= 0 or num > den:
-        raise ModelError("NOP probability %d/%d outside [0, 1]" % (num, den))
-    functions = []
-    for f in model.functions:
-        blocks = []
-        for b in f.blocks:
-            if b.kind != "code":
-                blocks.append(b)
-                continue
-            gaps = gap_decisions(f.identifier, b.index, b.instr_count - 1,
-                                 nop_seed, num, den)
-            blocks.append(replace(b, spans=_grow_spans(b.spans, gaps)))
-        functions.append(replace(f, blocks=tuple(blocks)))
-    return replace(model, functions=tuple(functions))
+    return _nop_pass(model, nop_seed, num, den)[0]
 
 
 def shuffle_permutation(n, shuffle_seed):
@@ -213,7 +236,11 @@ def build_default(model, options=BuildOptions()):
 
 
 def build_diversified(model, seeds, options=BuildOptions()):
-    """Diversified build: padding, then NOPs, then shuffling."""
+    """Diversified build: padding, then NOPs, then shuffling.
+
+    The decision log's nops come from the same pass that inserts them,
+    so every code block's gaps are drawn exactly once.
+    """
     if options.pad_scheme:
         padded = _apply_padding(
             model, lambda f: pad_amount(f.identifier, seeds.pad_seed, False))
@@ -224,26 +251,18 @@ def build_diversified(model, seeds, options=BuildOptions()):
     if options.desync_num:
         padded, desyncs = inject_desync(padded, seeds,
                                         options.desync_num, options.desync_den)
-    noppy = insert_nops(padded, seeds.nop_seed, options.nop_num, options.nop_den)
+    noppy, nops = _nop_pass(padded, seeds.nop_seed,
+                            options.nop_num, options.nop_den)
     if options.shuffle_scheme:
         order = shuffle_permutation(len(model.functions), seeds.shuffle_seed)
     else:
         order = list(range(len(model.functions)))
     result = layout(noppy, order, options)
-    nops = []
-    for f in padded.functions:
-        for b in f.blocks:
-            if b.kind != "code":
-                continue
-            gaps = gap_decisions(f.identifier, b.index, b.instr_count - 1,
-                                 seeds.nop_seed, options.nop_num, options.nop_den)
-            if gaps:
-                nops.append((f.identifier, b.index, gaps))
     structure = log_from_layout(result, model.module_name)
     dec = DecisionLog(
         module_name=model.module_name, functions=structure.functions,
         paddings=tuple((f.identifier, f.frame.padding) for f in padded.functions),
-        nops=tuple(nops), order=tuple(order), desyncs=desyncs)
+        nops=nops, order=tuple(order), desyncs=desyncs)
     return result, dec
 
 

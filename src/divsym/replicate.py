@@ -20,13 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from divsym.diversify import gap_decisions, pad_amount, shuffle_permutation
+from divsym.diversify import (DEFAULT_PAD, bucket_gaps, gap_decisions,
+                              pad_amount, shuffle_permutation)
 from divsym.errors import ReplicationInputError
 from divsym.progmodel import (INSTR_BYTES, align_up, epilogue_extras,
                               prologue_extras)
 from divsym.symfile import CfiInitRecord, FuncRecord, LineRecord, SymbolFile
-
-DEFAULT_PAD = 8
 
 
 @dataclass(frozen=True)
@@ -91,17 +90,6 @@ def _block_records(func, lf):
     return out
 
 
-def _gap_counts(gaps, bounds):
-    """Number of gaps landing in each record span."""
-    counts = [0] * len(bounds)
-    for g in gaps:
-        for j, b in enumerate(bounds):
-            if g <= b:
-                counts[j] += 1
-                break
-    return counts
-
-
 def _replicate_function(func, cfi, lf, seeds, options):
     ident = lf.identifier
     defpad = DEFAULT_PAD if options.default_padding else 0
@@ -154,12 +142,7 @@ def _replicate_function(func, cfi, lf, seeds, options):
 
         gaps = gap_decisions(ident, b.index, b.model_instrs - 1,
                              seeds.nop_seed, options.nop_num, options.nop_den)
-        bounds = []
-        c = 0
-        for body in bodies:
-            c += body
-            bounds.append(c)
-        nops = _gap_counts(gaps, bounds)
+        nops = bucket_gaps(gaps, bodies)
 
         old_starts[b.index] = recs[0].address - base
         old_ends[b.index] = recs[-1].address + recs[-1].size - base

@@ -21,10 +21,32 @@ def inflation_bomb():
     return _plain_container(b"\0" * (deltadata.MAX_PAYLOAD_BYTES + 1))
 
 
+def edited_container(edits, seeds=SeedTuple(1, 2, 3)):
+    """A plain container of a packed empty-patch payload with line i
+    replaced by edits[i]; a replacement may span several lines."""
+    blob = deltadata.pack(DeltaData(seeds=seeds))
+    lines = zlib.decompress(blob[deltadata.HEADER_LEN:], -15).split(b"\n")
+    for i, new in edits.items():
+        lines[i] = new
+    return _plain_container(b"\n".join(lines))
+
+
 def bad_nop_container(num, den, seeds=SeedTuple(1, 2, 3)):
     """A plain container whose payload carries the nop fraction num/den,
     which pack() refuses to write."""
-    blob = deltadata.pack(DeltaData(seeds=seeds, nop_num=1, nop_den=5))
-    text = zlib.decompress(blob[deltadata.HEADER_LEN:], -15)
-    return _plain_container(
-        text.replace(b"\nnop 1/5\n", b"\nnop %d/%d\n" % (num, den), 1))
+    return edited_container({2: b"nop %d/%d" % (num, den)}, seeds)
+
+
+# Payload lines: 0 DDATA, 1 seeds, 2 nop, 3 flags, 4 the patch header.
+# Malformed patch ops; the reader raises PatchCorruptError.
+PATCH_FAULTS = {
+    "op list shorter than its count": {4: b"PATCH v1 2\nK 1"},
+    "empty op line": {4: b"PATCH v1 1\n"},
+    "keep without count": {4: b"PATCH v1 1\nK"},
+}
+# Malformed header records; the reader raises DeltaFormatError.
+HEADER_FAULTS = {
+    "empty seeds line": {1: b""},
+    "empty nop line": {2: b""},
+    "flags without default_padding": {3: b"flags sp_fp_opt=0 pad=1 shuffle=1"},
+}

@@ -3,7 +3,8 @@ from pathlib import Path
 from divsym.cli import main
 from divsym.collector import sample_call_chains
 from divsym.progmodel import parse_model
-from hostile import bad_nop_container, inflation_bomb
+from hostile import (HEADER_FAULTS, PATCH_FAULTS, bad_nop_container,
+                     edited_container, inflation_bomb)
 
 
 def run(*argv):
@@ -174,6 +175,18 @@ def test_hostile_delta_exit_code(tmp_path, capsys):
         delta.write_bytes(blob)
         assert run("report", "--dump", dumps[0], *common) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_malformed_payload_record_exit_codes(tmp_path, capsys):
+    common, dumps = _build_and_crash(tmp_path, 1)
+    delta = Path(common[1])
+    for faults, code in ((PATCH_FAULTS, 4), (HEADER_FAULTS, 2)):
+        for edits in faults.values():
+            delta.write_bytes(edited_container(edits))
+            assert run("report", "--dump", dumps[0], *common) == code
+    err = capsys.readouterr().err
+    assert "corrupt patch:" in err and "error:" in err
+    assert "Traceback" not in err
 
 
 def test_writer_refuses_nop_fraction_reader_rejects(tmp_path, capsys):

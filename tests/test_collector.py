@@ -14,7 +14,8 @@ from divsym.image import crash_info
 from divsym.progmodel import BuildOptions, generate_corpus
 from divsym.replicate import replicate
 from divsym.symfile import emit_symbol_file
-from hostile import bad_nop_container, inflation_bomb
+from hostile import (HEADER_FAULTS, PATCH_FAULTS, bad_nop_container,
+                     edited_container, inflation_bomb)
 
 OPTS = BuildOptions()
 SEEDS = SeedTuple(0xD1, 0xD2, 0xD3)
@@ -363,6 +364,19 @@ def test_report_rejects_bad_nop_fraction(num, den):
                           _chain(model, 2))
     with pytest.raises(DeltaFormatError, match="nop fraction"):
         report(dump, bad_nop_container(num, den, SEEDS), dres.symfile, log)
+
+
+@pytest.mark.parametrize("error,edits", [
+    *((PatchCorruptError, e) for e in PATCH_FAULTS.values()),
+    *((DeltaFormatError, e) for e in HEADER_FAULTS.values())],
+    ids=[*PATCH_FAULTS, *HEADER_FAULTS])
+def test_report_rejects_malformed_payload_records(error, edits):
+    model = _model()
+    blob, dres, log, truth, dec = _delta_blob(model, SEEDS)
+    dump = simulate_crash(crash_info(truth, dec, model.module_name), model,
+                          _chain(model, 2))
+    with pytest.raises(error):
+        report(dump, edited_container(edits, SEEDS), dres.symfile, log)
 
 
 @pytest.mark.parametrize("num,den", [(1, 0), (0, 0), (3, 2), (-1, 5)])

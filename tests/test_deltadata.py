@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from divsym import deltadata
 from divsym.deltadata import (DeltaData, Patch, PatchOp, apply,
                               delta_from_options, diff, embed, extract, pack,
                               unpack)
@@ -155,6 +156,28 @@ def test_truncated_and_corrupt_containers():
     bad[4] = 9  # unsupported version
     with pytest.raises(DeltaFormatError):
         unpack(bytes(bad))
+
+
+@pytest.mark.parametrize("patch_text", [
+    "PATCH v1 1\nK -1", "PATCH v1 1\nS 2", "PATCH v1 1\nK x",
+    "PATCH v1 1\nR 1 3\nonly one line", "PATCH v1 -1", "PATCH v1 1\nK 1 2",
+])
+def test_malformed_patch_ops_raise_patch_corrupt(patch_text):
+    text = deltadata._emit_payload(small_dd())
+    assert "PATCH v1 0" in text
+    with pytest.raises(PatchCorruptError):
+        deltadata._parse_payload(text.replace("PATCH v1 0", patch_text))
+
+
+@pytest.mark.parametrize("old,new", [
+    ("seeds 0", "seeds x"), ("nop 1/5", "nop 1"), ("nop 1/5", "nop a/5"),
+    ("pad=1", "pad"), ("pad=1", "pad=x"), ("shuffle=1", "shuffle=1 pad=1"),
+])
+def test_malformed_header_records_raise_delta_format(old, new):
+    text = deltadata._emit_payload(small_dd())
+    assert old in text
+    with pytest.raises(DeltaFormatError):
+        deltadata._parse_payload(text.replace(old, new, 1))
 
 
 def test_compression_never_explodes():

@@ -1,9 +1,13 @@
 import itertools
 from dataclasses import replace
 
+import pytest
+
+from divsym import diversify
 from divsym.diversify import (SeedTuple, build_default, build_diversified,
-                              emit_decision_log, emit_opportunity_log,
-                              gap_decisions, inject_desync, insert_nops,
+                              bucket_gaps, emit_decision_log,
+                              emit_opportunity_log, gap_decisions,
+                              inject_desync, insert_nops,
                               pad_amount, parse_decision_log,
                               parse_opportunity_log, shuffle_order,
                               shuffle_permutation)
@@ -129,6 +133,71 @@ def test_nops_inherit_preceding_line():
     assert grown[0].line == 10 and grown[1].line == 20
     assert sum(s.instrs for s in grown) == sum(s.instrs for s in spans) + 3
     assert block.kind == "code"
+
+
+def _linear_gap_counts(gaps, sizes):
+    """The nested scan bucket_gaps replaced: first running total >= g."""
+    bounds = list(itertools.accumulate(sizes))
+    counts = [0] * len(sizes)
+    for g in gaps:
+        for j, b in enumerate(bounds):
+            if g <= b:
+                counts[j] += 1
+                break
+    return counts
+
+
+@pytest.mark.parametrize("gaps,sizes", [
+    ((2, 5, 9), (2, 3, 4)),             # every gap on a span boundary
+    ((1, 2, 3, 4), (2, 0, 2)),          # zero-size span after a boundary
+    ((1, 2), (0, 0, 2, 1)),             # leading zero-size spans
+    ((3,), (1, 2, 0, 0)),               # trailing zero-size spans
+    ((), (3, 4)),                       # no gaps
+    ((), ()),                           # no spans
+    ((1, 4, 7, 8, 9), (3, 3, 2)),       # gap past the last span
+    (tuple(range(1, 30)), (1, 0, 5, 7, 0, 3, 11)),
+])
+def test_bucket_gaps_matches_linear_scan(gaps, sizes):
+    assert bucket_gaps(gaps, sizes) == _linear_gap_counts(gaps, sizes)
+
+
+def test_build_diversified_draws_each_code_block_once(monkeypatch):
+    model = generate_corpus(3, 1)[0]
+    calls = []
+
+    def counting(*args):
+        calls.append(args[:2])
+        return gap_decisions(*args)
+
+    monkeypatch.setattr(diversify, "gap_decisions", counting)
+    build_diversified(model, SEEDS, BuildOptions())
+    blocks = [(f.identifier, b.index) for f in model.functions
+              for b in f.blocks if b.kind == "code"]
+    assert sorted(calls) == sorted(blocks)
+
+
+@pytest.mark.parametrize("options", [
+    BuildOptions(), BuildOptions(nop_num=1, nop_den=1),
+    BuildOptions(desync_num=1, desync_den=2)])
+def test_decision_log_nops_are_the_per_block_draws(options):
+    model = generate_corpus(3, 1)[0]
+    _, dec = build_diversified(model, SEEDS, options)
+    drawn = model
+    if options.desync_num:
+        drawn, hits = inject_desync(model, SEEDS, options.desync_num,
+                                    options.desync_den)
+        assert hits == dec.desyncs and hits
+    want = []
+    for f in drawn.functions:
+        for b in f.blocks:
+            if b.kind != "code":
+                continue
+            gaps = gap_decisions(f.identifier, b.index, b.instr_count - 1,
+                                 SEEDS.nop_seed, options.nop_num,
+                                 options.nop_den)
+            if gaps:
+                want.append((f.identifier, b.index, gaps))
+    assert dec.nops == tuple(want)
 
 
 def test_shuffle_identity_for_single_function():

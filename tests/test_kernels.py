@@ -4,6 +4,7 @@ import pytest
 
 from divsym import _kernels_py
 from divsym import _speed
+from divsym.prng import Prng
 
 try:
     from divsym import _kernels
@@ -12,6 +13,19 @@ except ImportError:
 
 needs_ext = pytest.mark.skipif(_kernels is None,
                                reason="compiled kernels not built")
+
+
+def test_pure_nop_gaps_matches_the_mix64_stream():
+    rng = random.Random(0x6A9)
+    for _ in range(300):
+        seed = rng.getrandbits(64)
+        n = rng.randrange(0, 200)
+        thr = rng.choice((0, 1, (1 << 32) // 5, 1 << 32,
+                          rng.randrange(0, 1 << 32)))
+        draws = Prng(seed)
+        want = [g for g in range(1, n + 1)
+                if (draws.next() & 0xFFFFFFFF) < thr]
+        assert _kernels_py.nop_gaps(seed, n, thr) == want
 
 
 @needs_ext
