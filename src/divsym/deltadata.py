@@ -442,7 +442,7 @@ def _parse_payload(text):
     flags = lines[3].split()
     kv = dict(t.partition("=")[::2] for t in flags[1:])
     if flags[:1] != ["flags"] or len(flags) != 5 \
-            or sorted(kv) != sorted(_FLAG_KEYS):
+            or kv.keys() != set(_FLAG_KEYS):
         raise DeltaFormatError("bad flags record %r" % lines[3])
     flag = {k: bool(_int(kv[k], DeltaFormatError, "flags record"))
             for k in _FLAG_KEYS}
