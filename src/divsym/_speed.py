@@ -1,8 +1,8 @@
 """Kernel backend selection.
 
 Imports the compiled extension when available, otherwise the pure-Python
-fallback.  Set DIVSYM_PURE=1 to force the fallback (used by the
-benchmark driver to time both).
+fallback.  Set DIVSYM_PURE=1 to force the fallback, e.g. to time both
+backends from one build.
 """
 
 import os

@@ -33,12 +33,17 @@ from divsym.errors import HarnessError, ReplicationInputError
 from divsym.image import ImageInfo
 from divsym.prng import Prng
 from divsym.progmodel import INSTR_BYTES, BuildOptions, ProgramModel, layout
+from divsym.records import read_records
 from divsym.replicate import replicate
 from divsym.symfile import emit_symbol_file
 
 STACK_TOP = 0xBF000000
 JUNK_BASE = 0x40000000
 CRASH_REASON = "SIGSEGV"
+
+# The largest stack snapshot parse_minidump accepts; the simulator's
+# deepest chains capture a few KiB.
+MAX_STACK_BYTES = 1 << 20
 
 REG_ORDER = ("pc", "sp", "lr", "r4", "r5", "r6", "r7", "r8", "r9", "r10", "r11")
 
@@ -196,35 +201,39 @@ def emit_minidump(dump):
     return "\n".join(out) + "\n"
 
 
+def _dump_text(dump, toks, line):
+    dump[toks[0]] = line.split(" ", 1)[1]
+
+
+def _dump_hex(dump, toks, line):
+    dump[toks[0]] = int(toks[1], 16)
+
+
+def _dump_reg(dump, toks, line):
+    dump["reg"][toks[1]] = int(toks[2], 16)
+
+
+def _dump_stack(dump, toks, line):
+    if len(toks[1]) > 2 * MAX_STACK_BYTES:
+        raise ValueError("stack data over %d bytes" % MAX_STACK_BYTES)
+    dump["stackdata"] = b"" if toks[1] == "-" else bytes.fromhex(toks[1])
+
+
+# Each handler stores its record's value under the record's keyword.
+_DUMP_RECORDS = {"module": _dump_text, "reason": _dump_text,
+                 "crashaddr": _dump_hex, "reg": _dump_reg,
+                 "stackbase": _dump_hex, "stackdata": _dump_stack}
+
+
 def parse_minidump(text):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "MDUMP v1":
-        raise HarnessError("missing MDUMP v1 header")
-    module_id = reason = ""
-    crash_address = 0
-    regs = {}
-    stack_base = 0
-    data = b""
-    for ln in lines[1:]:
-        toks = ln.split()
-        if toks[0] == "module":
-            module_id = ln.split(" ", 1)[1]
-        elif toks[0] == "reason":
-            reason = ln.split(" ", 1)[1]
-        elif toks[0] == "crashaddr":
-            crash_address = int(toks[1], 16)
-        elif toks[0] == "reg":
-            regs[toks[1]] = int(toks[2], 16)
-        elif toks[0] == "stackbase":
-            stack_base = int(toks[1], 16)
-        elif toks[0] == "stackdata":
-            data = b"" if toks[1] == "-" else bytes.fromhex(toks[1])
-        else:
-            raise HarnessError("unknown dump record %r" % toks[0])
-    if regs.get("pc") != crash_address:
+    dump = {"module": "", "reason": "", "crashaddr": 0, "reg": {},
+            "stackbase": 0, "stackdata": b""}
+    read_records(text, "MDUMP v1", _DUMP_RECORDS, dump, HarnessError)
+    regs = dump["reg"]
+    if regs.get("pc") != dump["crashaddr"]:
         raise HarnessError("crash address does not match pc")
-    return MinidumpLite(module_id, reason, crash_address, regs,
-                        cfi.StackSnapshot(stack_base, data))
+    return MinidumpLite(dump["module"], dump["reason"], dump["crashaddr"], regs,
+                        cfi.StackSnapshot(dump["stackbase"], dump["stackdata"]))
 
 
 # ---------------------------------------------------------------------------

@@ -16,16 +16,18 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from itertools import accumulate
+from types import SimpleNamespace
 
 from divsym._speed import nop_gaps
 from divsym.errors import ModelError
 from divsym.prng import Prng, function_reseed, mix64
 from divsym.progmodel import BuildOptions, LineSpan, layout
+from divsym.records import fields, read_records
 
 # re-exported: the PRNG and reseeding live in divsym.prng
 __all__ = [
     "SeedTuple", "Prng", "function_reseed", "pad_amount", "gap_decisions",
-    "insert_nops", "shuffle_order", "shuffle_permutation", "inject_desync",
+    "insert_nops", "shuffle_permutation", "inject_desync",
     "build_default", "build_diversified", "OpportunityLog", "LogFunction",
     "LogBlock", "DecisionLog", "log_from_layout", "emit_opportunity_log",
     "parse_opportunity_log", "emit_decision_log", "parse_decision_log",
@@ -168,13 +170,6 @@ def shuffle_permutation(n, shuffle_seed):
     return order
 
 
-def shuffle_order(log, shuffle_seed):
-    """Diversified function order for an opportunity log."""
-    if not log.functions:
-        raise ModelError("empty opportunity log")
-    return shuffle_permutation(len(log.functions), shuffle_seed)
-
-
 def inject_desync(model, seeds, num, den, targets=None):
     """Append one phantom instruction to a random block of a fraction of
     functions, emulating CFG/size perturbations the replicator cannot
@@ -286,42 +281,46 @@ def _emit_log_functions(out, functions):
                 out.append("POOL bytes=%d" % b.size)
 
 
-def _parse_log_functions(lines):
-    functions = []
-    cur = None
-    blocks = None
+def _log_function(st, toks, line):
+    align, local, saved, fp, ident = fields(
+        line, "align", "local", "saved", "fp", "id")
+    st.functions.append((ident, int(align), int(local), int(saved),
+                         bool(int(fp)), []))
 
-    def close():
-        nonlocal cur
-        if cur is not None:
-            functions.append(LogFunction(cur["id"], cur["align"], cur["local"],
-                                         cur["saved"], cur["fp"], tuple(blocks)))
-            cur = None
 
-    for ln in lines:
-        toks = ln.split()
-        kw = toks[0]
-        if kw == "FUNCTION":
-            close()
-            kv = dict(t.split("=", 1) for t in toks[1:5])
-            cur = {"align": int(kv["align"]), "local": int(kv["local"]),
-                   "saved": int(kv["saved"]), "fp": bool(int(kv["fp"])),
-                   "id": ln.split("id=", 1)[1]}
-            blocks = []
-        elif kw == "BLOCK":
-            if toks[1] == "code":
-                kv = dict(t.split("=", 1) for t in toks[3:5])
-                blocks.append(LogBlock("code", int(toks[2]), int(kv["n"]),
-                                       int(kv["model"]), ln.endswith(" epilogue")))
-            else:
-                blocks.append(LogBlock("data", int(toks[2]),
-                                       int(toks[3].split("=", 1)[1])))
-        elif kw == "POOL":
-            blocks.append(LogBlock("pool", -1, int(toks[1].split("=", 1)[1])))
-        else:
-            raise ModelError("unknown log record %r" % kw)
-    close()
-    return functions
+def _log_block(st, toks, line):
+    if toks[1] == "code":
+        n, model = fields(line.removesuffix(" epilogue"), "n", "model")
+        b = LogBlock("code", int(toks[2]), int(n), int(model),
+                     line.endswith(" epilogue"))
+    else:
+        b = LogBlock("data", int(toks[2]), int(fields(line, "bytes")[0]))
+    st.functions[-1][-1].append(b)
+
+
+# The records both logs share.  Each function under construction is a
+# tuple of LogFunction fields with a block list last.
+_LOG_RECORDS = {
+    "FUNCTION": _log_function,
+    "BLOCK": _log_block,
+    "POOL": lambda st, toks, line: st.functions[-1][-1].append(
+        LogBlock("pool", -1, int(fields(line, "bytes")[0]))),
+}
+_DECISION_RECORDS = dict(
+    _LOG_RECORDS,
+    ORDER=lambda st, toks, line: st.order.extend(
+        int(t) for t in toks[1].split(",")),
+    PAD=lambda st, toks, line: st.paddings.append(
+        (line.split(" ", 2)[2], int(toks[1]))),
+    NOPS=lambda st, toks, line: st.nops.append(
+        (line.split(" ", 3)[3], int(toks[1]),
+         tuple(int(g) for g in toks[2].split(",")))),
+    DESYNC=lambda st, toks, line: st.desyncs.append(
+        (line.split(" ", 2)[2], int(toks[1]))))
+
+
+def _log_functions(st):
+    return tuple(LogFunction(*f[:-1], tuple(f[-1])) for f in st.functions)
 
 
 def emit_opportunity_log(log):
@@ -331,11 +330,9 @@ def emit_opportunity_log(log):
 
 
 def parse_opportunity_log(text):
-    lines = [ln for ln in text.split("\n") if ln.strip()]
-    if not lines or not lines[0].startswith("OPPLOG v1 "):
-        raise ModelError("missing OPPLOG v1 header")
-    module_name = lines[0].split(" ", 2)[2]
-    return OpportunityLog(module_name, tuple(_parse_log_functions(lines[1:])))
+    st = SimpleNamespace(functions=[])
+    module_name = read_records(text, "OPPLOG v1", _LOG_RECORDS, st, ModelError)
+    return OpportunityLog(module_name, _log_functions(st))
 
 
 def emit_decision_log(dec):
@@ -352,28 +349,9 @@ def emit_decision_log(dec):
 
 
 def parse_decision_log(text):
-    lines = [ln for ln in text.split("\n") if ln.strip()]
-    if not lines or not lines[0].startswith("DECLOG v1 "):
-        raise ModelError("missing DECLOG v1 header")
-    module_name = lines[0].split(" ", 2)[2]
-    order = ()
-    paddings = []
-    nops = []
-    desyncs = []
-    body = []
-    for ln in lines[1:]:
-        toks = ln.split()
-        if toks[0] == "ORDER":
-            order = tuple(int(t) for t in toks[1].split(","))
-        elif toks[0] == "PAD":
-            paddings.append((ln.split(" ", 2)[2], int(toks[1])))
-        elif toks[0] == "NOPS":
-            gaps = tuple(int(g) for g in toks[2].split(","))
-            nops.append((ln.split(" ", 3)[3], int(toks[1]), gaps))
-        elif toks[0] == "DESYNC":
-            desyncs.append((ln.split(" ", 2)[2], int(toks[1])))
-        else:
-            body.append(ln)
-    functions = tuple(_parse_log_functions(body))
-    return DecisionLog(module_name, functions, tuple(paddings), tuple(nops),
-                       tuple(order), tuple(desyncs))
+    st = SimpleNamespace(functions=[], order=[], paddings=[], nops=[],
+                         desyncs=[])
+    module_name = read_records(text, "DECLOG v1", _DECISION_RECORDS, st,
+                               ModelError)
+    return DecisionLog(module_name, _log_functions(st), tuple(st.paddings),
+                       tuple(st.nops), tuple(st.order), tuple(st.desyncs))

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from divsym.errors import DeltaFormatError
 from divsym.progmodel import INSTR_BYTES
+from divsym.records import fields, read_records
 
 MAGIC = b"DIMG"
 VERSION = 1
@@ -69,13 +70,14 @@ def _section_record(name, payload):
 def iter_sections(blob):
     if blob[:4] != MAGIC:
         raise DeltaFormatError("bad image magic")
-    if blob[4] != VERSION:
-        raise DeltaFormatError("unsupported image version %d" % blob[4])
+    if blob[4:5] != bytes([VERSION]):
+        raise DeltaFormatError("unsupported image version %r" % blob[4:5])
     i = 5
     while i < len(blob):
         nlen = blob[i]
         i += 1
-        name = blob[i:i + nlen].decode("ascii")
+        # a non-ASCII name matches no section this module looks up
+        name = blob[i:i + nlen].decode("ascii", "replace")
         i += nlen
         if i + 4 > len(blob):
             raise DeltaFormatError("truncated image section header")
@@ -144,7 +146,11 @@ def _text_bytes(result):
 
 
 def write_image(result, decisions=None, module_name=""):
-    info = crash_info(result, decisions, module_name)
+    return pack_image(crash_info(result, decisions, module_name))
+
+
+def pack_image(info):
+    """The container read_image reads back as `info`."""
     meta = "IMAGE v1 %s\nmoduleid %s\n" % (info.module_name, info.module_id)
     crash = _emit_crash_meta(info)
     return pack_sections([("meta", meta.encode()),
@@ -152,18 +158,23 @@ def write_image(result, decisions=None, module_name=""):
                           ("text", info.text)])
 
 
+def _section_text(blob, name):
+    try:
+        return find_section(blob, name).decode()
+    except UnicodeDecodeError as e:
+        raise DeltaFormatError("%s section: %s" % (name, e)) from None
+
+
+_META_RECORDS = {"moduleid": lambda meta, toks, line: meta.update(
+    moduleid=line.split(" ", 1)[1])}
+
+
 def read_image(blob):
-    meta = find_section(blob, "meta").decode()
-    lines = meta.splitlines()
-    if not lines or not lines[0].startswith("IMAGE v1 "):
-        raise DeltaFormatError("bad image meta header")
-    module_name = lines[0].split(" ", 2)[2]
-    module_id = ""
-    for ln in lines[1:]:
-        if ln.startswith("moduleid "):
-            module_id = ln.split(" ", 1)[1]
-    fns = _parse_crash_meta(find_section(blob, "crash").decode())
-    return ImageInfo(module_name, module_id, fns, find_section(blob, "text"))
+    meta = {"moduleid": ""}
+    module_name = read_records(_section_text(blob, "meta"), "IMAGE v1",
+                               _META_RECORDS, meta, DeltaFormatError)
+    fns = _parse_crash_meta(_section_text(blob, "crash"))
+    return ImageInfo(module_name, meta["moduleid"], fns, find_section(blob, "text"))
 
 
 def _emit_crash_meta(info):
@@ -178,37 +189,24 @@ def _emit_crash_meta(info):
     return "\n".join(out) + "\n" if out else ""
 
 
+def _crash_fn(fns, toks, line):
+    base, size, pad, name, ident = fields(line, "base", "size", "pad",
+                                          "name", "id")
+    fns.append((ident, name, int(base, 16), int(size, 16), int(pad), []))
+
+
+def _crash_block(fns, toks, line):
+    addr, pre, nops = fields(line, "addr", "pre", "nops")
+    gaps = () if nops == "-" else tuple(int(g) for g in nops.split(","))
+    fns[-1][-1].append(CrashBlock(int(toks[1]), int(addr, 16), int(pre), gaps))
+
+
+# Each function under construction is a tuple of CrashFn fields with a
+# block list last.
+_CRASH_RECORDS = {"CRASHFN": _crash_fn, "CRASHBLOCK": _crash_block}
+
+
 def _parse_crash_meta(text):
     fns = []
-    cur = None
-    blocks = None
-
-    def close():
-        nonlocal cur
-        if cur is not None:
-            fns.append(CrashFn(cur["id"], cur["name"], cur["base"], cur["size"],
-                               cur["pad"], tuple(blocks)))
-            cur = None
-
-    for ln in text.splitlines():
-        if not ln.strip():
-            continue
-        toks = ln.split()
-        if toks[0] == "CRASHFN":
-            close()
-            kv = dict(t.split("=", 1) for t in toks[1:4])
-            cur = {"base": int(kv["base"], 16), "size": int(kv["size"], 16),
-                   "pad": int(kv["pad"]),
-                   "name": ln.split("name=", 1)[1].split(" id=", 1)[0],
-                   "id": ln.split("id=", 1)[1]}
-            blocks = []
-        elif toks[0] == "CRASHBLOCK":
-            kv = dict(t.split("=", 1) for t in toks[2:])
-            gaps = () if kv["nops"] == "-" else tuple(
-                int(g) for g in kv["nops"].split(","))
-            blocks.append(CrashBlock(int(toks[1]), int(kv["addr"], 16),
-                                     int(kv["pre"]), gaps))
-        else:
-            raise DeltaFormatError("unknown crash meta record %r" % toks[0])
-    close()
-    return tuple(fns)
+    read_records(text, None, _CRASH_RECORDS, fns, DeltaFormatError)
+    return tuple(CrashFn(*f[:-1], tuple(f[-1])) for f in fns)

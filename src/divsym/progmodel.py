@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 from divsym._speed import arm_imm_encodable
 from divsym.errors import LayoutError, ModelError
 from divsym.prng import Prng, function_reseed, mix64
+from divsym.records import fields, read_records
 from divsym.symfile import CfiInitRecord, FuncRecord, LineRecord, SymbolFile
 
 INSTR_BYTES = 4
@@ -617,80 +619,61 @@ def emit_model(model):
     return "\n".join(out) + "\n"
 
 
+def _model_function(st, toks, line):
+    align, fp, param, obj, section, name = fields(
+        line, "align", "fp", "param", "object", "section", "name")
+    st.functions.append(dict(
+        name=name, object_name=obj, section_name=section,
+        alignment=int(align), has_fp=bool(int(fp)), param_size=int(param),
+        frame=FrameModel(), accesses=[], blocks=[], call_sites=[]))
+
+
+def _model_frame(st, toks, line):
+    local, pad, saved = fields(line, "local", "pad", "saved")
+    f = st.functions[-1]
+    f["frame"] = replace(f["frame"], local_size=int(local), padding=int(pad),
+                         callee_saved=() if saved == "-" else tuple(saved.split(",")))
+
+
+def _model_block(st, toks, line):
+    if toks[1] == "code" and toks[3:] in ([], ["epilogue"]):
+        b = ["code", int(toks[2]), [], [], 0, len(toks) == 4]
+    elif toks[1] == "data" and len(toks) == 4:
+        b = ["data", int(toks[2]), [], [], int(toks[3]), False]
+    else:
+        raise ValueError("not a code or data block")
+    st.functions[-1]["blocks"].append(b)
+
+
+# Each function under construction is a dict of FunctionModel fields, and
+# each block a list of BlockModel fields; lists stand for tuples.
+_MODEL_RECORDS = {
+    "FILE": lambda st, toks, line: st.files.append(
+        (int(toks[1]), line.split(" ", 2)[2])),
+    "FUNCTION": _model_function,
+    "FRAME": _model_frame,
+    "ACCESS": lambda st, toks, line: st.functions[-1]["accesses"].append(
+        StackAccess(int(toks[1]), int(toks[2]), int(toks[3]))),
+    "CALL": lambda st, toks, line: st.functions[-1]["call_sites"].append(
+        (int(toks[1]), int(toks[2]), toks[3])),
+    "BLOCK": _model_block,
+    "SPAN": lambda st, toks, line: st.functions[-1]["blocks"][-1][2].append(
+        LineSpan(int(toks[1]), int(toks[2]), int(toks[3]))),
+    "CONST": lambda st, toks, line: st.functions[-1]["blocks"][-1][3].append(
+        int(toks[1], 16)),
+}
+
+
 def parse_model(text):
-    lines = [ln for ln in text.split("\n") if ln.strip()]
-    if not lines or not lines[0].startswith("MODEL v1 "):
-        raise ModelError("missing MODEL v1 header")
-    module_name = lines[0].split(" ", 2)[2]
-    files = []
+    st = SimpleNamespace(files=[], functions=[])
+    module_name = read_records(text, "MODEL v1", _MODEL_RECORDS, st, ModelError)
     functions = []
-    cur = None     # mutable function under construction
-    blocks = None
-    block = None
-
-    def close_block():
-        nonlocal block
-        if block is not None:
-            kind, idx, spans, consts, size, epi = block
-            if kind == "code":
-                blocks.append(BlockModel("code", idx, spans=tuple(spans),
-                                         consts=tuple(consts), epilogue=epi))
-            else:
-                blocks.append(BlockModel("data", idx, byte_size=size))
-            block = None
-
-    def close_func():
-        nonlocal cur, blocks
-        close_block()
-        if cur is not None:
-            cur["blocks"] = tuple(blocks)
-            functions.append(FunctionModel(
-                name=cur["name"], object_name=cur["object"],
-                section_name=cur["section"], alignment=cur["align"],
-                has_fp=cur["fp"], param_size=cur["param"],
-                frame=FrameModel(cur["local"], cur["saved"],
-                                 tuple(cur["accesses"]), cur["pad"]),
-                blocks=cur["blocks"], call_sites=tuple(cur["calls"])))
-            cur = None
-            blocks = None
-
-    for ln in lines[1:]:
-        toks = ln.split()
-        kw = toks[0]
-        if kw == "FILE":
-            files.append((int(toks[1]), ln.split(" ", 2)[2]))
-        elif kw == "FUNCTION":
-            close_func()
-            kv = dict(t.split("=", 1) for t in toks[1:5])
-            name = ln.split("name=", 1)[1]
-            cur = {"align": int(kv["align"]), "fp": bool(int(kv["fp"])),
-                   "param": int(kv["param"]), "object": kv["object"],
-                   "section": ln.split("section=", 1)[1].split(" name=", 1)[0],
-                   "name": name, "accesses": [], "calls": [],
-                   "local": 0, "pad": 0, "saved": ()}
-            blocks = []
-        elif kw == "FRAME":
-            kv = dict(t.split("=", 1) for t in toks[1:])
-            cur["local"] = int(kv["local"])
-            cur["pad"] = int(kv["pad"])
-            cur["saved"] = () if kv["saved"] == "-" else tuple(kv["saved"].split(","))
-        elif kw == "ACCESS":
-            cur["accesses"].append(StackAccess(int(toks[1]), int(toks[2]), int(toks[3])))
-        elif kw == "CALL":
-            cur["calls"].append((int(toks[1]), int(toks[2]), toks[3]))
-        elif kw == "BLOCK":
-            close_block()
-            if toks[1] == "code":
-                block = ["code", int(toks[2]), [], [], 0, len(toks) > 3 and toks[3] == "epilogue"]
-            else:
-                block = ["data", int(toks[2]), [], [], int(toks[3]), False]
-        elif kw == "SPAN":
-            block[2].append(LineSpan(int(toks[1]), int(toks[2]), int(toks[3])))
-        elif kw == "CONST":
-            block[3].append(int(toks[1], 16))
-        else:
-            raise ModelError("unknown model record %r" % kw)
-    close_func()
-    model = ProgramModel(module_name, tuple(files), tuple(functions))
+    for f in st.functions:
+        functions.append(FunctionModel(
+            frame=replace(f.pop("frame"), accesses=tuple(f.pop("accesses"))),
+            blocks=tuple(BlockModel(kind, i, tuple(spans), tuple(consts), size, epi)
+                         for kind, i, spans, consts, size, epi in f.pop("blocks")),
+            call_sites=tuple(f.pop("call_sites")), **f))
+    model = ProgramModel(module_name, tuple(st.files), tuple(functions))
     validate_model(model)
     return model

@@ -4,7 +4,7 @@ import struct
 import zlib
 
 from divsym import deltadata
-from divsym.deltadata import DeltaData
+from divsym.deltadata import DeltaData, Patch
 from divsym.diversify import SeedTuple
 
 
@@ -21,10 +21,11 @@ def inflation_bomb():
     return _plain_container(b"\0" * (deltadata.MAX_PAYLOAD_BYTES + 1))
 
 
-def edited_container(edits, seeds=SeedTuple(1, 2, 3)):
-    """A plain container of a packed empty-patch payload with line i
-    replaced by edits[i]; a replacement may span several lines."""
-    blob = deltadata.pack(DeltaData(seeds=seeds))
+def edited_container(edits, seeds=SeedTuple(1, 2, 3), patch=Patch()):
+    """A plain container of a packed payload (by default with an empty
+    patch) with line i replaced by edits[i]; a replacement may span
+    several lines."""
+    blob = deltadata.pack(DeltaData(seeds=seeds, patch=patch))
     lines = zlib.decompress(blob[deltadata.HEADER_LEN:], -15).split(b"\n")
     for i, new in edits.items():
         lines[i] = new

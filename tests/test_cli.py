@@ -1,7 +1,9 @@
+import re
 from pathlib import Path
 
+from divsym import image
 from divsym.cli import main
-from divsym.collector import sample_call_chains
+from divsym.collector import MAX_STACK_BYTES, sample_call_chains
 from divsym.progmodel import parse_model
 from hostile import (HEADER_FAULTS, PATCH_FAULTS, bad_nop_container,
                      edited_container, inflation_bomb)
@@ -260,3 +262,50 @@ def test_metrics_command(tmp_path, capsys):
     assert "timing" in text
     shown = capsys.readouterr().out
     assert "timing" not in shown  # deterministic rendering on stdout
+
+
+def _replaced(path, old, new):
+    data = path.read_bytes()
+    assert old in data
+    return data.replace(old, new, 1)
+
+
+def _image_replaced(path, old, new):
+    sections = dict(image.iter_sections(path.read_bytes()))
+    assert old in sections["crash"]
+    sections["crash"] = sections["crash"].replace(old, new, 1)
+    return image.pack_sections(list(sections.items()))
+
+
+def test_malformed_text_inputs_exit_2_with_line_number(tmp_path, capsys):
+    common, dumps = _build_and_crash(tmp_path, 1)
+    model = tmp_path / "corpus" / "prog000.model"
+    img = tmp_path / "div" / "diversified.img"
+    opplog = Path(common[5])
+    dump = Path(dumps[0])
+    report = ["report", "--dump", str(dump), *common]
+    # (file, its malformed bytes, command, the record named in the error)
+    cases = [
+        (model, _replaced(model, b"\nSPAN ", b"\nSPAN x"),
+         ["build", "--model", str(model), "--out", str(tmp_path / "b")],
+         "SPAN"),
+        (img, _image_replaced(img, b" addr=", b" addr=zz"),
+         ["crash", "--image", str(img), "--model", str(model),
+          "--chain", "f:0:0", "--out", str(tmp_path / "c.mdl")],
+         "CRASHBLOCK"),
+        (opplog, _replaced(opplog, b" n=", b" n=-x"), report, "BLOCK"),
+        (dump, _replaced(dump, b"\ncrashaddr ", b"\ncrashaddr zz"), report,
+         "crashaddr"),
+        (dump, _replaced(dump, b"\nstackdata ",
+                         b"\nstackdata " + b"00" * (MAX_STACK_BYTES + 1)),
+         report, "stackdata"),
+    ]
+    capsys.readouterr()
+    for path, bad, argv, record in cases:
+        good = path.read_bytes()
+        path.write_bytes(bad)
+        assert run(*argv) == 2
+        path.write_bytes(good)
+        err = capsys.readouterr().err
+        assert re.match(r"error: line \d+: %s: " % record, err), err
+        assert "Traceback" not in err

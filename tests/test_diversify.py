@@ -9,8 +9,7 @@ from divsym.diversify import (SeedTuple, build_default, build_diversified,
                               emit_opportunity_log, gap_decisions,
                               inject_desync, insert_nops,
                               pad_amount, parse_decision_log,
-                              parse_opportunity_log, shuffle_order,
-                              shuffle_permutation)
+                              parse_opportunity_log, shuffle_permutation)
 from divsym.prng import Prng, function_reseed
 from divsym.progmodel import (BlockModel, BuildOptions, FrameModel, LineSpan,
                               generate_corpus, layout)
@@ -278,8 +277,8 @@ def test_shuffle_depends_only_on_seed_and_count():
     _, d1 = build_diversified(m, SEEDS)
     _, d2 = build_diversified(m, SeedTuple(0x4444, 0x5555, SEEDS.shuffle_seed))
     assert d1.order == d2.order
-    assert shuffle_order(parse_opportunity_log(
-        emit_opportunity_log(build_default(m)[1])), SEEDS.shuffle_seed) == list(d1.order)
+    log = parse_opportunity_log(emit_opportunity_log(build_default(m)[1]))
+    assert shuffle_permutation(len(log.functions), SEEDS.shuffle_seed) == list(d1.order)
 
 
 def test_inject_desync_targets_and_rate():
