@@ -251,9 +251,9 @@ def _locate(sf, pc):
     return None, None, 0
 
 
-def trace_from_dump(dump, sf, max_frames=cfi.DEFAULT_MAX_FRAMES):
+def trace_from_dump(dump, sf):
     """Symbolicate a dump against an (exact) diversified symbol file."""
-    frames, reason = cfi.unwind(dump, sf, max_frames)
+    frames, reason = cfi.unwind(dump, sf)
     files = dict(sf.files)
     out = []
     for i, fr in enumerate(frames):

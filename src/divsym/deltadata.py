@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from divsym.diversify import SeedTuple
 from divsym.errors import (AuthenticationError, DeltaFormatError,
                            PatchCorruptError)
-from divsym.image import append_section, find_section
 from divsym.progmodel import BuildOptions
 from divsym.symfile import emit_symbol_file, parse_symbol_file
 from divsym.errors import SymbolParseError
@@ -256,14 +255,20 @@ def _coalesce(ops):
     return out
 
 
+def _text_lines(sf):
+    """Canonical text lines, split at "\n" only, as parse_symbol_file
+    splits: a name may hold any other line break character."""
+    return emit_symbol_file(sf).split("\n")[:-1]
+
+
 def diff(approx, truth):
     """Edit script turning the approximation into the exact symbol file.
 
     Segments are aligned per function so a desync in one function never
     degrades the encoding of its neighbours.
     """
-    a_lines = emit_symbol_file(approx).splitlines()
-    b_lines = emit_symbol_file(truth).splitlines()
+    a_lines = _text_lines(approx)
+    b_lines = _text_lines(truth)
     seg_a = _segments(a_lines)
     seg_b = _segments(b_lines)
     keys_a = [s[0] for s in seg_a]
@@ -283,7 +288,7 @@ def diff(approx, truth):
 
 def apply(approx, patch):
     """Exact symbol file from the approximation plus the patch."""
-    a_lines = emit_symbol_file(approx).splitlines()
+    a_lines = _text_lines(approx)
     out = []
     i = 0
     for op in patch.ops:
@@ -425,7 +430,9 @@ _FLAG_KEYS = ("default_padding", "sp_fp_opt", "pad", "shuffle")
 
 
 def _parse_payload(text):
-    lines = text.splitlines()
+    # "\n" only, as _emit_payload joins: an R/I line may hold any other
+    # line break character
+    lines = text.removesuffix("\n").split("\n")
     if len(lines) < 4 or lines[0] != "DDATA v1":
         raise DeltaFormatError("bad delta payload header")
     s = lines[1].split()
@@ -504,13 +511,3 @@ def unpack(blob, key=None):
     except (zlib.error, UnicodeDecodeError) as e:
         raise DeltaFormatError("corrupt payload: %s" % e) from e
     return _parse_payload(text)
-
-
-def embed(image_bytes, dd_bytes):
-    """Inject packed delta data as an additional image section."""
-    return append_section(image_bytes, "dbpd", dd_bytes)
-
-
-def extract(image_bytes):
-    """Recover the packed delta data from an image."""
-    return find_section(image_bytes, "dbpd")

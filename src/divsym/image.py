@@ -7,8 +7,7 @@ A tagged-section file:
 
 Sections written by the build drivers: "meta" (module identity),
 "crash" (per-function frame and block placement data used by the crash
-simulator), "text" (image bytes).  The delta packer appends a "dbpd"
-section; appending never touches existing section bytes.
+simulator), "text" (image bytes).
 
 Code bytes are a fixed filler word per instruction, data blocks are
 zeros and pools hold their constants little-endian, so the container is
@@ -58,13 +57,10 @@ class ImageInfo:
 def pack_sections(sections):
     out = [MAGIC, bytes([VERSION])]
     for name, payload in sections:
-        out.append(_section_record(name, payload))
+        nb = name.encode("ascii")
+        out.append(bytes([len(nb)]) + nb + struct.pack("<I", len(payload))
+                   + payload)
     return b"".join(out)
-
-
-def _section_record(name, payload):
-    nb = name.encode("ascii")
-    return bytes([len(nb)]) + nb + struct.pack("<I", len(payload)) + payload
 
 
 def iter_sections(blob):
@@ -87,12 +83,6 @@ def iter_sections(blob):
             raise DeltaFormatError("truncated image section %s" % name)
         yield name, blob[i:i + plen]
         i += plen
-
-
-def append_section(blob, name, payload):
-    if blob[:4] != MAGIC:
-        raise DeltaFormatError("bad image magic")
-    return blob + _section_record(name, payload)
 
 
 def find_section(blob, name):

@@ -15,7 +15,7 @@ with FNV-1a-64 (offset 0xcbf29ce484222325, prime 0x100000001b3), xors
 the scheme seed and applies the SplitMix64 output function once.
 """
 
-from divsym._speed import fnv1a64, mix64, reseed as _reseed
+from divsym._speed import mix64, reseed as _reseed
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 GAMMA = 0x9E3779B97F4A7C15

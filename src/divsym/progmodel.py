@@ -20,7 +20,6 @@ import bisect
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
-from divsym._speed import arm_imm_encodable
 from divsym.errors import LayoutError, ModelError
 from divsym.prng import Prng, function_reseed, mix64
 from divsym.records import fields, read_records
@@ -138,9 +137,6 @@ class FunctionLayout:
     saved_count: int
     has_fp: bool
     padding: int
-
-    def code_regions(self):
-        return tuple(r for r in self.regions if r.kind == "code")
 
 
 @dataclass(frozen=True)
@@ -444,7 +440,7 @@ def _module_id(module_name):
     return "Linux arm %016x%016x0 %s" % (h, mix64(h), module_name)
 
 
-def layout(model, order, options, base=0):
+def layout(model, order, options):
     """Place functions in `order`; derive the image and its symbol file.
 
     Deterministic: identical inputs give identical results.  The model
@@ -458,7 +454,7 @@ def layout(model, order, options, base=0):
     funcs = []
     cfi = []
     pool_placements = []
-    cursor = base
+    cursor = 0
     for idx in order:
         f = model.functions[idx]
         fbase = align_up(cursor, f.alignment)

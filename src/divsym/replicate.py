@@ -106,23 +106,18 @@ def _replicate_function(func, cfi, lf, seeds, options):
     base = func.address
 
     new_lines = []
+    # one entry per code block: (block, old_start, old_end, new_start,
+    # new_end), relative to the function base
+    placed = []
     cursor = 0
-    # per-block offset maps for CFI anchor rewriting
-    first_code = True
-    old_starts = {}
-    new_starts = {}
-    old_ends = {}
-    new_ends = {}
-    code_order = []
     for b, recs in _block_records(func, lf):
         if b.kind != "code":
             cursor += b.size
             continue
-        pre_def = (push + fps + alloc_def) if first_code else 0
-        pre_new = (push + fps + alloc_new) if first_code else 0
+        pre_def = (push + fps + alloc_def) if not placed else 0
+        pre_new = (push + fps + alloc_new) if not placed else 0
         post_def = (dealloc_def + pop) if b.epilogue else 0
         post_new = (dealloc_new + pop) if b.epilogue else 0
-        first_code = False
 
         bodies = []
         for j, r in enumerate(recs):
@@ -144,10 +139,7 @@ def _replicate_function(func, cfi, lf, seeds, options):
                              seeds.nop_seed, options.nop_num, options.nop_den)
         nops = bucket_gaps(gaps, bodies)
 
-        old_starts[b.index] = recs[0].address - base
-        old_ends[b.index] = recs[-1].address + recs[-1].size - base
-        new_starts[b.index] = cursor
-        code_order.append(b.index)
+        new_start = cursor
         for j, r in enumerate(recs):
             size = INSTR_BYTES * (bodies[j] + nops[j])
             if j == 0:
@@ -156,75 +148,38 @@ def _replicate_function(func, cfi, lf, seeds, options):
                 size += mat_bytes + INSTR_BYTES * post_new
             new_lines.append(LineRecord(cursor, size, r.line, r.filenum))
             cursor += size
-        new_ends[b.index] = cursor
-    new_size = cursor
+        old_end = recs[-1].address + recs[-1].size - base
+        placed.append((b, recs[0].address - base, old_end, new_start, cursor))
 
-    deltas = _rewrite_cfi(func, cfi, lf, push, fps, alloc_def, alloc_new,
-                          dealloc_def, dealloc_new, pop, total_def, total_new,
-                          old_starts, new_starts, old_ends, new_ends,
-                          code_order, new_size)
-    return _Bundle(func.name, func.param_size, lf.alignment, new_size,
-                   tuple(new_lines), dict(cfi.init_rules), tuple(deltas))
-
-
-def _rewrite_cfi(func, cfi, lf, push, fps, alloc_def, alloc_new,
-                 dealloc_def, dealloc_new, pop, total_def, total_new,
-                 old_starts, new_starts, old_ends, new_ends, code_order,
-                 new_size):
-    base = func.address
-    # structural anchors: old function-relative offset -> new offset
-    anchors = {}
-    if push:
-        anchors[INSTR_BYTES] = INSTR_BYTES
-    if fps:
-        anchors[INSTR_BYTES * (push + fps)] = INSTR_BYTES * (push + fps)
-    if alloc_def and not lf.has_fp:
-        anchors[INSTR_BYTES * (push + fps + alloc_def)] = \
-            INSTR_BYTES * (push + fps + alloc_new)
+    # A CFI delta keeps its offset from its code block's start, or its
+    # offset if no code block holds it.  Without a frame pointer, two
+    # kinds follow the resized sp-adjust groups instead: the end of the
+    # prologue's allocation, and the pop after each epilogue's
+    # deallocation, which keeps its distance from the block end.
+    moved = {}
     if not lf.has_fp and total_def:
-        for i, bi in enumerate(code_order):
-            blk = next(b for b in lf.blocks if b.index == bi)
-            if not blk.epilogue:
-                continue
-            anchors[old_ends[bi] - INSTR_BYTES * pop] = \
-                new_ends[bi] - INSTR_BYTES * pop
-            if i + 1 < len(code_order):
-                nbi = code_order[i + 1]
-                anchors[old_starts[nbi]] = new_starts[nbi]
-
-    frame_const = 4 * lf.saved_count + total_def
-
-    def rewrite_rules(rules):
-        expr = rules.get(".cfa")
-        if (total_def and expr == ("sp", frame_const, "+")):
-            rules = dict(rules)
-            rules[".cfa"] = ("sp", 4 * lf.saved_count + total_new, "+")
-        return rules
-
-    out = []
+        moved[INSTR_BYTES * (push + alloc_def)] = \
+            INSTR_BYTES * (push + alloc_new)
+        for b, _, old_end, _, new_end in placed:
+            if b.epilogue:
+                moved[old_end - INSTR_BYTES * pop] = new_end - INSTR_BYTES * pop
+    frame_cfa = ("sp", 4 * lf.saved_count + total_def, "+")
+    deltas = {}   # new offset -> rules; the last delta written wins
     for addr, rules in cfi.deltas:
         off = addr - base
-        if off in anchors:
-            new_off = anchors[off]
-        else:
-            # carry the block-relative position; desynced shapes are
-            # closed by the patch
-            new_off = off
-            for bi in code_order:
-                if old_starts[bi] <= off < old_ends[bi]:
-                    new_off = new_starts[bi] + (off - old_starts[bi])
-                    break
-        if new_off < new_size:
-            out.append((new_off, rewrite_rules(dict(rules))))
-    out.sort(key=lambda d: d[0])
-    # drop duplicate addresses introduced by fallback mapping
-    dedup = []
-    for addr, rules in out:
-        if dedup and dedup[-1][0] == addr:
-            dedup[-1] = (addr, rules)
-        else:
-            dedup.append((addr, rules))
-    return dedup
+        new_off = moved.get(off)
+        if new_off is None:
+            new_off = next((new_start + off - old_start
+                            for _, old_start, old_end, new_start, _ in placed
+                            if old_start <= off < old_end), off)
+        if new_off < cursor:
+            rules = dict(rules)
+            if total_def and rules.get(".cfa") == frame_cfa:
+                rules[".cfa"] = ("sp", 4 * lf.saved_count + total_new, "+")
+            deltas[new_off] = rules
+    return _Bundle(func.name, func.param_size, lf.alignment, cursor,
+                   tuple(new_lines), dict(cfi.init_rules),
+                   tuple(sorted(deltas.items())))
 
 
 def replicate(default_sf, log, seeds, options):

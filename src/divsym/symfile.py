@@ -225,6 +225,16 @@ def _parse_dec(tok, lineno, what):
     return int(tok, 10)
 
 
+def _trailing_field(line, k, lineno, what):
+    """The text after the k-th space: the last field of a record may hold
+    spaces, so the fields before it must be separated by single spaces."""
+    parts = line.split(" ", k)
+    if len(parts) <= k:
+        raise SymbolParseError(
+            lineno, "%s fields must be separated by single spaces" % what)
+    return parts[k]
+
+
 def _parse_rules(toks, lineno):
     """Parse 'reg: tok tok ... reg: tok ...' into a RuleMap."""
     rules = {}
@@ -289,7 +299,7 @@ def parse_symbol_file(text: str) -> SymbolFile:
             if len(toks) < 3:
                 raise SymbolParseError(lineno, "FILE needs a number and a path")
             num = _parse_dec(toks[1], lineno, "FILE")
-            path = line.split(" ", 2)[2]
+            path = _trailing_field(line, 2, lineno, "FILE")
             files.append((num, path))
         elif kw == "FUNC":
             close_func()
@@ -299,7 +309,7 @@ def parse_symbol_file(text: str) -> SymbolFile:
             addr = _parse_hex(toks[1], lineno, "FUNC")
             size = _parse_hex(toks[2], lineno, "FUNC")
             param = _parse_hex(toks[3], lineno, "FUNC")
-            name = line.split(" ", 4)[4]
+            name = _trailing_field(line, 4, lineno, "FUNC")
             cur_func = [addr, size, param, name, []]
         elif kw == "PUBLIC":
             close_func()
@@ -307,7 +317,7 @@ def parse_symbol_file(text: str) -> SymbolFile:
             if len(toks) < 3:
                 raise SymbolParseError(lineno, "PUBLIC needs an address and a name")
             addr = _parse_hex(toks[1], lineno, "PUBLIC")
-            publics.append((addr, line.split(" ", 2)[2]))
+            publics.append((addr, _trailing_field(line, 2, lineno, "PUBLIC")))
         elif kw == "STACK":
             close_func()
             if len(toks) < 2 or toks[1] != "CFI":

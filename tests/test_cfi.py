@@ -1,7 +1,7 @@
 import pytest
 
 from divsym import cfi
-from divsym.cfi import Frame, StackSnapshot, eval_postfix, rules_at, unwind
+from divsym.cfi import StackSnapshot, eval_postfix, rules_at, unwind
 from divsym.errors import MalformedExpression, MemoryOutOfRange, NoUnwindInfo
 from divsym.symfile import parse_symbol_file
 

@@ -1,7 +1,8 @@
 import re
+from dataclasses import replace
 from pathlib import Path
 
-from divsym import image
+from divsym import deltadata, image
 from divsym.cli import main
 from divsym.collector import MAX_STACK_BYTES, sample_call_chains
 from divsym.progmodel import parse_model
@@ -188,6 +189,20 @@ def test_malformed_payload_record_exit_codes(tmp_path, capsys):
             assert run("report", "--dump", dumps[0], *common) == code
     err = capsys.readouterr().err
     assert "corrupt patch:" in err and "error:" in err
+    assert "Traceback" not in err
+
+
+def test_tab_in_patched_symbol_record_exit_code(tmp_path, capsys):
+    common, dumps = _build_and_crash(tmp_path, 1)
+    delta = Path(common[1])
+    dd = deltadata.unpack(delta.read_bytes())
+    tab = deltadata.PatchOp("I", lines=("FUNC ffff0 4 0\tx",))
+    delta.write_bytes(deltadata.pack(
+        replace(dd, patch=deltadata.Patch(dd.patch.ops + (tab,)))))
+    capsys.readouterr()
+    assert run("report", "--dump", dumps[0], *common) == 4
+    err = capsys.readouterr().err
+    assert "corrupt patch:" in err and "single spaces" in err
     assert "Traceback" not in err
 
 

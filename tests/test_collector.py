@@ -379,6 +379,21 @@ def test_report_rejects_malformed_payload_records(error, edits):
         report(dump, edited_container(edits, SEEDS), dres.symfile, log)
 
 
+def test_report_rejects_tab_separated_symbol_record():
+    # the patch parses, but the patched text holds a FUNC record whose
+    # name follows a tab
+    model = _model()
+    dres, log = build_default(model, OPTS)
+    truth, dec = build_diversified(model, SEEDS, OPTS)
+    patch = diff(replicate(dres.symfile, log, SEEDS, OPTS), truth.symfile)
+    bad = Patch(patch.ops + (PatchOp("I", lines=("FUNC ffff0 4 0\tx",)),))
+    dump = simulate_crash(crash_info(truth, dec, model.module_name), model,
+                          _chain(model, 2))
+    with pytest.raises(PatchCorruptError, match="single spaces"):
+        report(dump, pack(delta_from_options(SEEDS, OPTS, bad)),
+               dres.symfile, log)
+
+
 @pytest.mark.parametrize("num,den", [(1, 0), (0, 0), (3, 2), (-1, 5)])
 def test_pack_refuses_bad_nop_fraction(num, den):
     with pytest.raises(DeltaFormatError, match="nop fraction"):

@@ -1,15 +1,14 @@
+import dataclasses
 import random
 
 import pytest
 
 from divsym import deltadata
-from divsym.deltadata import (DeltaData, Patch, PatchOp, apply,
-                              delta_from_options, diff, embed, extract, pack,
-                              unpack)
+from divsym.deltadata import (Patch, PatchOp, apply, delta_from_options,
+                              diff, pack, unpack)
 from divsym.diversify import SeedTuple, build_default, build_diversified
 from divsym.errors import (AuthenticationError, DeltaFormatError,
                            PatchCorruptError)
-from divsym.image import write_image, find_section
 from divsym.progmodel import BuildOptions, generate_corpus
 from divsym.replicate import replicate
 from divsym.symfile import (CfiInitRecord, FuncRecord, LineRecord, SymbolFile,
@@ -190,16 +189,32 @@ def test_compression_never_explodes():
         assert len(pack(dd)) <= raw + 64
 
 
-def test_embed_extract_round_trip():
-    model = generate_corpus(59, 1)[0]
-    res, dec = build_diversified(model, SEEDS, OPTS)
-    img = write_image(res, dec, model.module_name)
-    dd_bytes = pack(small_dd())
-    img2 = embed(img, dd_bytes)
-    assert extract(img2) == dd_bytes
-    # size-additive: fixed 9-byte section header for the 4-char name
-    assert len(img2) == len(img) + len(dd_bytes) + 9
-    # code-region bytes untouched
-    assert find_section(img2, "text") == find_section(img, "text")
-    with pytest.raises(DeltaFormatError):
-        extract(img)
+
+# Characters str.splitlines() breaks at besides "\n"; symbol-file names
+# may hold any of them.
+LINE_BREAKS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("ch", LINE_BREAKS, ids=lambda c: "U+%04X" % ord(c))
+def test_payload_lines_split_at_newline_only(ch):
+    name = "FUNC 10 8 0 a%sb" % ch
+    dd = small_dd(Patch((PatchOp("R", 1, lines=(name, "10 8 1 1")),
+                         PatchOp("I", lines=(name + ch,)))))
+    assert unpack(pack(dd)) == dd
+
+
+def test_diff_apply_with_line_breaks_in_names():
+    model = generate_corpus(61, 1)[0]
+    assert len(model.functions) >= len(LINE_BREAKS)
+    new = {f.name: "f%sx" % ch for f, ch in zip(model.functions, LINE_BREAKS)}
+    funcs = tuple(dataclasses.replace(
+        f, name=new.get(f.name, f.name),
+        call_sites=tuple((b, i, new.get(c, c)) for b, i, c in f.call_sites))
+        for f in model.functions)
+    model = dataclasses.replace(model, functions=funcs)
+    dres, log = build_default(model, OPTS)
+    truth, _ = build_diversified(model, SEEDS, OPTS)
+    approx = replicate(dres.symfile, log, SEEDS, OPTS)
+    dd = unpack(pack(small_dd(diff(approx, truth.symfile))))
+    assert apply(approx, dd.patch) == truth.symfile

@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import replace
 
 import pytest
 
@@ -11,8 +10,8 @@ from divsym.diversify import (SeedTuple, build_default, build_diversified,
                               pad_amount, parse_decision_log,
                               parse_opportunity_log, shuffle_permutation)
 from divsym.prng import Prng, function_reseed
-from divsym.progmodel import (BlockModel, BuildOptions, FrameModel, LineSpan,
-                              generate_corpus, layout)
+from divsym.progmodel import (BlockModel, BuildOptions, LineSpan,
+                              generate_corpus)
 from divsym.symfile import emit_symbol_file
 from divsym._speed import fnv1a64
 

@@ -1,0 +1,44 @@
+"""Every name a divsym module imports is used in that module or listed
+in its __all__ (re-exports).  ast only: no linter is needed."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "divsym"
+
+
+def unused_imports(source):
+    """Names bound by import statements that no Name node reads and
+    __all__ does not list; __future__ imports are exempt."""
+    tree = ast.parse(source)
+    imported = {}
+    used = set()
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used and name not in exported)
+
+
+def test_checker_flags_only_unused_names():
+    source = ("from __future__ import annotations\n"
+              "import os, sys as system\n"
+              "from a.b import c, d as e, f\n"
+              "__all__ = ['f']\n"
+              "print(os.sep, e)\n")
+    assert unused_imports(source) == [(2, "system"), (3, "c")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -2,12 +2,13 @@ import random
 
 import pytest
 
+from divsym._speed import arm_imm_encodable
 from divsym.errors import LayoutError, ModelError
 from divsym.progmodel import (BlockModel, BuildOptions, FrameModel,
                               FunctionModel, LineSpan, ProgramModel,
-                              StackAccess, access_instrs, arm_imm_encodable,
-                              emit_model, generate_corpus, layout,
-                              parse_model, stack_alloc_instrs)
+                              StackAccess, access_instrs, emit_model,
+                              generate_corpus, layout, parse_model,
+                              stack_alloc_instrs)
 from divsym.symfile import emit_symbol_file
 
 OPTS = BuildOptions()

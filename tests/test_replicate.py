@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from divsym.diversify import (SeedTuple, build_default, build_diversified,
@@ -171,7 +173,6 @@ def test_desync_contained_to_its_function():
 def test_mismatched_log_rejected():
     model = generate_corpus(31, 1)[0]
     res, log = build_default(model, OPTS)
-    from dataclasses import replace
     broken = replace(log, functions=log.functions[:-1])
     with pytest.raises(ReplicationInputError):
         replicate(res.symfile, broken, SEEDS, OPTS)
@@ -201,3 +202,59 @@ def test_replicate_is_deterministic():
     a = replicate(res.symfile, log, SEEDS, OPTS)
     b = replicate(res.symfile, log, SEEDS, OPTS)
     assert emit_symbol_file(a) == emit_symbol_file(b)
+
+
+def _fallback_sites(sf, log):
+    """(function index, code block start, its first line record's index,
+    a data or pool offset) for the first function with a code block of at
+    least 4 instructions after its first code block and a data or pool
+    block of at least 8 bytes; offsets are function-relative."""
+    for i, (func, lf) in enumerate(zip(sf.funcs, log.functions)):
+        off = 0
+        code = []
+        outside = None
+        for b in lf.blocks:
+            if b.kind == "code":
+                code.append((b, off))
+                off += 4 * b.size
+            else:
+                if b.size >= 8 and outside is None:
+                    outside = off
+                off += b.size
+        grown = [(b, start) for b, start in code[1:]
+                 if b.size >= 4 and not b.epilogue]
+        if grown and outside is not None:
+            start = grown[0][1]
+            rec = next(k for k, ln in enumerate(func.lines)
+                       if ln.address - func.address == start)
+            return i, start, rec, outside
+    raise AssertionError("no function with a grown block and a data block")
+
+
+def test_cfi_deltas_off_the_layout_take_the_fallback():
+    # A delta the layout engine never emits keeps its offset from its
+    # code block's start, or its offset if no code block holds it.
+    opts = BuildOptions(nop_num=1, nop_den=1, pad_scheme=False,
+                        shuffle_scheme=False)
+    model = generate_corpus(29, 1)[0]
+    res, log = build_default(model, opts)
+    i, start, rec, outside = _fallback_sites(res.symfile, log)
+    region = res.symfile.cfi_regions[i]
+    inside_rules = {".cfa": ("r7", 0, "+")}
+    outside_rules = {".cfa": ("r6", 0, "+")}
+    extra = {region.address + start + 4: inside_rules,
+             region.address + outside + 4: outside_rules}
+    assert not extra.keys() & dict(region.deltas).keys()
+    deltas = tuple(sorted((*region.deltas, *extra.items()),
+                          key=lambda d: d[0]))
+    regions = list(res.symfile.cfi_regions)
+    regions[i] = replace(region, deltas=deltas)
+    sf = replace(res.symfile, cfi_regions=tuple(regions))
+
+    approx = replicate(sf, log, SEEDS, opts)
+    func = approx.funcs[i]
+    new_start = func.lines[rec].address - func.address
+    assert new_start > start  # NOPs grew the blocks before it
+    got = {a - func.address: r for a, r in approx.cfi_regions[i].deltas}
+    assert got[new_start + 4] == inside_rules
+    assert got[outside + 4] == outside_rules

@@ -1,7 +1,7 @@
 import pytest
 
 from divsym.errors import SymbolFormatError, SymbolParseError
-from divsym.symfile import (CfiInitRecord, FuncRecord, LineRecord, SymbolFile,
+from divsym.symfile import (FuncRecord, LineRecord, SymbolFile,
                             emit_symbol_file, parse_symbol_file)
 from sfgen import random_symbol_file
 
@@ -114,3 +114,14 @@ def test_emit_parse_idempotent_on_excerpts():
     for text in (LINE_EXCERPT, CFI_EXCERPT, LINE_EXCERPT + CFI_EXCERPT):
         sf = parse_symbol_file(text)
         assert emit_symbol_file(parse_symbol_file(emit_symbol_file(sf))) == emit_symbol_file(sf)
+
+
+@pytest.mark.parametrize("text,lineno", [
+    ("FILE 1\tsrc/a.c\n", 1),
+    ("FILE 1 src/a.c\nFUNC ffff0 4 0\tx\nffff0 4 1 1\n", 2),
+    ("FUNC 10 8 0 f\n10 8 1 1\nPUBLIC 30\tq\n", 3),
+])
+def test_tab_before_trailing_field_reports_line(text, lineno):
+    with pytest.raises(SymbolParseError, match="single spaces") as ei:
+        parse_symbol_file(text)
+    assert ei.value.lineno == lineno
