@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 from divsym import cfi
 from divsym.deltadata import apply, delta_from_options, diff, pack, unpack
 from divsym.diversify import (build_default, build_diversified,
-                              emit_opportunity_log)
+                              clear_gap_memo, emit_opportunity_log)
 from divsym.errors import HarnessError, ReplicationInputError
 from divsym.image import ImageInfo
 from divsym.prng import Prng
@@ -435,6 +435,8 @@ def corpus_metrics(corpus, seed_tuples, options=BuildOptions(),
                     zero += 1
                 if scheme == "combined":
                     div_sizes.append(len(emit_symbol_file(truth.symfile).encode()))
+                    # a crash server never ran the build: draw cold
+                    clear_gap_memo()
                     t0 = time.perf_counter()
                     dd = unpack(blob)
                     approx2 = replicate(dres.symfile, log, dd.seeds, dd.options())

@@ -27,7 +27,7 @@ from divsym.records import fields, read_records
 # re-exported: the PRNG and reseeding live in divsym.prng
 __all__ = [
     "SeedTuple", "Prng", "function_reseed", "pad_amount", "gap_decisions",
-    "insert_nops", "shuffle_permutation", "inject_desync",
+    "clear_gap_memo", "insert_nops", "shuffle_permutation", "inject_desync",
     "build_default", "build_diversified", "OpportunityLog", "LogFunction",
     "LogBlock", "DecisionLog", "log_from_layout", "emit_opportunity_log",
     "parse_opportunity_log", "emit_decision_log", "parse_decision_log",
@@ -91,21 +91,45 @@ def pad_amount(identifier, pad_seed, default_mode):
     return 8 * (1 + function_reseed(identifier, pad_seed) % PAD_CHOICES)
 
 
+# The draws of one (nop_seed, num, den): (that triple, {(identifier,
+# block_index, n_gaps): gaps}).  A call with another triple replaces the
+# whole slot in one assignment, so threads under the GIL never see a
+# dict tagged with the wrong triple.
+_drawn = (None, {})
+
+
 def gap_decisions(identifier, block_index, n_gaps, nop_seed, num, den):
     """1-based gap indices that receive a NOP, for one code block.
 
     Reseeds per block from identifier '#' block_index, one draw per gap;
     a gap fires when the draw's low 32 bits are below num/den of 2^32.
-    The same routine runs on the build system and in the replicator.
-    Each side draws a block once per build: build_diversified takes its
-    decision log from the pass that grows the spans, and replicate draws
-    each block of the opportunity log once.
+    The same routine runs on the build system and in the replicator, and
+    the result is a pure function of the arguments, so it is memoised for
+    the last (nop_seed, num, den): a build followed by a replicate with
+    the same seeds draws each code block once.  A block whose gap count
+    differs between the two (a desynced block) draws again.
     """
+    global _drawn
     if n_gaps <= 0 or num <= 0:
         return ()
-    seed = function_reseed("%s#%d" % (identifier, block_index), nop_seed)
-    threshold = (num << 32) // den
-    return tuple(nop_gaps(seed, n_gaps, threshold))
+    tag = (nop_seed, num, den)
+    drawn_tag, drawn = _drawn
+    if drawn_tag != tag:
+        drawn = {}
+        _drawn = (tag, drawn)
+    key = (identifier, block_index, n_gaps)
+    gaps = drawn.get(key)
+    if gaps is None:
+        seed = function_reseed("%s#%d" % (identifier, block_index), nop_seed)
+        gaps = drawn[key] = tuple(nop_gaps(seed, n_gaps, (num << 32) // den))
+    return gaps
+
+
+def clear_gap_memo():
+    """Empty the gap_decisions memo, so the next draws are cold (as on a
+    crash server, which never ran the build)."""
+    global _drawn
+    _drawn = (None, {})
 
 
 def bucket_gaps(gaps, sizes):
@@ -290,8 +314,11 @@ def _log_function(st, toks, line):
 
 def _log_block(st, toks, line):
     if toks[1] == "code":
-        n, model = fields(line.removesuffix(" epilogue"), "n", "model")
-        b = LogBlock("code", int(toks[2]), int(n), int(model),
+        n, model = (int(v) for v in
+                    fields(line.removesuffix(" epilogue"), "n", "model"))
+        if n < 1 or model < 0:
+            raise ValueError("code block needs n >= 1 and model >= 0")
+        b = LogBlock("code", int(toks[2]), n, model,
                      line.endswith(" epilogue"))
     else:
         b = LogBlock("data", int(toks[2]), int(fields(line, "bytes")[0]))

@@ -116,16 +116,29 @@ def _hx(v):
     return "%x" % v
 
 
+def _check_text(text, what, blank_ok=False):
+    """Text that ends a record must stay on its line and survive parsing:
+    no newline, no trailing carriage return and, for a name or path, at
+    least one non-space character."""
+    if "\n" in text or text.endswith("\r") or not (blank_ok or text.strip()):
+        raise SymbolFormatError("%s %r does not fit one record line"
+                                % (what, text))
+
+
 def validate(sf: SymbolFile) -> None:
     """Raise SymbolFormatError if sf violates its invariants.
 
     Filenum existence is only checked when the file table is non-empty,
     so that excerpt-style inputs without FILE records stay parseable.
     """
+    _check_text(sf.module_id, "MODULE id", blank_ok=True)
+    for _, path in sf.files:
+        _check_text(path, "FILE path")
     filenums = {fn for fn, _ in sf.files}
     prev_end = None
     prev_addr = None
     for f in sf.funcs:
+        _check_text(f.name, "FUNC name")
         if f.size <= 0:
             raise SymbolFormatError("FUNC %s has size %d" % (f.name, f.size))
         if prev_addr is not None and f.address < prev_addr:
@@ -175,7 +188,8 @@ def validate(sf: SymbolFile) -> None:
             _check_cfa_rule(addr, rules)
         _check_cfa_rule(c.address, c.init_rules)
     last = None
-    for addr, _name in sf.publics:
+    for addr, name in sf.publics:
+        _check_text(name, "PUBLIC name")
         if last is not None and addr < last:
             raise SymbolFormatError("PUBLIC records not sorted")
         last = addr
@@ -225,11 +239,11 @@ def _parse_dec(tok, lineno, what):
     return int(tok, 10)
 
 
-def _trailing_field(line, k, lineno, what):
+def _trailing_field(line, toks, k, lineno, what):
     """The text after the k-th space: the last field of a record may hold
     spaces, so the fields before it must be separated by single spaces."""
     parts = line.split(" ", k)
-    if len(parts) <= k:
+    if len(parts) <= k or parts[:k] != toks[:k]:
         raise SymbolParseError(
             lineno, "%s fields must be separated by single spaces" % what)
     return parts[k]
@@ -299,7 +313,7 @@ def parse_symbol_file(text: str) -> SymbolFile:
             if len(toks) < 3:
                 raise SymbolParseError(lineno, "FILE needs a number and a path")
             num = _parse_dec(toks[1], lineno, "FILE")
-            path = _trailing_field(line, 2, lineno, "FILE")
+            path = _trailing_field(line, toks, 2, lineno, "FILE")
             files.append((num, path))
         elif kw == "FUNC":
             close_func()
@@ -309,7 +323,7 @@ def parse_symbol_file(text: str) -> SymbolFile:
             addr = _parse_hex(toks[1], lineno, "FUNC")
             size = _parse_hex(toks[2], lineno, "FUNC")
             param = _parse_hex(toks[3], lineno, "FUNC")
-            name = _trailing_field(line, 4, lineno, "FUNC")
+            name = _trailing_field(line, toks, 4, lineno, "FUNC")
             cur_func = [addr, size, param, name, []]
         elif kw == "PUBLIC":
             close_func()
@@ -317,7 +331,8 @@ def parse_symbol_file(text: str) -> SymbolFile:
             if len(toks) < 3:
                 raise SymbolParseError(lineno, "PUBLIC needs an address and a name")
             addr = _parse_hex(toks[1], lineno, "PUBLIC")
-            publics.append((addr, _trailing_field(line, 2, lineno, "PUBLIC")))
+            publics.append(
+                (addr, _trailing_field(line, toks, 2, lineno, "PUBLIC")))
         elif kw == "STACK":
             close_func()
             if len(toks) < 2 or toks[1] != "CFI":

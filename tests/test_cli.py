@@ -309,6 +309,11 @@ def test_malformed_text_inputs_exit_2_with_line_number(tmp_path, capsys):
           "--chain", "f:0:0", "--out", str(tmp_path / "c.mdl")],
          "CRASHBLOCK"),
         (opplog, _replaced(opplog, b" n=", b" n=-x"), report, "BLOCK"),
+        # an empty code block, and a negative body count
+        (opplog, _replaced(opplog, b"\nBLOCK code ",
+                           b"\nBLOCK code 99 n=0 model=0\nBLOCK code "),
+         report, "BLOCK"),
+        (opplog, _replaced(opplog, b" model=", b" model=-"), report, "BLOCK"),
         (dump, _replaced(dump, b"\ncrashaddr ", b"\ncrashaddr zz"), report,
          "crashaddr"),
         (dump, _replaced(dump, b"\nstackdata ",

@@ -1,6 +1,6 @@
 import pytest
 
-from divsym import cfi, collector
+from divsym import _kernels_py, cfi, collector, diversify
 from divsym.collector import (MinidumpLite, corpus_metrics, emit_minidump,
                               parse_minidump, report, sample_call_chains,
                               simulate_crash, trace_from_dump)
@@ -419,3 +419,35 @@ def test_corpus_metrics_histogram_direction_and_determinism():
     assert rep1.text() == rep2.text()
     assert rep1.hist_defpad_on.zero_mass > rep1.hist_defpad_off.zero_mass
     assert rep1.hist_defpad_on.mean_abs < rep1.hist_defpad_off.mean_abs
+
+
+def test_corpus_metrics_times_a_cold_reconstruction(monkeypatch):
+    # the writer's replicate reuses the build's draws; the timed
+    # reconstruction after it must draw every block again, as a crash
+    # server that never ran the build would
+    model = _model()
+    _, log = build_default(model, OPTS)
+    blocks = sum(1 for f in log.functions for b in f.blocks
+                 if b.kind == "code" and b.model_instrs > 1)
+    draws = []
+    per_replicate = []
+    real = collector.replicate
+
+    def counted(*args):
+        before = len(draws)
+        out = real(*args)
+        per_replicate.append(len(draws) - before)
+        return out
+
+    def drawing(seed, n_gaps, threshold):
+        draws.append(seed)
+        return _kernels_py.nop_gaps(seed, n_gaps, threshold)
+
+    monkeypatch.setattr(diversify, "nop_gaps", drawing)
+    monkeypatch.setattr(collector, "replicate", counted)
+    diversify.clear_gap_memo()
+    corpus_metrics([model], [SEEDS], OPTS, histogram_corpus=[])
+    diversify.clear_gap_memo()
+    # replicate per scheme: padding, nops, shuffle, combined, then the
+    # combined scheme's reconstruction
+    assert per_replicate == [0, 0, 0, 0, blocks]

@@ -1,10 +1,12 @@
 import itertools
+import sys
+import threading
 
 import pytest
 
-from divsym import diversify
+from divsym import _kernels_py, diversify
 from divsym.diversify import (SeedTuple, build_default, build_diversified,
-                              bucket_gaps, emit_decision_log,
+                              bucket_gaps, clear_gap_memo, emit_decision_log,
                               emit_opportunity_log, gap_decisions,
                               inject_desync, insert_nops,
                               pad_amount, parse_decision_log,
@@ -12,6 +14,7 @@ from divsym.diversify import (SeedTuple, build_default, build_diversified,
 from divsym.prng import Prng, function_reseed
 from divsym.progmodel import (BlockModel, BuildOptions, LineSpan,
                               generate_corpus)
+from divsym.replicate import replicate
 from divsym.symfile import emit_symbol_file
 from divsym._speed import fnv1a64
 
@@ -174,6 +177,14 @@ def test_build_diversified_draws_each_code_block_once(monkeypatch):
     assert sorted(calls) == sorted(blocks)
 
 
+def _oracle_gaps(identifier, block_index, n_gaps, nop_seed, num, den):
+    """gap_decisions without the memo: the scalar reseed and draw loop."""
+    if n_gaps <= 0 or num <= 0:
+        return ()
+    seed = function_reseed("%s#%d" % (identifier, block_index), nop_seed)
+    return tuple(_kernels_py.nop_gaps(seed, n_gaps, (num << 32) // den))
+
+
 @pytest.mark.parametrize("options", [
     BuildOptions(), BuildOptions(nop_num=1, nop_den=1),
     BuildOptions(desync_num=1, desync_den=2)])
@@ -190,12 +201,109 @@ def test_decision_log_nops_are_the_per_block_draws(options):
         for b in f.blocks:
             if b.kind != "code":
                 continue
-            gaps = gap_decisions(f.identifier, b.index, b.instr_count - 1,
-                                 SEEDS.nop_seed, options.nop_num,
-                                 options.nop_den)
+            gaps = _oracle_gaps(f.identifier, b.index, b.instr_count - 1,
+                                SEEDS.nop_seed, options.nop_num,
+                                options.nop_den)
             if gaps:
                 want.append((f.identifier, b.index, gaps))
     assert dec.nops == tuple(want)
+
+
+def test_gap_memo_matches_the_scalar_oracle():
+    # alternating seed triples replace the memo's slot on every switch;
+    # the second pass over each triple is served from the memo
+    triples = [(nop, num, den) for nop in (7, 0xFFFF_FFFF_FFFF_FFFF)
+               for num, den in ((1, 5), (1, 1), (3, 7), (0, 5))]
+    keys = [("f%d@o:s" % i, bi, n) for i in range(6) for bi in (0, 3)
+            for n in (0, 1, 17, 90)]
+    for _ in range(2):
+        for nop, num, den in triples + triples[::-1]:
+            for ident, bi, n in keys:
+                assert gap_decisions(ident, bi, n, nop, num, den) == \
+                    _oracle_gaps(ident, bi, n, nop, num, den)
+
+
+def test_gap_memo_under_threads_with_alternating_triples():
+    # each thread switches the slot's triple on every call; a thread
+    # that read gaps drawn for another triple would fail the oracle
+    keys = [("f%d@o:s" % i, i % 3, 20 + i) for i in range(40)]
+    want = {(key, nop): _oracle_gaps(*key, nop, 1, 3)
+            for key in keys for nop in range(4)}
+    wrong = []
+
+    def hammer(offset):
+        # the threads walk the same keys, each under another triple
+        for r in range(2000):
+            nop = (r + offset) % 4
+            key = keys[r % len(keys)]
+            if gap_decisions(*key, nop, 1, 3) != want[key, nop]:
+                wrong.append((key, nop))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer, args=(k,))
+                   for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+def _drawn_blocks(model):
+    """(identifier, index) of the code blocks with at least one gap."""
+    return [(f.identifier, b.index) for f in model.functions
+            for b in f.blocks if b.kind == "code" and b.instr_count > 1]
+
+
+def _block_seeds(blocks, nop_seed):
+    return sorted(function_reseed("%s#%d" % key, nop_seed) for key in blocks)
+
+
+@pytest.mark.parametrize("desync_num", [0, 1])
+def test_build_then_replicate_draws_each_block_once(monkeypatch, desync_num):
+    model = generate_corpus(3, 1)[0]
+    options = BuildOptions(desync_num=desync_num, desync_den=3)
+    dres, log = build_default(model, options)
+    draws = []
+
+    def counting(seed, n_gaps, threshold):
+        draws.append(seed)
+        return _kernels_py.nop_gaps(seed, n_gaps, threshold)
+
+    monkeypatch.setattr(diversify, "nop_gaps", counting)
+    clear_gap_memo()
+    _, dec = build_diversified(model, SEEDS, options)
+    built = len(draws)
+    replicate(dres.symfile, log, SEEDS, options)
+    clear_gap_memo()
+    desynced, _ = inject_desync(model, SEEDS, desync_num, 3)
+    assert sorted(draws[:built]) == \
+        _block_seeds(_drawn_blocks(desynced), SEEDS.nop_seed)
+    # the log's gap count of a desynced block differs from the build's
+    redrawn = [d for d in dec.desyncs if d in _drawn_blocks(model)]
+    assert bool(redrawn) == bool(desync_num)
+    assert sorted(draws[built:]) == _block_seeds(redrawn, SEEDS.nop_seed)
+
+
+def test_replicate_is_the_same_from_a_cold_and_a_warm_memo():
+    model = generate_corpus(3, 1)[0]
+    for i, options in enumerate((BuildOptions(),
+                                 BuildOptions(nop_num=2, nop_den=3),
+                                 BuildOptions(desync_num=1, desync_den=2))):
+        dres, log = build_default(model, options)
+        for seeds in (SEEDS, SeedTuple(5, 6 + i, 7), SeedTuple(9, 9, 9)):
+            clear_gap_memo()
+            cold = emit_symbol_file(replicate(dres.symfile, log, seeds,
+                                              options))
+            build_diversified(model, seeds, options)
+            warm = emit_symbol_file(replicate(dres.symfile, log, seeds,
+                                              options))
+            assert warm == cold
 
 
 def test_shuffle_identity_for_single_function():

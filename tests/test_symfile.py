@@ -120,8 +120,46 @@ def test_emit_parse_idempotent_on_excerpts():
     ("FILE 1\tsrc/a.c\n", 1),
     ("FILE 1 src/a.c\nFUNC ffff0 4 0\tx\nffff0 4 1 1\n", 2),
     ("FUNC 10 8 0 f\n10 8 1 1\nPUBLIC 30\tq\n", 3),
+    # a second or a leading space would let the name swallow a field
+    ("FUNC  10 8 0 x\n10 8 1 1\n", 1),
+    ("FILE  1 a.c\n", 1),
+    ("FUNC 10 8 0 f\n10 8 1 1\nPUBLIC  20 y\n", 3),
+    (" FUNC 10 8 0 x\n10 8 1 1\n", 1),
 ])
 def test_tab_before_trailing_field_reports_line(text, lineno):
     with pytest.raises(SymbolParseError, match="single spaces") as ei:
         parse_symbol_file(text)
     assert ei.value.lineno == lineno
+
+
+def _with_text(record, text):
+    if record == "FILE":
+        return SymbolFile(files=((1, text),))
+    if record == "FUNC":
+        return SymbolFile(funcs=(FuncRecord(0x10, 8, 0, text,
+                                            (LineRecord(0x10, 8, 1, 1),)),))
+    return SymbolFile(publics=((0x20, text),))
+
+
+@pytest.mark.parametrize("record", ["FILE", "FUNC", "PUBLIC"])
+@pytest.mark.parametrize("text", [
+    "x", " x", "x ", "0 x", "a  b", "a\tb", "a\rb", "\rx", "x\r ",
+])
+def test_trailing_text_round_trips(record, text):
+    sf = _with_text(record, text)
+    assert parse_symbol_file(emit_symbol_file(sf)) == sf
+
+
+@pytest.mark.parametrize("record", ["FILE", "FUNC", "PUBLIC"])
+@pytest.mark.parametrize("text", ["a\nb", "x\n", "x\r", "\r", "", " ", "\t"])
+def test_trailing_text_that_cannot_round_trip_is_refused(record, text):
+    with pytest.raises(SymbolFormatError, match="one record line"):
+        emit_symbol_file(_with_text(record, text))
+
+
+def test_module_id_with_a_line_break_is_refused():
+    for module_id in ("a\nb", "a\r"):
+        with pytest.raises(SymbolFormatError, match="one record line"):
+            emit_symbol_file(SymbolFile(module_id=module_id))
+    assert parse_symbol_file(emit_symbol_file(SymbolFile(module_id="a b"))) \
+        == SymbolFile(module_id="a b")
