@@ -38,9 +38,10 @@ def _parse_seeds(s):
     return SeedTuple(*(_parse_int(p) & 0xFFFFFFFFFFFFFFFF for p in parts))
 
 
-def _parse_ratio(s):
-    num, den = s.split("/")
-    return int(num), int(den)
+def _parse_ratio(s, what):
+    num, den = (int(v) for v in s.split("/"))
+    deltadata.check_fraction(num, den, what)
+    return num, den
 
 
 def _parse_chain(s):
@@ -58,10 +59,10 @@ def _options(args):
     if hasattr(args, "sp_fp_opt"):
         kw["sp_fp_opt"] = args.sp_fp_opt
     if getattr(args, "nop_prob", None):
-        kw["nop_num"], kw["nop_den"] = _parse_ratio(args.nop_prob)
-        deltadata.check_nop_fraction(kw["nop_num"], kw["nop_den"])
+        kw["nop_num"], kw["nop_den"] = _parse_ratio(args.nop_prob, "nop")
     if getattr(args, "desync", None):
-        kw["desync_num"], kw["desync_den"] = _parse_ratio(args.desync)
+        kw["desync_num"], kw["desync_den"] = _parse_ratio(args.desync,
+                                                          "desync")
     return BuildOptions(**kw)
 
 

@@ -25,9 +25,10 @@ from __future__ import annotations
 import difflib
 import hashlib
 import hmac
+import re
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 from divsym.diversify import SeedTuple
 from divsym.errors import (AuthenticationError, DeltaFormatError,
@@ -406,14 +407,14 @@ def _parse_patch(lines, pos):
     return Patch(tuple(ops)), pos
 
 
-def check_nop_fraction(num, den):
+def check_fraction(num, den, what):
     """Raise DeltaFormatError unless num/den is a probability.
 
-    pack() and the payload parser both apply it, so every container the
-    writer produces is one the reader accepts.
+    pack() and the payload parser both apply it to the nop fraction, so
+    every container the writer produces is one the reader accepts.
     """
     if den == 0 or not 0 <= num <= den:
-        raise DeltaFormatError("bad nop fraction %d/%d" % (num, den))
+        raise DeltaFormatError("bad %s fraction %d/%d" % (what, num, den))
 
 
 def _emit_payload(dd):
@@ -427,6 +428,7 @@ def _emit_payload(dd):
 
 
 _FLAG_KEYS = ("default_padding", "sp_fp_opt", "pad", "shuffle")
+_SEED_RE = re.compile(r"[0-9a-f]{16}")
 
 
 def _parse_payload(text):
@@ -436,23 +438,23 @@ def _parse_payload(text):
     if len(lines) < 4 or lines[0] != "DDATA v1":
         raise DeltaFormatError("bad delta payload header")
     s = lines[1].split()
-    if len(s) != 4 or s[0] != "seeds":
-        raise DeltaFormatError("bad seeds record")
-    seeds = SeedTuple(*(_int(v, DeltaFormatError, "seeds record", 16)
-                        for v in s[1:]))
+    if len(s) != 4 or s[0] != "seeds" \
+            or not all(_SEED_RE.fullmatch(v) for v in s[1:]):
+        raise DeltaFormatError("bad seeds record %r" % lines[1])
+    seeds = SeedTuple(*(int(v, 16) for v in s[1:]))
     nop = lines[2].split()
     frac = nop[1].split("/") if len(nop) == 2 and nop[0] == "nop" else ()
     if len(frac) != 2:
         raise DeltaFormatError("bad nop record %r" % lines[2])
     num, den = (_int(v, DeltaFormatError, "nop record") for v in frac)
-    check_nop_fraction(num, den)
+    check_fraction(num, den, "nop")
     flags = lines[3].split()
     kv = dict(t.partition("=")[::2] for t in flags[1:])
     if flags[:1] != ["flags"] or len(flags) != 5 \
-            or kv.keys() != set(_FLAG_KEYS):
+            or kv.keys() != set(_FLAG_KEYS) \
+            or not set(kv.values()) <= {"0", "1"}:
         raise DeltaFormatError("bad flags record %r" % lines[3])
-    flag = {k: bool(_int(kv[k], DeltaFormatError, "flags record"))
-            for k in _FLAG_KEYS}
+    flag = {k: kv[k] == "1" for k in _FLAG_KEYS}
     patch, pos = _parse_patch(lines, 4)
     if pos != len(lines):
         raise DeltaFormatError("trailing data in delta payload")
@@ -464,7 +466,9 @@ def _parse_payload(text):
 
 def pack(dd, key=None):
     """Serialize, DEFLATE, and optionally authenticate the delta data."""
-    check_nop_fraction(dd.nop_num, dd.nop_den)
+    check_fraction(dd.nop_num, dd.nop_den, "nop")
+    if not all(0 <= s < 1 << 64 for s in astuple(dd.seeds)):
+        raise DeltaFormatError("seed outside [0, 2^64) in %r" % (dd.seeds,))
     comp = zlib.compressobj(6, zlib.DEFLATED, -15)
     payload = comp.compress(_emit_payload(dd).encode()) + comp.flush()
     flags = FLAG_AUTH if key is not None else 0

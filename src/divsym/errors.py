@@ -6,11 +6,10 @@ class DivsymError(Exception):
 
 
 class SymbolParseError(DivsymError):
-    """Malformed symbol-file text.  Carries the 1-based line number."""
+    """Malformed symbol-file text.  `lineno` is the 1-based line number of
+    the bad record, or None when the file failed a check after parsing."""
 
-    def __init__(self, lineno, message):
-        super().__init__("line %d: %s" % (lineno, message))
-        self.lineno = lineno
+    lineno = None
 
 
 class SymbolFormatError(DivsymError):

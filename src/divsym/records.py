@@ -1,12 +1,13 @@
 """The one reader behind the line-record text formats.
 
-The program model, the opportunity and decision logs, the image's meta
-and crash sections and the minidump share one shape (docs/formats.md):
-a header line `<TAG> v1 [<trailing text>]`, then one record per line
-whose first whitespace-separated token is its keyword.  Each parser
-gives `read_records` a module-level table from keyword to handler and
-the state its handlers fill, and every parser fails the same way: with
-its format's error class and a `line N:` prefix.
+The symbol file, the program model, the opportunity and decision logs,
+the image's meta and crash sections and the minidump share one shape
+(docs/formats.md): an optional header line `<TAG> v1 [<trailing text>]`,
+then one record per line whose first whitespace-separated token is its
+keyword (a symbol file's line record has none).  Each parser gives
+`read_records` a module-level table from keyword to handler and the
+state its handlers fill, and every parser fails the same way: with its
+format's error class, a `line N:` prefix and N as the error's `lineno`.
 """
 
 from __future__ import annotations
@@ -17,15 +18,17 @@ from __future__ import annotations
 RECORD_FAULTS = (ValueError, IndexError, KeyError)
 
 
-def read_records(text, header, handlers, state, error):
+def read_records(text, header, handlers, state, error, default=None):
     """Check the header, then call handlers[keyword](state, toks, line)
     for each record.
 
     The first non-blank line must be `header`, alone or followed by a
     space and trailing text, which is returned; a `header` of None means
-    the text has none.  Blank lines are skipped.  An unknown keyword, and
-    a ValueError, IndexError or KeyError from a handler, raise `error`
-    with the message "line N: <record>: <cause>", N counting from 1.
+    the text has none.  Blank lines are skipped.  A record whose first
+    token is not in `handlers` goes to `default`, or is an unknown record
+    if `default` is None.  An unknown record, and a ValueError,
+    IndexError or KeyError from a handler, raise `error` with the message
+    "line N: <record>: <cause>" and `lineno` N, counting from 1.
     """
     lines = enumerate(text.split("\n"), 1)
     trailing = ""
@@ -36,21 +39,27 @@ def read_records(text, header, handlers, state, error):
         else:
             lineno, line = 1, ""
         if line != header and not line.startswith(header + " "):
-            raise error("line %d: missing %s header" % (lineno, header))
+            raise _at(error, lineno, "missing %s header" % header)
         trailing = line[len(header) + 1:]
     for lineno, line in lines:
         toks = line.split()
         if not toks:
             continue
-        handler = handlers.get(toks[0])
+        handler = handlers.get(toks[0], default)
         if handler is None:
-            raise error("line %d: unknown record %r" % (lineno, toks[0]))
+            raise _at(error, lineno, "unknown record %r" % toks[0])
         try:
             handler(state, toks, line)
         except RECORD_FAULTS as e:
-            raise error("line %d: %s: %s %s"
-                        % (lineno, toks[0], type(e).__name__, e)) from None
+            raise _at(error, lineno, "%s: %s %s"
+                      % (toks[0], type(e).__name__, e)) from None
     return trailing
+
+
+def _at(error, lineno, message):
+    e = error("line %d: %s" % (lineno, message))
+    e.lineno = lineno
+    return e
 
 
 def fields(line, *keys):

@@ -26,8 +26,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 
 from divsym.errors import SymbolFormatError, SymbolParseError
+from divsym.records import read_records
 
 _HEX_RE = re.compile(r"^[0-9a-fA-F]+$")
 _DEC_RE = re.compile(r"^-?[0-9]+$")
@@ -227,150 +229,116 @@ def emit_symbol_file(sf: SymbolFile) -> str:
     return "\n".join(out) + "\n"
 
 
-def _parse_hex(tok, lineno, what):
+def _parse_hex(tok):
     if not _HEX_RE.match(tok):
-        raise SymbolParseError(lineno, "malformed hex field %r in %s" % (tok, what))
+        raise ValueError("malformed hex field %r" % tok)
     return int(tok, 16)
 
 
-def _parse_dec(tok, lineno, what):
+def _parse_dec(tok):
     if not _DEC_RE.match(tok):
-        raise SymbolParseError(lineno, "malformed decimal field %r in %s" % (tok, what))
+        raise ValueError("malformed decimal field %r" % tok)
     return int(tok, 10)
 
 
-def _trailing_field(line, toks, k, lineno, what):
-    """The text after the k-th space: the last field of a record may hold
-    spaces, so the fields before it must be separated by single spaces."""
-    parts = line.split(" ", k)
-    if len(parts) <= k or parts[:k] != toks[:k]:
-        raise SymbolParseError(
-            lineno, "%s fields must be separated by single spaces" % what)
+def _trailing_field(line, toks, k):
+    """The text after the k-th space, which holds the k-th token: the last
+    field of a record may hold spaces, so the fields before it must be
+    separated by single spaces.  A missing field raises IndexError."""
+    parts = line.rstrip("\r").split(" ", k)
+    if parts[:k] != toks[:k] or not parts[k].strip():
+        raise ValueError("fields must be separated by single spaces")
     return parts[k]
 
 
-def _parse_rules(toks, lineno):
+def _parse_rules(toks):
     """Parse 'reg: tok tok ... reg: tok ...' into a RuleMap."""
-    rules = {}
-    reg = None
-    expr = []
+    pairs = []
     for tok in toks:
         if tok.endswith(":") and len(tok) > 1:
-            if reg is not None:
-                if not expr:
-                    raise SymbolParseError(lineno, "empty expression for %s" % reg)
-                rules[reg] = tuple(expr)
-            reg = tok[:-1]
-            expr = []
+            pairs.append((tok[:-1], []))
+        elif not pairs:
+            raise ValueError("expression token %r before any register" % tok)
         else:
-            if reg is None:
-                raise SymbolParseError(lineno, "expression token %r before any register" % tok)
-            if _DEC_RE.match(tok):
-                expr.append(int(tok, 10))
-            else:
-                expr.append(tok)
-    if reg is None:
-        raise SymbolParseError(lineno, "STACK CFI record without rules")
-    if not expr:
-        raise SymbolParseError(lineno, "empty expression for %s" % reg)
-    rules[reg] = tuple(expr)
-    return rules
+            pairs[-1][1].append(int(tok, 10) if _DEC_RE.match(tok) else tok)
+    if not pairs:
+        raise ValueError("STACK CFI record without rules")
+    for reg, expr in pairs:
+        if not expr:
+            raise ValueError("empty expression for %s" % reg)
+    return {reg: tuple(expr) for reg, expr in pairs}
+
+
+# The parse state's `lines` is the open FUNC's line-record list and
+# `deltas` the open CFI region's delta list; None when none is open.
+
+def _sym_module(st, toks, line):
+    st.module_id = line.rstrip("\r").partition(" ")[2]
+
+
+def _sym_func(st, toks, line):
+    st.lines = []
+    st.deltas = None
+    st.funcs.append((_parse_hex(toks[1]), _parse_hex(toks[2]),
+                     _parse_hex(toks[3]), _trailing_field(line, toks, 4),
+                     st.lines))
+
+
+def _sym_public(st, toks, line):
+    st.lines = st.deltas = None
+    st.publics.append((_parse_hex(toks[1]), _trailing_field(line, toks, 2)))
+
+
+def _sym_stack(st, toks, line):
+    st.lines = None
+    if toks[1] != "CFI":
+        raise ValueError("unknown STACK record")
+    if toks[2] == "INIT":
+        st.deltas = []
+        st.cfi.append((_parse_hex(toks[3]), _parse_hex(toks[4]),
+                       _parse_rules(toks[5:]), st.deltas))
+    elif st.deltas is None:
+        raise ValueError("STACK CFI delta outside any INIT region")
+    else:
+        st.deltas.append((_parse_hex(toks[2]), _parse_rules(toks[3:])))
+
+
+def _sym_line(st, toks, line):
+    """A line record has no keyword: its first token is its address."""
+    addr = _parse_hex(toks[0])
+    if st.lines is None:
+        raise ValueError("line record outside any FUNC")
+    _, size, srcline, filenum = toks
+    st.lines.append(LineRecord(addr, _parse_hex(size), _parse_dec(srcline),
+                               _parse_dec(filenum)))
+
+
+_SYMBOL_RECORDS = {
+    "MODULE": _sym_module,
+    "FILE": lambda st, toks, line: st.files.append(
+        (_parse_dec(toks[1]), _trailing_field(line, toks, 2))),
+    "FUNC": _sym_func,
+    "PUBLIC": _sym_public,
+    "STACK": _sym_stack,
+}
 
 
 def parse_symbol_file(text: str) -> SymbolFile:
-    """Parse symbol-file text; raises SymbolParseError with a line number."""
-    module_id = ""
-    files = []
-    funcs = []
-    cfi = []
-    publics = []
-    cur_func = None   # [address, size, param_size, name, [lines]]
-    cur_cfi = None    # [address, size, init_rules, [deltas]]
-
-    def close_func():
-        nonlocal cur_func
-        if cur_func is not None:
-            a, s, p, n, lines = cur_func
-            funcs.append(FuncRecord(a, s, p, n, tuple(lines)))
-            cur_func = None
-
-    def close_cfi():
-        nonlocal cur_cfi
-        if cur_cfi is not None:
-            a, s, init, deltas = cur_cfi
-            cfi.append(CfiInitRecord(a, s, init, tuple(deltas)))
-            cur_cfi = None
-
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.rstrip("\r")
-        if not line.strip():
-            continue
-        toks = line.split()
-        kw = toks[0]
-        if kw == "MODULE":
-            module_id = line.split(" ", 1)[1] if " " in line else ""
-        elif kw == "FILE":
-            if len(toks) < 3:
-                raise SymbolParseError(lineno, "FILE needs a number and a path")
-            num = _parse_dec(toks[1], lineno, "FILE")
-            path = _trailing_field(line, toks, 2, lineno, "FILE")
-            files.append((num, path))
-        elif kw == "FUNC":
-            close_func()
-            close_cfi()
-            if len(toks) < 5:
-                raise SymbolParseError(lineno, "FUNC needs address size param_size name")
-            addr = _parse_hex(toks[1], lineno, "FUNC")
-            size = _parse_hex(toks[2], lineno, "FUNC")
-            param = _parse_hex(toks[3], lineno, "FUNC")
-            name = _trailing_field(line, toks, 4, lineno, "FUNC")
-            cur_func = [addr, size, param, name, []]
-        elif kw == "PUBLIC":
-            close_func()
-            close_cfi()
-            if len(toks) < 3:
-                raise SymbolParseError(lineno, "PUBLIC needs an address and a name")
-            addr = _parse_hex(toks[1], lineno, "PUBLIC")
-            publics.append(
-                (addr, _trailing_field(line, toks, 2, lineno, "PUBLIC")))
-        elif kw == "STACK":
-            close_func()
-            if len(toks) < 2 or toks[1] != "CFI":
-                raise SymbolParseError(lineno, "unknown STACK record %r" % line)
-            if len(toks) >= 3 and toks[2] == "INIT":
-                close_cfi()
-                if len(toks) < 6:
-                    raise SymbolParseError(lineno, "STACK CFI INIT needs address size rules")
-                addr = _parse_hex(toks[3], lineno, "STACK CFI INIT")
-                size = _parse_hex(toks[4], lineno, "STACK CFI INIT")
-                rules = _parse_rules(toks[5:], lineno)
-                cur_cfi = [addr, size, rules, []]
-            else:
-                if cur_cfi is None:
-                    raise SymbolParseError(lineno, "STACK CFI delta outside any INIT region")
-                if len(toks) < 4:
-                    raise SymbolParseError(lineno, "STACK CFI needs address and rules")
-                addr = _parse_hex(toks[2], lineno, "STACK CFI")
-                rules = _parse_rules(toks[3:], lineno)
-                cur_cfi[3].append((addr, rules))
-        elif _HEX_RE.match(kw):
-            if cur_func is None:
-                raise SymbolParseError(lineno, "line record outside any FUNC")
-            if len(toks) != 4:
-                raise SymbolParseError(lineno, "line record needs address size line filenum")
-            addr = _parse_hex(toks[0], lineno, "line record")
-            size = _parse_hex(toks[1], lineno, "line record")
-            srcline = _parse_dec(toks[2], lineno, "line record")
-            filenum = _parse_dec(toks[3], lineno, "line record")
-            cur_func[4].append(LineRecord(addr, size, srcline, filenum))
-        else:
-            raise SymbolParseError(lineno, "unknown record keyword %r" % kw)
-    close_func()
-    close_cfi()
-    sf = SymbolFile(module_id=module_id, files=tuple(files), funcs=tuple(funcs),
-                    cfi_regions=tuple(cfi), publics=tuple(publics))
+    """Parse symbol-file text.  A bad record raises SymbolParseError with
+    its line number as `lineno`; a file that parses but fails validate()
+    raises it with `lineno` None."""
+    st = SimpleNamespace(module_id="", files=[], funcs=[], cfi=[], publics=[],
+                         lines=None, deltas=None)
+    read_records(text, None, _SYMBOL_RECORDS, st, SymbolParseError, _sym_line)
+    sf = SymbolFile(
+        module_id=st.module_id, files=tuple(st.files),
+        funcs=tuple(FuncRecord(a, s, p, n, tuple(lines))
+                    for a, s, p, n, lines in st.funcs),
+        cfi_regions=tuple(CfiInitRecord(a, s, rules, tuple(deltas))
+                          for a, s, rules, deltas in st.cfi),
+        publics=tuple(st.publics))
     try:
         validate(sf)
     except SymbolFormatError as e:
-        raise SymbolParseError(0, str(e)) from e
+        raise SymbolParseError(str(e)) from e
     return sf

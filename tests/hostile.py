@@ -50,4 +50,12 @@ HEADER_FAULTS = {
     "empty seeds line": {1: b""},
     "empty nop line": {2: b""},
     "flags without default_padding": {3: b"flags sp_fp_opt=0 pad=1 shuffle=1"},
+    # each seed is exactly 16 lowercase hex digits, each flag 0 or 1
+    "negative seed": {1: b"seeds -000000000000001 0000000000000002 "
+                         b"0000000000000003"},
+    "160-bit seed": {1: b"seeds 0000000000000001 0000000000000002 " + b"f" * 40},
+    "short seed": {1: b"seeds 1 0000000000000002 0000000000000003"},
+    "uppercase seed": {1: b"seeds 000000000000000A 0000000000000002 "
+                          b"0000000000000003"},
+    "flag 7": {3: b"flags default_padding=7 sp_fp_opt=0 pad=1 shuffle=1"},
 }

@@ -218,6 +218,9 @@ def test_writer_refuses_nop_fraction_reader_rejects(tmp_path, capsys):
         assert run("diversify", "--model", str(model_path),
                    "--seeds", "7,8,9", "--out", str(div),
                    "--nop-prob=" + ratio) == 2
+        assert run("diversify", "--model", str(model_path),
+                   "--seeds", "7,8,9", "--out", str(div),
+                   "--desync=" + ratio) == 2
         assert run("delta", "--default-sym", str(dflt / "default.sym"),
                    "--opplog", str(dflt / "opportunity.log"),
                    "--div-sym", str(dflt / "default.sym"),

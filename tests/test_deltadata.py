@@ -179,6 +179,12 @@ def test_malformed_header_records_raise_delta_format(old, new):
         deltadata._parse_payload(text.replace(old, new, 1))
 
 
+@pytest.mark.parametrize("seeds", [SeedTuple(-1, 2, 3), SeedTuple(1, 1 << 64, 3)])
+def test_pack_refuses_seed_outside_64_bits(seeds):
+    with pytest.raises(DeltaFormatError, match="seed outside"):
+        pack(delta_from_options(seeds, OPTS, Patch()))
+
+
 def test_compression_never_explodes():
     for model in generate_corpus(53, 2):
         dres, log = build_default(model, OPTS)

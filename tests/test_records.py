@@ -19,10 +19,11 @@ from divsym.diversify import (SeedTuple, build_default, build_diversified,
                               emit_decision_log, emit_opportunity_log,
                               parse_decision_log, parse_opportunity_log)
 from divsym.errors import (DeltaFormatError, DivsymError, HarnessError,
-                           ModelError)
+                           ModelError, SymbolParseError)
 from divsym.progmodel import (BuildOptions, emit_model, generate_corpus,
                               parse_model)
 from divsym.replicate import replicate
+from divsym.symfile import emit_symbol_file, parse_symbol_file
 from hostile import edited_container
 
 SEEDS = SeedTuple(0x51, 0x52, 0x53)
@@ -33,7 +34,8 @@ OPTS = BuildOptions(desync_num=1, desync_den=4)
 @functools.cache
 def emitted(seed, size_class):
     """Every text format emitted for one program: model, opportunity log,
-    decision log, image (bytes), a minidump and a delta payload's patch."""
+    decision log, image (bytes), a minidump, a delta payload's patch and
+    the default and diversified symbol files."""
     model = generate_corpus(seed, 1, size_class)[0]
     dres, log = build_default(model, OPTS)
     truth, dec = build_diversified(model, SEEDS, OPTS)
@@ -44,7 +46,9 @@ def emitted(seed, size_class):
                            truth.symfile)
     return dict(model=emit_model(model), opplog=emit_opportunity_log(log),
                 declog=emit_decision_log(dec), image=blob,
-                dump=emit_minidump(dump), patch=patch)
+                dump=emit_minidump(dump), patch=patch,
+                default_sym=emit_symbol_file(dres.symfile),
+                div_sym=emit_symbol_file(truth.symfile))
 
 
 def fuzz_texts():
@@ -52,9 +56,10 @@ def fuzz_texts():
 
 
 # Replacement tokens: empty, non-numbers, negatives, bare separators,
-# keywords out of place.
+# keywords and register rules out of place.
 FILLERS = ("", "-", "0", "-7", "zz", "=", "k=v", ",", "1,,2", "epilogue",
-           "code", "data", "FUNCTION", "BLOCK", "SPAN", "reg")
+           "code", "data", "FUNCTION", "BLOCK", "SPAN", "reg", "FUNC",
+           "STACK", "INIT", ".cfa:")
 
 
 @st.composite
@@ -169,6 +174,14 @@ def test_mutated_minidump_parses_or_raises(data):
     parses_or_raises(parse_minidump, mutate(data, fuzz_texts()["dump"]))
 
 
+@given(st.sampled_from(("default_sym", "div_sym")), st.data())
+def test_mutated_symbol_file_parses_or_raises(which, data):
+    try:
+        parse_symbol_file(mutate(data, fuzz_texts()[which]))
+    except SymbolParseError:
+        pass
+
+
 @given(st.data())
 def test_mutated_delta_payload_parses_or_raises(data):
     patch = fuzz_texts()["patch"]
@@ -234,3 +247,5 @@ def test_emit_parse_emit_identity(seed, size_class):
     assert "DESYNC" in t["declog"]
     assert image.pack_image(image.read_image(t["image"])) == t["image"]
     assert emit_minidump(parse_minidump(t["dump"])) == t["dump"]
+    for k in ("default_sym", "div_sym"):
+        assert emit_symbol_file(parse_symbol_file(t[k])) == t[k]

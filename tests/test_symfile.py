@@ -78,6 +78,30 @@ def test_line_record_outside_func():
     assert ei.value.lineno == 2
 
 
+def test_validate_failure_has_no_line_number():
+    with pytest.raises(SymbolParseError, match="^FUNC b overlaps") as ei:
+        parse_symbol_file("FUNC 10 20 0 a\nFUNC 18 8 0 b\n")
+    assert ei.value.lineno is None
+
+
+@pytest.mark.parametrize("text,lineno", [
+    ("FUNC 10 8\n", 1),                       # missing fields
+    ("FUNC 10 8 0 \n", 1),                    # blank name
+    ("MODULE m\nSTACK CFI 10 .cfa: sp\n", 2),  # delta before any INIT
+    ("FUNC 10 8 0 f\n10 8 1 1 9\n", 2),        # extra line-record field
+    ("FUNC 10 8 0 f\r\n10 8 1 x\r\n", 2),
+])
+def test_bad_record_reports_line(text, lineno):
+    with pytest.raises(SymbolParseError, match="^line %d: " % lineno) as ei:
+        parse_symbol_file(text)
+    assert ei.value.lineno == lineno
+
+
+def test_crlf_input_parses():
+    crlf = LINE_EXCERPT.replace("\n", "\r\n")
+    assert parse_symbol_file(crlf) == parse_symbol_file(LINE_EXCERPT)
+
+
 def test_unknown_keyword():
     with pytest.raises(SymbolParseError):
         parse_symbol_file("BOGUS 12 34\n")
