@@ -31,11 +31,14 @@ def _parse_int(s):
     return int(s, 0)
 
 
-def _parse_seeds(s):
-    parts = s.split(",")
+def _parse_seeds(parts):
+    """The seed tuple of --seeds and of a --seeds-file line: three
+    integers, each in [0, 2^64) as the delta container stores them."""
     if len(parts) != 3:
-        raise ValueError("seeds must be three comma-separated integers")
-    return SeedTuple(*(_parse_int(p) & 0xFFFFFFFFFFFFFFFF for p in parts))
+        raise ValueError("seeds must be three integers, got %r" % (parts,))
+    seeds = SeedTuple(*(_parse_int(p) for p in parts))
+    deltadata.check_seeds(seeds)
+    return seeds
 
 
 def _parse_ratio(s, what):
@@ -108,7 +111,7 @@ def cmd_build(args):
 def cmd_diversify(args):
     model = parse_model(Path(args.model).read_text(encoding="utf-8"))
     options = _options(args)
-    seeds = _parse_seeds(args.seeds)
+    seeds = _parse_seeds(args.seeds.split(","))
     result, dec = build_diversified(model, seeds, options)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -125,7 +128,7 @@ def cmd_delta(args):
     default_sf = parse_symbol_file(Path(args.default_sym).read_text(encoding="utf-8"))
     log = parse_opportunity_log(Path(args.opplog).read_text(encoding="utf-8"))
     truth = parse_symbol_file(Path(args.div_sym).read_text(encoding="utf-8"))
-    seeds = _parse_seeds(args.seeds)
+    seeds = _parse_seeds(args.seeds.split(","))
     options = _options(args)
     approx = replicate(default_sf, log, seeds, options)
     patch = deltadata.diff(approx, truth)
@@ -168,8 +171,7 @@ def cmd_metrics(args):
     seeds = []
     for ln in Path(args.seeds_file).read_text(encoding="utf-8").splitlines():
         if ln.strip():
-            p, n, f = ln.split()
-            seeds.append(SeedTuple(_parse_int(p), _parse_int(n), _parse_int(f)))
+            seeds.append(_parse_seeds(ln.split()))
     rep = collector.corpus_metrics(corpus, seeds, _options(args))
     Path(args.out).write_text(rep.text(include_timings=True), encoding="utf-8")
     sys.stdout.write(rep.text())

@@ -417,6 +417,13 @@ def check_fraction(num, den, what):
         raise DeltaFormatError("bad %s fraction %d/%d" % (what, num, den))
 
 
+def check_seeds(seeds):
+    """Raise DeltaFormatError unless every seed fits the container's 64
+    bits.  pack() and the CLI's seed reader apply it."""
+    if not all(0 <= s < 1 << 64 for s in astuple(seeds)):
+        raise DeltaFormatError("seed outside [0, 2^64) in %r" % (seeds,))
+
+
 def _emit_payload(dd):
     out = ["DDATA v1",
            "seeds %016x %016x %016x" % (dd.seeds.pad_seed, dd.seeds.nop_seed,
@@ -467,8 +474,7 @@ def _parse_payload(text):
 def pack(dd, key=None):
     """Serialize, DEFLATE, and optionally authenticate the delta data."""
     check_fraction(dd.nop_num, dd.nop_den, "nop")
-    if not all(0 <= s < 1 << 64 for s in astuple(dd.seeds)):
-        raise DeltaFormatError("seed outside [0, 2^64) in %r" % (dd.seeds,))
+    check_seeds(dd.seeds)
     comp = zlib.compressobj(6, zlib.DEFLATED, -15)
     payload = comp.compress(_emit_payload(dd).encode()) + comp.flush()
     flags = FLAG_AUTH if key is not None else 0

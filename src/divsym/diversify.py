@@ -15,10 +15,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import accumulate
 from types import SimpleNamespace
 
-from divsym._speed import nop_gaps
+from divsym._kernels_py import FNV_PRIME, MASK64
+from divsym._speed import fnv1a64, nop_gaps
 from divsym.errors import ModelError
 from divsym.prng import Prng, function_reseed, mix64
 from divsym.progmodel import BuildOptions, LineSpan, layout
@@ -97,6 +99,27 @@ def pad_amount(identifier, pad_seed, default_mode):
 # dict tagged with the wrong triple.
 _drawn = (None, {})
 
+# Identifiers whose '<identifier>#' hash is cached: four times the
+# functions of the largest generated program, about 240 KB besides the
+# identifiers themselves.
+BLOCK_HASH_CACHE = 2048
+
+
+@lru_cache(maxsize=BLOCK_HASH_CACHE)
+def _block_hash_prefix(identifier):
+    """FNV-1a-64 of '<identifier>#', the part of a block's reseed hash
+    that every block of the function shares."""
+    return fnv1a64(("%s#" % identifier).encode("utf-8"))
+
+
+def _block_seed(identifier, block_index, nop_seed):
+    """function_reseed('<identifier>#<block_index>', nop_seed), hashing
+    the identifier once and continuing FNV-1a over the index digits."""
+    h = _block_hash_prefix(identifier)
+    for b in b"%d" % block_index:
+        h = ((h ^ b) * FNV_PRIME) & MASK64
+    return mix64(h ^ (nop_seed & MASK64))
+
 
 def gap_decisions(identifier, block_index, n_gaps, nop_seed, num, den):
     """1-based gap indices that receive a NOP, for one code block.
@@ -120,7 +143,7 @@ def gap_decisions(identifier, block_index, n_gaps, nop_seed, num, den):
     key = (identifier, block_index, n_gaps)
     gaps = drawn.get(key)
     if gaps is None:
-        seed = function_reseed("%s#%d" % (identifier, block_index), nop_seed)
+        seed = _block_seed(identifier, block_index, nop_seed)
         gaps = drawn[key] = tuple(nop_gaps(seed, n_gaps, (num << 32) // den))
     return gaps
 

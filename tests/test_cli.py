@@ -2,6 +2,8 @@ import re
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 from divsym import deltadata, image
 from divsym.cli import main
 from divsym.collector import MAX_STACK_BYTES, sample_call_chains
@@ -228,6 +230,35 @@ def test_writer_refuses_nop_fraction_reader_rejects(tmp_path, capsys):
                    "--out", str(delta)) == 2
     assert not div.exists() and not delta.exists()
     assert "nop fraction" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seeds", ["-1,2,3", "1,0x10000000000000000,3",
+                                   "-1,2,0x1ffffffffffffffff", "1,2"])
+def test_seeds_outside_64_bits_exit_2(tmp_path, capsys, seeds):
+    # no seed is reduced modulo 2^64: -1 and 2^64 + (2^64 - 1) would
+    # both build as 2^64 - 1
+    corpus = tmp_path / "corpus"
+    run("gen", "--seed", "21", "--n", "1", "--out", str(corpus))
+    model_path = next(corpus.glob("*.model"))
+    dflt = tmp_path / "default"
+    run("build", "--model", str(model_path), "--out", str(dflt))
+    div = tmp_path / "div"
+    delta = tmp_path / "delta.dbpd"
+    report = tmp_path / "report.txt"
+    seeds_file = tmp_path / "seeds.txt"
+    seeds_file.write_text("1 2 3\n%s\n" % seeds.replace(",", " "))
+    capsys.readouterr()
+    assert run("diversify", "--model", str(model_path), "--seeds=" + seeds,
+               "--out", str(div)) == 2
+    assert run("delta", "--default-sym", str(dflt / "default.sym"),
+               "--opplog", str(dflt / "opportunity.log"),
+               "--div-sym", str(dflt / "default.sym"),
+               "--seeds=" + seeds, "--out", str(delta)) == 2
+    assert run("metrics", "--corpus", str(corpus),
+               "--seeds-file", str(seeds_file), "--out", str(report)) == 2
+    assert not div.exists() and not delta.exists() and not report.exists()
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 3 and "Traceback" not in err
 
 
 def test_input_error_exit_code(tmp_path):

@@ -1,6 +1,7 @@
 import itertools
 import sys
 import threading
+import tracemalloc
 
 import pytest
 
@@ -183,6 +184,44 @@ def _oracle_gaps(identifier, block_index, n_gaps, nop_seed, num, den):
         return ()
     seed = function_reseed("%s#%d" % (identifier, block_index), nop_seed)
     return tuple(_kernels_py.nop_gaps(seed, n_gaps, (num << 32) // den))
+
+
+def test_block_seed_is_the_function_reseed_of_the_block_key(monkeypatch):
+    # the cached '<identifier>#' hash continued over the index digits
+    # gives the seed of the whole '<identifier>#<block_index>' string
+    seeds = []
+
+    def recording(seed, n_gaps, threshold):
+        seeds.append(seed)
+        return _kernels_py.nop_gaps(seed, n_gaps, threshold)
+
+    monkeypatch.setattr(diversify, "nop_gaps", recording)
+    for nop_seed in (0, 0x5EED, 1 << 63, (1 << 64) - 1):
+        clear_gap_memo()
+        for ident in ("f@o:s", "fünf@mödul.o:.text.ß", "関数@o:s", "x"):
+            for bi in (0, 9, 10, 99, 1000, 123456):
+                seeds.clear()
+                gap_decisions(ident, bi, 5, nop_seed, 1, 5)
+                assert seeds == [function_reseed("%s#%d" % (ident, bi),
+                                                 nop_seed)]
+
+
+def test_block_hash_cache_stays_within_its_bound():
+    prefix = diversify._block_hash_prefix
+    bound = diversify.BLOCK_HASH_CACHE
+    assert prefix.cache_info().maxsize == bound
+    idents = ["fn%04d_beef@fn%04d_beef.o:.text.fn%04d_beef" % (i, i, i)
+              for i in range(bound + 100)]
+    prefix.cache_clear()
+    tracemalloc.start()
+    try:
+        for ident in idents:
+            prefix(ident)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert prefix.cache_info().currsize == bound
+    assert held < 300_000
 
 
 @pytest.mark.parametrize("options", [

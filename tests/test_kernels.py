@@ -2,7 +2,9 @@ import importlib.util
 import random
 import shutil
 import subprocess
+import sys
 import sysconfig
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -44,6 +46,21 @@ def _kernels(tmp_path_factory):
     return built
 
 
+# gap counts on both sides of the 16-lane rounding and the 256-lane chunk
+CHUNK_NS = (0, 1, 15, 16, 17, 255, 256, 257, 513, 2000)
+EDGE_THRESHOLDS = (0, 1, 1 << 31, (1 << 32) - 1, 1 << 32)
+# thresholds outside [0, 2^32]: the scalar loop fires nothing or everything
+CLAMPED_THRESHOLDS = (-1, (1 << 32) + 1, 1 << 40, (1 << 64) - 1)
+EDGE_SEEDS = (0, 0x6A9, (1 << 64) - 1)
+
+
+def _stream_gaps(seed, n, threshold):
+    """The scalar rule: gap g fires when the low 32 bits of draw g of
+    Prng(seed) are below threshold."""
+    draws = Prng(seed)
+    return [g for g in range(1, n + 1) if (draws.next() & 0xFFFFFFFF) < threshold]
+
+
 def test_pure_nop_gaps_matches_the_mix64_stream():
     rng = random.Random(0x6A9)
     for _ in range(300):
@@ -51,10 +68,47 @@ def test_pure_nop_gaps_matches_the_mix64_stream():
         n = rng.randrange(0, 200)
         thr = rng.choice((0, 1, (1 << 32) // 5, 1 << 32,
                           rng.randrange(0, 1 << 32)))
-        draws = Prng(seed)
-        want = [g for g in range(1, n + 1)
-                if (draws.next() & 0xFFFFFFFF) < thr]
-        assert _kernels_py.nop_gaps(seed, n, thr) == want
+        assert _kernels_py.nop_gaps(seed, n, thr) == _stream_gaps(seed, n, thr)
+
+
+@pytest.mark.parametrize("n", CHUNK_NS)
+def test_pure_nop_gaps_across_chunk_boundaries(n):
+    for seed in EDGE_SEEDS:
+        for thr in EDGE_THRESHOLDS:
+            assert _kernels_py.nop_gaps(seed, n, thr) == _stream_gaps(seed, n, thr)
+
+
+@pytest.mark.parametrize("threshold", CLAMPED_THRESHOLDS)
+def test_pure_nop_gaps_clamps_the_threshold(threshold):
+    for n in CHUNK_NS:
+        want = _stream_gaps(0x5EED, n, threshold)
+        assert want == ([] if threshold < 0 else list(range(1, n + 1)))
+        assert _kernels_py.nop_gaps(0x5EED, n, threshold) == want
+
+
+def test_lane_constant_cache_stays_within_its_bound():
+    for n in range(1, 2 * _kernels_py.CHUNK_LANES + 2):
+        _kernels_py.nop_gaps(n, n, 1 << 31)
+    cache = _kernels_py._lane_consts
+    assert sorted(cache) == list(range(_kernels_py.LANE_ROUND,
+                                       _kernels_py.CHUNK_LANES + 1,
+                                       _kernels_py.LANE_ROUND))
+    assert sum(sys.getsizeof(v) for c in cache.values() for v in c) < 160_000
+
+
+def test_pure_nop_gaps_scratch_memory_is_bounded_on_a_huge_block():
+    # one 100,000-gap call holds at most one 256-lane chunk at a time;
+    # packing the whole block at once would hold several 1.6 MB ints
+    n = 100_000
+    _kernels_py.nop_gaps(1, _kernels_py.CHUNK_LANES, 1 << 31)  # constants
+    tracemalloc.start()
+    try:
+        out = _kernels_py.nop_gaps(0xB16, n, 1 << 31)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out == _stream_gaps(0xB16, n, 1 << 31)
+    assert peak - kept < 300_000
 
 
 def test_backends_agree_on_mix_and_fnv(_kernels):
@@ -83,6 +137,16 @@ def test_backends_agree_on_nop_gaps(_kernels):
         n = rng.randrange(0, 400)
         thr = rng.randrange(0, 1 << 32)
         assert _kernels.nop_gaps(seed, n, thr) == _kernels_py.nop_gaps(seed, n, thr)
+
+
+def test_backends_agree_on_nop_gaps_across_chunk_boundaries(_kernels):
+    # a negative threshold has no uint64 value in the compiled kernel
+    thresholds = EDGE_THRESHOLDS + CLAMPED_THRESHOLDS[1:]
+    for n in CHUNK_NS:
+        for seed in EDGE_SEEDS:
+            for thr in thresholds:
+                assert _kernels.nop_gaps(seed, n, thr) == \
+                    _kernels_py.nop_gaps(seed, n, thr)
 
 
 def test_backends_agree_on_imm_encodable(_kernels):
