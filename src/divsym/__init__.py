@@ -8,7 +8,7 @@ minidumps into source-level stack traces that are identical across
 diversified versions.
 """
 
-from divsym._speed import BACKEND as KERNEL_BACKEND
-
+# the kernels (divsym._speed) are pure Python; there is no build step
+KERNEL_BACKEND = "python"
 __version__ = "0.1.0"
 __all__ = ["KERNEL_BACKEND", "__version__"]

@@ -19,10 +19,9 @@ from functools import lru_cache
 from itertools import accumulate
 from types import SimpleNamespace
 
-from divsym._kernels_py import FNV_PRIME, MASK64
-from divsym._speed import fnv1a64, nop_gaps
+from divsym._speed import FNV_PRIME, MASK64, fnv1a64, mix64, nop_gaps
 from divsym.errors import ModelError
-from divsym.prng import Prng, function_reseed, mix64
+from divsym.prng import Prng, function_reseed
 from divsym.progmodel import BuildOptions, LineSpan, layout
 from divsym.records import fields, read_records
 

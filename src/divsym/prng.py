@@ -2,7 +2,8 @@
 
 Every decision process in the pipeline draws from this generator, so
 both sides of the replay (build system and crash server) reproduce
-identical streams from identical seeds.  The constants are fixed:
+identical streams from identical seeds.  The constants are fixed
+(divsym._speed defines them):
 
     state += 0x9E3779B97F4A7C15
     z = state
@@ -15,10 +16,7 @@ with FNV-1a-64 (offset 0xcbf29ce484222325, prime 0x100000001b3), xors
 the scheme seed and applies the SplitMix64 output function once.
 """
 
-from divsym._speed import mix64, reseed as _reseed
-
-MASK64 = 0xFFFFFFFFFFFFFFFF
-GAMMA = 0x9E3779B97F4A7C15
+from divsym._speed import MASK64, SPLITMIX_GAMMA, mix64, reseed as _reseed
 
 
 class Prng:
@@ -30,7 +28,7 @@ class Prng:
         self.state = seed & MASK64
 
     def next(self):
-        self.state = (self.state + GAMMA) & MASK64
+        self.state = (self.state + SPLITMIX_GAMMA) & MASK64
         return mix64(self.state)
 
     def below(self, n):

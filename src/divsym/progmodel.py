@@ -20,8 +20,9 @@ import bisect
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
+from divsym._speed import mix64
 from divsym.errors import LayoutError, ModelError
-from divsym.prng import Prng, function_reseed, mix64
+from divsym.prng import Prng, function_reseed
 from divsym.records import fields, read_records
 from divsym.symfile import CfiInitRecord, FuncRecord, LineRecord, SymbolFile
 

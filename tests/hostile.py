@@ -1,7 +1,10 @@
-"""Hostile delta containers shared by the collector and CLI tests."""
+"""Hostile inputs shared by the tests: delta containers, and the line
+mutations the property tests apply to emitted texts."""
 
 import struct
 import zlib
+
+from hypothesis import strategies as st
 
 from divsym import deltadata
 from divsym.deltadata import DeltaData, Patch
@@ -59,3 +62,40 @@ HEADER_FAULTS = {
                           b"0000000000000003"},
     "flag 7": {3: b"flags default_padding=7 sp_fp_opt=0 pad=1 shuffle=1"},
 }
+
+
+# Replacement tokens: empty, non-numbers, negatives, bare separators,
+# keywords and register rules out of place.
+FILLERS = ("", "-", "0", "-7", "zz", "=", "k=v", ",", "1,,2", "epilogue",
+           "code", "data", "FUNCTION", "BLOCK", "SPAN", "reg", "FUNC",
+           "STACK", "INIT", ".cfa:")
+
+
+@st.composite
+def line_edits(draw, lines):
+    """(i, new): line i is dropped (new is None), duplicated, truncated, or
+    has one token (or the value of one key=value token) replaced."""
+    i = draw(st.integers(0, len(lines) - 1))
+    line = lines[i]
+    op = draw(st.sampled_from(("drop", "duplicate", "truncate", "token")))
+    if op == "drop":
+        return i, None
+    if op == "duplicate":
+        return i, line + "\n" + line
+    if op == "truncate":
+        return i, line[:draw(st.integers(0, max(len(line) - 1, 0)))]
+    toks = line.split(" ")
+    j = draw(st.integers(0, len(toks) - 1))
+    new = draw(st.sampled_from(FILLERS))
+    key, eq, _ = toks[j].partition("=")
+    if eq and draw(st.booleans()):
+        new = key + "=" + new
+    toks[j] = new
+    return i, " ".join(toks)
+
+
+def mutate(data, text):
+    lines = text.split("\n")
+    i, new = data.draw(line_edits(lines))
+    lines[i:i + 1] = [] if new is None else [new]
+    return "\n".join(lines)

@@ -21,7 +21,7 @@ from divsym.errors import AuthenticationError, DeltaFormatError
 from divsym.image import crash_info
 from divsym.prng import Prng
 from divsym._speed import arm_imm_encodable
-from divsym.progmodel import BuildOptions, generate_corpus
+from divsym.progmodel import _ENCODABLE, BuildOptions, generate_corpus
 from divsym.replicate import replicate
 from divsym.symfile import emit_symbol_file, parse_symbol_file
 from sfgen import random_symbol_file
@@ -151,6 +151,8 @@ def test_c04_immediate_encoding_oracle():
     for b in range(256):
         for r in range(0, 32, 2):
             oracle.add(((b >> r) | (b << (32 - r))) & 0xFFFFFFFF)
+    # the layout splits stack adjustments with this table, not the predicate
+    assert set(_ENCODABLE) == oracle
     assert arm_imm_encodable(0x3FF0) is False
     assert arm_imm_encodable(0x4000) is True
     rng = stdrandom.Random(0x1111)

@@ -1,25 +1,28 @@
 import re
+import zlib
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from divsym import deltadata, image
 from divsym.cli import main
 from divsym.collector import MAX_STACK_BYTES, sample_call_chains
 from divsym.progmodel import parse_model
-from hostile import (HEADER_FAULTS, PATCH_FAULTS, bad_nop_container,
-                     edited_container, inflation_bomb)
+from hostile import (HEADER_FAULTS, PATCH_FAULTS, _plain_container,
+                     bad_nop_container, edited_container, inflation_bomb,
+                     mutate)
 
 
 def run(*argv):
     return main(list(argv))
 
 
-def _build_and_crash(tmp_path, n_dumps):
-    """Default build, one diversified build, its delta and n_dumps crashes
-    of it; returns the report arguments shared by every dump, and the
-    dump paths."""
+def _build_and_crash(tmp_path, n_dumps, *diversify_flags):
+    """Default build, one diversified build (with diversify_flags), its
+    delta and n_dumps crashes of it; returns the report arguments shared
+    by every dump, and the dump paths."""
     corpus = tmp_path / "corpus"
     run("gen", "--seed", "17", "--n", "1", "--out", str(corpus))
     model_path = next(corpus.glob("*.model"))
@@ -28,7 +31,7 @@ def _build_and_crash(tmp_path, n_dumps):
     div = tmp_path / "div"
     run("build", "--model", str(model_path), "--out", str(dflt))
     run("diversify", "--model", str(model_path), "--seeds", "1,2,3",
-        "--out", str(div))
+        "--out", str(div), *diversify_flags)
     delta = tmp_path / "delta.dbpd"
     run("delta", "--default-sym", str(dflt / "default.sym"),
         "--opplog", str(dflt / "opportunity.log"),
@@ -192,6 +195,36 @@ def test_malformed_payload_record_exit_codes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "corrupt patch:" in err and "error:" in err
     assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def report_argv(tmp_path_factory):
+    """The report arguments of one dump of one small program, as a dict
+    from option to path.  Desync leaves the delta a non-empty patch."""
+    common, dumps = _build_and_crash(tmp_path_factory.mktemp("report"), 1,
+                                     "--desync", "1/4")
+    return {"--dump": dumps[0], **dict(zip(common[::2], common[1::2]))}
+
+
+@pytest.mark.parametrize("option", ["--dump", "--delta", "--default-sym",
+                                    "--opplog"])
+@given(data=st.data())
+def test_report_on_a_mutated_input_exits_with_a_documented_code(
+        report_argv, option, data):
+    # one line of one input dropped, duplicated, truncated or with a
+    # token replaced; the delta's payload is mutated and re-wrapped
+    path = Path(report_argv[option])
+    if option == "--delta":
+        payload = zlib.decompress(path.read_bytes()[deltadata.HEADER_LEN:], -15)
+        mutated = _plain_container(mutate(data, payload.decode()).encode())
+    else:
+        mutated = mutate(data, path.read_text()).encode()
+    target = path.with_name("mutated" + path.suffix)
+    target.write_bytes(mutated)
+    argv = ["report"]
+    for opt, arg in report_argv.items():
+        argv += [opt, str(target) if opt == option else arg]
+    assert main(argv) in (0, 2, 3, 4)
 
 
 def test_tab_in_patched_symbol_record_exit_code(tmp_path, capsys):

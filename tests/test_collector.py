@@ -1,6 +1,6 @@
 import pytest
 
-from divsym import _kernels_py, cfi, collector, diversify
+from divsym import _speed, cfi, collector, diversify
 from divsym.collector import (MinidumpLite, corpus_metrics, emit_minidump,
                               parse_minidump, report, sample_call_chains,
                               simulate_crash, trace_from_dump)
@@ -441,7 +441,7 @@ def test_corpus_metrics_times_a_cold_reconstruction(monkeypatch):
 
     def drawing(seed, n_gaps, threshold):
         draws.append(seed)
-        return _kernels_py.nop_gaps(seed, n_gaps, threshold)
+        return _speed.nop_gaps(seed, n_gaps, threshold)
 
     monkeypatch.setattr(diversify, "nop_gaps", drawing)
     monkeypatch.setattr(collector, "replicate", counted)

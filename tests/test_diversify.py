@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from divsym import _kernels_py, diversify
+from divsym import _speed, diversify
 from divsym.diversify import (SeedTuple, build_default, build_diversified,
                               bucket_gaps, clear_gap_memo, emit_decision_log,
                               emit_opportunity_log, gap_decisions,
@@ -17,7 +17,6 @@ from divsym.progmodel import (BlockModel, BuildOptions, LineSpan,
                               generate_corpus)
 from divsym.replicate import replicate
 from divsym.symfile import emit_symbol_file
-from divsym._speed import fnv1a64
 
 # chi-square critical value, df=31, significance 0.001
 CHI2_CRIT = 61.0983
@@ -30,7 +29,7 @@ def test_fnv1a64_reference_vector():
     for b in b"a":
         h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
     assert h == 0xAF63DC4C8601EC8C
-    assert fnv1a64(b"a") == h
+    assert _speed.fnv1a64(b"a") == h
 
 
 def test_splitmix_reference_stream():
@@ -183,7 +182,7 @@ def _oracle_gaps(identifier, block_index, n_gaps, nop_seed, num, den):
     if n_gaps <= 0 or num <= 0:
         return ()
     seed = function_reseed("%s#%d" % (identifier, block_index), nop_seed)
-    return tuple(_kernels_py.nop_gaps(seed, n_gaps, (num << 32) // den))
+    return tuple(_speed.nop_gaps(seed, n_gaps, (num << 32) // den))
 
 
 def test_block_seed_is_the_function_reseed_of_the_block_key(monkeypatch):
@@ -193,7 +192,7 @@ def test_block_seed_is_the_function_reseed_of_the_block_key(monkeypatch):
 
     def recording(seed, n_gaps, threshold):
         seeds.append(seed)
-        return _kernels_py.nop_gaps(seed, n_gaps, threshold)
+        return _speed.nop_gaps(seed, n_gaps, threshold)
 
     monkeypatch.setattr(diversify, "nop_gaps", recording)
     for nop_seed in (0, 0x5EED, 1 << 63, (1 << 64) - 1):
@@ -312,7 +311,7 @@ def test_build_then_replicate_draws_each_block_once(monkeypatch, desync_num):
 
     def counting(seed, n_gaps, threshold):
         draws.append(seed)
-        return _kernels_py.nop_gaps(seed, n_gaps, threshold)
+        return _speed.nop_gaps(seed, n_gaps, threshold)
 
     monkeypatch.setattr(diversify, "nop_gaps", counting)
     clear_gap_memo()

@@ -1,5 +1,6 @@
 """Every name a divsym module imports is used in that module or listed
-in its __all__ (re-exports).  ast only: no linter is needed."""
+in its __all__ (re-exports).  ast only: no linter is needed.  The package
+holds Python sources only: no generated C or compiled extension."""
 
 import ast
 from pathlib import Path
@@ -42,3 +43,9 @@ def test_checker_flags_only_unused_names():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_package_holds_only_python_sources():
+    files = [p for p in SRC.rglob("*")
+             if p.is_file() and "__pycache__" not in p.parts]
+    assert files and [p.name for p in files if p.suffix != ".py"] == []

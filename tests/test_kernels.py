@@ -1,49 +1,12 @@
-import importlib.util
 import random
-import shutil
-import subprocess
 import sys
-import sysconfig
 import tracemalloc
-from pathlib import Path
+import zlib
 
 import pytest
 
-import divsym
-from divsym import _kernels_py
 from divsym import _speed
 from divsym.prng import Prng
-
-
-def _compile_tracked_source(out_dir):
-    """Compile the tracked generated C into out_dir and load it by path.
-
-    The module stays out of src/ and out of sys.modules, so the backend
-    divsym._speed picks is unchanged.
-    """
-    cc = shutil.which("gcc")
-    include = sysconfig.get_paths()["include"]
-    if cc is None or not Path(include, "Python.h").is_file():
-        pytest.skip("no compiled kernels, and no C compiler or Python.h")
-    so = Path(out_dir, "_kernels" + sysconfig.get_config_var("EXT_SUFFIX"))
-    subprocess.run([cc, "-O2", "-shared", "-fPIC", "-I" + include,
-                    str(Path(divsym.__file__).parent / "_kernels.c"),
-                    "-o", str(so)], check=True)
-    spec = importlib.util.spec_from_file_location("_kernels", so)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-@pytest.fixture(scope="module")
-def _kernels(tmp_path_factory):
-    """The compiled kernels: the built extension if there is one, else
-    the tracked _kernels.c compiled for this test module."""
-    try:
-        from divsym import _kernels as built
-    except ImportError:
-        return _compile_tracked_source(tmp_path_factory.mktemp("kernels"))
-    return built
 
 
 # gap counts on both sides of the 16-lane rounding and the 256-lane chunk
@@ -61,6 +24,88 @@ def _stream_gaps(seed, n, threshold):
     return [g for g in range(1, n + 1) if (draws.next() & 0xFFFFFFFF) < threshold]
 
 
+# Reference outputs, recorded from the compiled SplitMix64/FNV-1a kernels
+# that divsym once shipped beside the pure-Python ones (a scalar C loop,
+# written independently of the packed draws).
+FROZEN_MIX64 = {
+    0x0000000000000000: 0x0000000000000000,
+    0x0000000000000001: 0x5692161d100b05e5,
+    0x9e3779b97f4a7c15: 0xe220a8397b1dcdaf,
+    0xffffffffffffffff: 0xb4d055fcf2cbbd7b,
+    0x8000000000000000: 0x25c26ea579cea98a,
+    0x123456789abcdef0: 0x9629f58e8ec5b906,
+}
+FROZEN_FNV1A64 = {
+    b"a": 0xaf63dc4c8601ec8c,
+    b"fn000_a1b2#17": 0xf7943d6362352513,
+}
+FROZEN_RESEED = {
+    (b"main", 0x0): 0xb1375cb6f94d9218,
+    (b"fn000_a1b2", 0x11): 0xbc4c0dc5ffcbecd2,
+    (b"fn307_ffff", 0xffffffffffffffff): 0x59505685ca59ec69,
+    (b"x", 0x5eed): 0xe4e21f91e3f50668,
+}
+# (seed, threshold) -> (len(nop_gaps(seed, n, threshold)) for n in CHUNK_NS,
+#                       crc32 of the comma-joined nop_gaps(seed, 2000, threshold))
+FROZEN_NOP_GAPS = {
+    (0x0, 0x0): ((0, 0, 0, 0, 0, 0, 0, 0, 0, 0), 0x00000000),
+    (0x0, 0x1): ((0, 0, 0, 0, 0, 0, 0, 0, 0, 0), 0x00000000),
+    (0x0, 0x80000000): ((0, 1, 10, 10, 11, 140, 141, 141, 276, 1003), 0x67f65ccd),
+    (0x0, 0xffffffff): ((0, 1, 15, 16, 17, 255, 256, 257, 513, 2000), 0x7b8c870b),
+    (0x0, 0x100000000): ((0, 1, 15, 16, 17, 255, 256, 257, 513, 2000), 0x7b8c870b),
+    (0x0, 0x33333333): ((0, 0, 3, 3, 3, 59, 59, 59, 109, 407), 0x75782a35),
+    (0x0, 0xaaaaaaaa): ((0, 1, 13, 14, 15, 188, 189, 189, 368, 1354), 0x74668a6f),
+    (0x6a9, 0x0): ((0, 0, 0, 0, 0, 0, 0, 0, 0, 0), 0x00000000),
+    (0x6a9, 0x1): ((0, 0, 0, 0, 0, 0, 0, 0, 0, 0), 0x00000000),
+    (0x6a9, 0x80000000): ((0, 0, 6, 7, 7, 145, 146, 146, 281, 1024), 0x5cb0e8e3),
+    (0x6a9, 0xffffffff): ((0, 1, 15, 16, 17, 255, 256, 257, 513, 2000), 0x7b8c870b),
+    (0x6a9, 0x100000000): ((0, 1, 15, 16, 17, 255, 256, 257, 513, 2000), 0x7b8c870b),
+    (0x6a9, 0x33333333): ((0, 0, 3, 4, 4, 65, 65, 65, 121, 415), 0x38a98bbe),
+    (0x6a9, 0xaaaaaaaa): ((0, 1, 8, 9, 9, 177, 178, 179, 353, 1338), 0xb7c8c835),
+    (0xffffffffffffffff, 0x0): ((0, 0, 0, 0, 0, 0, 0, 0, 0, 0), 0x00000000),
+    (0xffffffffffffffff, 0x1): ((0, 0, 0, 0, 0, 0, 0, 0, 0, 0), 0x00000000),
+    (0xffffffffffffffff, 0x80000000):
+        ((0, 1, 7, 7, 7, 132, 133, 133, 255, 1000), 0x84a2c6a0),
+    (0xffffffffffffffff, 0xffffffff):
+        ((0, 1, 15, 16, 17, 255, 256, 257, 513, 2000), 0x7b8c870b),
+    (0xffffffffffffffff, 0x100000000):
+        ((0, 1, 15, 16, 17, 255, 256, 257, 513, 2000), 0x7b8c870b),
+    (0xffffffffffffffff, 0x33333333):
+        ((0, 1, 4, 4, 4, 59, 60, 60, 105, 407), 0x8fdc5024),
+    (0xffffffffffffffff, 0xaaaaaaaa):
+        ((0, 1, 9, 10, 11, 169, 170, 171, 343, 1343), 0x3b218c5a),
+}
+
+
+def test_published_splitmix64_vectors():
+    # SplitMix64 from seed 0 (Steele, Lea and Flood, OOPSLA 2014)
+    want = [0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f]
+    draws = Prng(0)
+    assert [draws.next() for _ in want] == want
+    assert [_speed.mix64(g * _speed.SPLITMIX_GAMMA) for g in (1, 2, 3)] == want
+
+
+def test_published_fnv1a64_vectors():
+    assert _speed.fnv1a64(b"") == 0xcbf29ce484222325
+    assert _speed.fnv1a64(b"foobar") == 0x85944171f73967e8
+
+
+def test_frozen_mix64_fnv1a64_and_reseed():
+    assert {v: _speed.mix64(v) for v in FROZEN_MIX64} == FROZEN_MIX64
+    assert {d: _speed.fnv1a64(d) for d in FROZEN_FNV1A64} == FROZEN_FNV1A64
+    assert {k: _speed.reseed(*k) for k in FROZEN_RESEED} == FROZEN_RESEED
+
+
+def test_frozen_nop_gaps():
+    assert set(FROZEN_NOP_GAPS) == {
+        (seed, thr) for seed in EDGE_SEEDS
+        for thr in EDGE_THRESHOLDS + ((1 << 32) // 5, (2 << 32) // 3)}
+    for (seed, thr), (counts, crc) in FROZEN_NOP_GAPS.items():
+        assert tuple(len(_speed.nop_gaps(seed, n, thr)) for n in CHUNK_NS) == counts
+        gaps = _speed.nop_gaps(seed, 2000, thr)
+        assert zlib.crc32(",".join(map(str, gaps)).encode()) == crc
+
+
 def test_pure_nop_gaps_matches_the_mix64_stream():
     rng = random.Random(0x6A9)
     for _ in range(300):
@@ -68,14 +113,14 @@ def test_pure_nop_gaps_matches_the_mix64_stream():
         n = rng.randrange(0, 200)
         thr = rng.choice((0, 1, (1 << 32) // 5, 1 << 32,
                           rng.randrange(0, 1 << 32)))
-        assert _kernels_py.nop_gaps(seed, n, thr) == _stream_gaps(seed, n, thr)
+        assert _speed.nop_gaps(seed, n, thr) == _stream_gaps(seed, n, thr)
 
 
 @pytest.mark.parametrize("n", CHUNK_NS)
 def test_pure_nop_gaps_across_chunk_boundaries(n):
     for seed in EDGE_SEEDS:
         for thr in EDGE_THRESHOLDS:
-            assert _kernels_py.nop_gaps(seed, n, thr) == _stream_gaps(seed, n, thr)
+            assert _speed.nop_gaps(seed, n, thr) == _stream_gaps(seed, n, thr)
 
 
 @pytest.mark.parametrize("threshold", CLAMPED_THRESHOLDS)
@@ -83,16 +128,16 @@ def test_pure_nop_gaps_clamps_the_threshold(threshold):
     for n in CHUNK_NS:
         want = _stream_gaps(0x5EED, n, threshold)
         assert want == ([] if threshold < 0 else list(range(1, n + 1)))
-        assert _kernels_py.nop_gaps(0x5EED, n, threshold) == want
+        assert _speed.nop_gaps(0x5EED, n, threshold) == want
 
 
 def test_lane_constant_cache_stays_within_its_bound():
-    for n in range(1, 2 * _kernels_py.CHUNK_LANES + 2):
-        _kernels_py.nop_gaps(n, n, 1 << 31)
-    cache = _kernels_py._lane_consts
-    assert sorted(cache) == list(range(_kernels_py.LANE_ROUND,
-                                       _kernels_py.CHUNK_LANES + 1,
-                                       _kernels_py.LANE_ROUND))
+    for n in range(1, 2 * _speed.CHUNK_LANES + 2):
+        _speed.nop_gaps(n, n, 1 << 31)
+    cache = _speed._lane_consts
+    assert sorted(cache) == list(range(_speed.LANE_ROUND,
+                                       _speed.CHUNK_LANES + 1,
+                                       _speed.LANE_ROUND))
     assert sum(sys.getsizeof(v) for c in cache.values() for v in c) < 160_000
 
 
@@ -100,64 +145,12 @@ def test_pure_nop_gaps_scratch_memory_is_bounded_on_a_huge_block():
     # one 100,000-gap call holds at most one 256-lane chunk at a time;
     # packing the whole block at once would hold several 1.6 MB ints
     n = 100_000
-    _kernels_py.nop_gaps(1, _kernels_py.CHUNK_LANES, 1 << 31)  # constants
+    _speed.nop_gaps(1, _speed.CHUNK_LANES, 1 << 31)  # constants
     tracemalloc.start()
     try:
-        out = _kernels_py.nop_gaps(0xB16, n, 1 << 31)
+        out = _speed.nop_gaps(0xB16, n, 1 << 31)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert out == _stream_gaps(0xB16, n, 1 << 31)
     assert peak - kept < 300_000
-
-
-def test_backends_agree_on_mix_and_fnv(_kernels):
-    assert _kernels.BACKEND == "cython"
-    rng = random.Random(0xBEEF)
-    for _ in range(2000):
-        v = rng.getrandbits(64)
-        assert _kernels.mix64(v) == _kernels_py.mix64(v)
-    for _ in range(300):
-        data = bytes(rng.randrange(256) for _ in range(rng.randrange(0, 64)))
-        assert _kernels.fnv1a64(data) == _kernels_py.fnv1a64(data)
-
-
-def test_backends_agree_on_reseed(_kernels):
-    rng = random.Random(0xF00D)
-    for _ in range(300):
-        ident = ("fn%x" % rng.getrandbits(32)).encode()
-        seed = rng.getrandbits(64)
-        assert _kernels.reseed(ident, seed) == _kernels_py.reseed(ident, seed)
-
-
-def test_backends_agree_on_nop_gaps(_kernels):
-    rng = random.Random(0xAB)
-    for _ in range(200):
-        seed = rng.getrandbits(64)
-        n = rng.randrange(0, 400)
-        thr = rng.randrange(0, 1 << 32)
-        assert _kernels.nop_gaps(seed, n, thr) == _kernels_py.nop_gaps(seed, n, thr)
-
-
-def test_backends_agree_on_nop_gaps_across_chunk_boundaries(_kernels):
-    # a negative threshold has no uint64 value in the compiled kernel
-    thresholds = EDGE_THRESHOLDS + CLAMPED_THRESHOLDS[1:]
-    for n in CHUNK_NS:
-        for seed in EDGE_SEEDS:
-            for thr in thresholds:
-                assert _kernels.nop_gaps(seed, n, thr) == \
-                    _kernels_py.nop_gaps(seed, n, thr)
-
-
-def test_backends_agree_on_imm_encodable(_kernels):
-    rng = random.Random(0xCD)
-    for _ in range(20000):
-        v = rng.getrandbits(32)
-        assert _kernels.arm_imm_encodable(v) == _kernels_py.arm_imm_encodable(v)
-    for v in (0, 0xFF, 0x3FF0, 0x4000, 0xFFFFFFFF, 0xF000000F):
-        assert _kernels.arm_imm_encodable(v) == _kernels_py.arm_imm_encodable(v)
-
-
-def test_selected_backend_exports():
-    assert _speed.BACKEND in ("cython", "python")
-    assert _speed.fnv1a64(b"a") == 0xAF63DC4C8601EC8C

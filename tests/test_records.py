@@ -24,7 +24,7 @@ from divsym.progmodel import (BuildOptions, emit_model, generate_corpus,
                               parse_model)
 from divsym.replicate import replicate
 from divsym.symfile import emit_symbol_file, parse_symbol_file
-from hostile import edited_container
+from hostile import edited_container, line_edits, mutate
 
 SEEDS = SeedTuple(0x51, 0x52, 0x53)
 # Desync on, so decision logs carry DESYNC records too.
@@ -53,43 +53,6 @@ def emitted(seed, size_class):
 
 def fuzz_texts():
     return emitted(9, "small")     # 9 functions, about 650 model lines
-
-
-# Replacement tokens: empty, non-numbers, negatives, bare separators,
-# keywords and register rules out of place.
-FILLERS = ("", "-", "0", "-7", "zz", "=", "k=v", ",", "1,,2", "epilogue",
-           "code", "data", "FUNCTION", "BLOCK", "SPAN", "reg", "FUNC",
-           "STACK", "INIT", ".cfa:")
-
-
-@st.composite
-def line_edits(draw, lines):
-    """(i, new): line i is dropped (new is None), duplicated, truncated, or
-    has one token (or the value of one key=value token) replaced."""
-    i = draw(st.integers(0, len(lines) - 1))
-    line = lines[i]
-    op = draw(st.sampled_from(("drop", "duplicate", "truncate", "token")))
-    if op == "drop":
-        return i, None
-    if op == "duplicate":
-        return i, line + "\n" + line
-    if op == "truncate":
-        return i, line[:draw(st.integers(0, max(len(line) - 1, 0)))]
-    toks = line.split(" ")
-    j = draw(st.integers(0, len(toks) - 1))
-    new = draw(st.sampled_from(FILLERS))
-    key, eq, _ = toks[j].partition("=")
-    if eq and draw(st.booleans()):
-        new = key + "=" + new
-    toks[j] = new
-    return i, " ".join(toks)
-
-
-def mutate(data, text):
-    lines = text.split("\n")
-    i, new = data.draw(line_edits(lines))
-    lines[i:i + 1] = [] if new is None else [new]
-    return "\n".join(lines)
 
 
 def parses_or_raises(parse, text):
