@@ -136,8 +136,8 @@ def cmd_delta(args):
     key = bytes.fromhex(args.key) if args.key else None
     blob = deltadata.pack(dd, key)
     Path(args.out).write_bytes(blob)
-    print("%s (%d bytes, patch payload %d)"
-          % (args.out, len(blob), patch.payload_bytes))
+    print("%s (%d bytes, patch payload %d, %d growth records)"
+          % (args.out, len(blob), patch.payload_bytes, len(patch.growth)))
     return EXIT_OK
 
 

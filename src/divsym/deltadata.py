@@ -11,6 +11,12 @@ block by position), exploiting the per-function containment of
 desynchronization; inside a segment, runs of lines equal modulo their
 leading address field become SHIFT ops.
 
+Before the text ops, the patch carries growth records: "line record k of
+function f grew by n bytes".  A grown line record would otherwise cost
+REPLACE ops for its own line, its FUNC line and its STACK CFI INIT line,
+and SHIFT ops for everything placed after it.  Apply replays the records
+on the approximation (see replay) and runs the text ops on the result.
+
 Container layout (packed):
 
     "DBPD" | version u8 | flags u8 | payload length u32 LE |
@@ -34,11 +40,12 @@ from divsym.diversify import SeedTuple
 from divsym.errors import (AuthenticationError, DeltaFormatError,
                            PatchCorruptError)
 from divsym.progmodel import BuildOptions
-from divsym.symfile import emit_symbol_file, parse_symbol_file
-from divsym.errors import SymbolParseError
+from divsym.symfile import (CfiInitRecord, FuncRecord, LineRecord,
+                            SymbolFile, emit_symbol_file, parse_symbol_file)
+from divsym.errors import SymbolFormatError, SymbolParseError
 
 MAGIC = b"DBPD"
-VERSION = 1
+VERSION = 2
 FLAG_AUTH = 0x01
 TAG_LEN = 32
 HEADER_LEN = 10
@@ -57,13 +64,30 @@ class PatchOp:
 
 
 @dataclass(frozen=True)
+class Growth:
+    """The line record of function `index` (its position in the
+    approximation's FUNC list) that holds `offset`, counted from the
+    function's start, grows by `nbytes` (negative: shrinks)."""
+    index: int
+    offset: int
+    nbytes: int
+
+    def text(self):
+        return "G %d %x %d" % (self.index, self.offset, self.nbytes)
+
+
+@dataclass(frozen=True)
 class Patch:
     ops: tuple = ()
+    growth: tuple = ()       # Growth records, replayed before the ops
 
     @property
     def payload_bytes(self):
+        """Bytes of residue beyond address shifts: the R/I lines and the
+        growth records, as serialized."""
         return sum(len(ln.encode()) + 1
-                   for op in self.ops if op.op in "RI" for ln in op.lines)
+                   for op in self.ops if op.op in "RI" for ln in op.lines) \
+            + sum(len(g.text()) + 1 for g in self.growth)
 
 
 @dataclass(frozen=True)
@@ -138,6 +162,143 @@ def shift_leading_address(line, delta):
         return None
     toks[idx] = "%x" % addr
     return " ".join(toks)
+
+
+# ---------------------------------------------------------------------------
+# growth records
+
+def _own_cfi(sf, i):
+    """Function i's CFI region: region i, if it spans exactly FUNC i."""
+    if i >= len(sf.cfi_regions):
+        return None
+    c, f = sf.cfi_regions[i], sf.funcs[i]
+    return c if (c.address, c.size) == (f.address, f.size) else None
+
+
+def _name_keys(funcs):
+    """(name, k) for each function, the k-th of its name."""
+    seen = {}
+    for f in funcs:
+        k = seen.get(f.name, 0)
+        seen[f.name] = k + 1
+        yield f.name, k
+
+
+def derive_growth(approx, truth):
+    """One Growth per line record whose size differs between same-named
+    functions (the k-th of a name with the k-th) that have the same
+    (line, filenum) sequence and each their own CFI region."""
+    where = {key: j for j, key in enumerate(_name_keys(truth.funcs))}
+    out = []
+    for i, (f, key) in enumerate(zip(approx.funcs, _name_keys(approx.funcs))):
+        j = where.get(key)
+        if j is None:
+            continue
+        g = truth.funcs[j]
+        if len(f.lines) != len(g.lines) or all(
+                a.size == b.size for a, b in zip(f.lines, g.lines)):
+            continue
+        if any((a.line, a.filenum) != (b.line, b.filenum)
+               for a, b in zip(f.lines, g.lines)) \
+                or _own_cfi(approx, i) is None or _own_cfi(truth, j) is None:
+            continue
+        out.extend(Growth(i, a.address - f.address, b.size - a.size)
+                   for a, b in zip(f.lines, g.lines) if a.size != b.size)
+    return tuple(out)
+
+
+def _grow_function(f, cfi, recs, move):
+    """Function f, and its own CFI region cfi (or None), moved by `move`
+    with the growth records recs (in offset order) replayed."""
+    lines = f.lines
+    grow = [0] * len(lines)
+    j = 0
+    for g in recs:
+        at = f.address + g.offset
+        while j < len(lines) and lines[j].address + lines[j].size <= at:
+            j += 1
+        if j == len(lines) or lines[j].address > at:
+            raise PatchCorruptError("growth record %s: offset outside the "
+                                    "line records of FUNC %s" % (g.text(), f.name))
+        grow[j] += g.nbytes
+    out = []
+    steps = []          # (old end of a grown record, shift from there on)
+    shift = move
+    for ln, n in zip(lines, grow):
+        if n:
+            if ln.size + n <= 0:
+                raise PatchCorruptError("growth leaves the line record at %x "
+                                        "of FUNC %s %d bytes"
+                                        % (ln.address, f.name, ln.size + n))
+            out.append(LineRecord(ln.address + shift, ln.size + n, ln.line,
+                                  ln.filenum))
+            shift += n
+            steps.append((ln.address + ln.size, shift))
+        else:
+            out.append(LineRecord(ln.address + shift, ln.size, ln.line,
+                                  ln.filenum) if shift else ln)
+    total = shift - move
+    nf = FuncRecord(f.address + move, f.size + total, f.param_size, f.name,
+                    tuple(out))
+    if cfi is None:
+        return nf, None
+    deltas = []
+    shift = move
+    k = 0
+    for addr, rules in cfi.deltas:
+        while k < len(steps) and steps[k][0] <= addr:
+            shift = steps[k][1]
+            k += 1
+        deltas.append((addr + shift, rules))
+    return nf, CfiInitRecord(cfi.address + move, cfi.size + total,
+                             cfi.init_rules, tuple(deltas))
+
+
+def replay(sf, growth):
+    """The symbol file with the growth records replayed.
+
+    Each record grows the line record holding its offset; the function's
+    later line records, and its CFI deltas at or past the grown record's
+    old end, move with it, and its FUNC and own CFI INIT sizes follow.
+    Each later function moves only as far as it must to start at or after
+    the previous function's new end ("push"), its own CFI region with it;
+    functions left in place keep their record objects.  Records must be in
+    strictly increasing (index, offset) order.  Hostile records raise
+    PatchCorruptError; the caller validates the result.
+    """
+    if not growth:
+        return sf
+    funcs = list(sf.funcs)
+    cfi = list(sf.cfi_regions)
+    prev = None
+    for g in growth:
+        if not 0 <= g.index < len(funcs):
+            raise PatchCorruptError("growth record %s: no function %d"
+                                    % (g.text(), g.index))
+        if prev is not None and (g.index, g.offset) <= prev:
+            raise PatchCorruptError("growth record %s out of (index, offset) "
+                                    "order" % g.text())
+        prev = (g.index, g.offset)
+    r = 0
+    i = growth[0].index
+    end = funcs[i - 1].address + funcs[i - 1].size if i else 0
+    while i < len(funcs):
+        f = funcs[i]
+        move = max(0, end - f.address)
+        start = r
+        while r < len(growth) and growth[r].index == i:
+            r += 1
+        if move or r > start:
+            own = _own_cfi(sf, i)
+            funcs[i], c = _grow_function(f, own, growth[start:r], move)
+            if own is not None:
+                cfi[i] = c
+        elif r == len(growth):
+            break
+        end = funcs[i].address + funcs[i].size
+        i += 1
+    return SymbolFile(sf.module_id, sf.files, tuple(funcs), tuple(cfi),
+                      sf.publics)
 
 
 # ---------------------------------------------------------------------------
@@ -262,13 +423,27 @@ def _text_lines(sf):
     return emit_symbol_file(sf).split("\n")[:-1]
 
 
+def _replayed_lines(approx, growth):
+    """Canonical text lines of the approximation with growth replayed."""
+    try:
+        return _text_lines(replay(approx, growth))
+    except SymbolFormatError as e:
+        raise PatchCorruptError("replayed growth records: %s" % e) from e
+
+
 def diff(approx, truth):
-    """Edit script turning the approximation into the exact symbol file.
+    """Growth records plus the edit script that turns the approximation,
+    with the records replayed, into the exact symbol file.
 
     Segments are aligned per function so a desync in one function never
     degrades the encoding of its neighbours.
     """
-    a_lines = _text_lines(approx)
+    growth = derive_growth(approx, truth)
+    try:
+        a_lines = _replayed_lines(approx, growth)
+    except PatchCorruptError:
+        growth = ()
+        a_lines = _text_lines(approx)
     b_lines = _text_lines(truth)
     seg_a = _segments(a_lines)
     seg_b = _segments(b_lines)
@@ -284,12 +459,13 @@ def diff(approx, truth):
             chunk_a = a_lines[seg_a[i1][1]:seg_a[i2 - 1][2]] if i2 > i1 else []
             chunk_b = b_lines[seg_b[j1][1]:seg_b[j2 - 1][2]] if j2 > j1 else []
             ops.extend(_diff_lines(chunk_a, chunk_b))
-    return Patch(tuple(_coalesce(ops)))
+    return Patch(tuple(_coalesce(ops)), growth)
 
 
 def apply(approx, patch):
-    """Exact symbol file from the approximation plus the patch."""
-    a_lines = _text_lines(approx)
+    """Exact symbol file from the approximation plus the patch: the
+    growth records are replayed first, then the text ops run."""
+    a_lines = _replayed_lines(approx, patch.growth)
     out = []
     i = 0
     for op in patch.ops:
@@ -333,7 +509,8 @@ def apply(approx, patch):
 # serialization
 
 def _emit_patch(patch):
-    out = ["PATCH v1 %d" % len(patch.ops)]
+    out = ["PATCH v2 %d %d" % (len(patch.growth), len(patch.ops))]
+    out.extend(g.text() for g in patch.growth)
     for op in patch.ops:
         if op.op == "K":
             out.append("K %d" % op.n)
@@ -367,16 +544,30 @@ def _count(tok, line):
 
 # tokens on each op line, op letter included
 _OP_TOKENS = {"K": 2, "S": 3, "D": 2, "R": 3, "I": 2}
+# G <index> <offset> <bytes>, as Growth.text() writes it
+_GROWTH_RE = re.compile(r"G (0|[1-9][0-9]*) (0|[1-9a-f][0-9a-f]*) "
+                        r"(0|-?[1-9][0-9]*)")
 
 
 def _parse_patch(lines, pos):
     if pos >= len(lines):
         raise PatchCorruptError("missing patch header")
     head = lines[pos].split()
-    if len(head) != 3 or head[0] != "PATCH" or head[1] != "v1":
+    if len(head) != 4 or head[0] != "PATCH" or head[1] != "v2":
         raise PatchCorruptError("bad patch header %r" % lines[pos])
-    n_ops = _count(head[2], lines[pos])
+    n_growth = _count(head[2], lines[pos])
+    n_ops = _count(head[3], lines[pos])
     pos += 1
+    if n_growth > len(lines) - pos:
+        raise PatchCorruptError("patch wants %d growth records, %d lines left"
+                                % (n_growth, len(lines) - pos))
+    growth = []
+    for line in lines[pos:pos + n_growth]:
+        m = _GROWTH_RE.fullmatch(line)
+        if m is None:
+            raise PatchCorruptError("bad growth record %r" % line)
+        growth.append(Growth(int(m[1]), int(m[2], 16), int(m[3])))
+    pos += n_growth
     ops = []
     for _ in range(n_ops):
         if pos >= len(lines):
@@ -404,7 +595,7 @@ def _parse_patch(lines, pos):
             ops.append(PatchOp(kind, n if kind == "R" else 0,
                                lines=tuple(lines[pos:pos + k])))
             pos += k
-    return Patch(tuple(ops)), pos
+    return Patch(tuple(ops), tuple(growth)), pos
 
 
 def check_fraction(num, den, what):
@@ -425,7 +616,7 @@ def check_seeds(seeds):
 
 
 def _emit_payload(dd):
-    out = ["DDATA v1",
+    out = ["DDATA v2",
            "seeds %016x %016x %016x" % (dd.seeds.pad_seed, dd.seeds.nop_seed,
                                         dd.seeds.shuffle_seed),
            "nop %d/%d" % (dd.nop_num, dd.nop_den),
@@ -442,7 +633,7 @@ def _parse_payload(text):
     # "\n" only, as _emit_payload joins: an R/I line may hold any other
     # line break character
     lines = text.removesuffix("\n").split("\n")
-    if len(lines) < 4 or lines[0] != "DDATA v1":
+    if len(lines) < 4 or lines[0] != "DDATA v2":
         raise DeltaFormatError("bad delta payload header")
     s = lines[1].split()
     if len(s) != 4 or s[0] != "seeds" \

@@ -7,7 +7,7 @@ import zlib
 from hypothesis import strategies as st
 
 from divsym import deltadata
-from divsym.deltadata import DeltaData, Patch
+from divsym.deltadata import DeltaData, Growth, Patch
 from divsym.diversify import SeedTuple
 
 
@@ -44,9 +44,11 @@ def bad_nop_container(num, den, seeds=SeedTuple(1, 2, 3)):
 # Payload lines: 0 DDATA, 1 seeds, 2 nop, 3 flags, 4 the patch header.
 # Malformed patch ops; the reader raises PatchCorruptError.
 PATCH_FAULTS = {
-    "op list shorter than its count": {4: b"PATCH v1 2\nK 1"},
-    "empty op line": {4: b"PATCH v1 1\n"},
-    "keep without count": {4: b"PATCH v1 1\nK"},
+    "op list shorter than its count": {4: b"PATCH v2 0 2\nK 1"},
+    "empty op line": {4: b"PATCH v2 0 1\n"},
+    "keep without count": {4: b"PATCH v2 0 1\nK"},
+    "growth record without bytes": {4: b"PATCH v2 1 0\nG 0 0"},
+    "growth records past the end": {4: b"PATCH v2 2 0\nG 0 0 4"},
 }
 # Malformed header records; the reader raises DeltaFormatError.
 HEADER_FAULTS = {
@@ -62,6 +64,41 @@ HEADER_FAULTS = {
                           b"0000000000000003"},
     "flag 7": {3: b"flags default_padding=7 sp_fp_opt=0 pad=1 shuffle=1"},
 }
+
+
+def growth_faults(sf):
+    """Growth records that replay on the approximation sf must refuse with
+    PatchCorruptError, by case, each with a pattern its message matches
+    from the start.  sf is a generated program's symbol file:
+    its functions have line records and their own CFI regions, and some
+    function's last CFI delta lies inside its last line record, which
+    ends the function."""
+    f, g = sf.funcs[:2]
+    first = f.lines[0].address - f.address
+    # shrinking that line record to end at the delta leaves the delta
+    # outside the shrunk CFI region, which validate() refuses
+    i, h = next((i, h) for i, h in enumerate(sf.funcs)
+                if sf.cfi_regions[i].deltas
+                and h.lines[-1].address < sf.cfi_regions[i].deltas[-1][0]
+                and h.lines[-1].address + h.lines[-1].size
+                == h.address + h.size)
+    last, at = h.lines[-1], sf.cfi_regions[i].deltas[-1][0]
+    return {
+        "growth index out of range": (
+            (Growth(len(sf.funcs), first, 4),), "growth record .*: no function"),
+        "growth offset outside the line records": (
+            (Growth(0, f.size, 4),), "growth record .*: offset outside"),
+        "growth empties a line record": (
+            (Growth(0, first, -f.lines[0].size),),
+            "growth leaves the line record .* 0 bytes"),
+        "growth records out of order": (
+            (Growth(1, g.lines[0].address - g.address, 4),
+             Growth(0, first, 4)), "growth record .* out of .* order"),
+        "replayed file fails validate": (
+            (Growth(i, last.address - h.address,
+                    at - last.address - last.size),),
+            "replayed growth records: CFI delta .* outside region"),
+    }
 
 
 # Replacement tokens: empty, non-numbers, negatives, bare separators,

@@ -9,10 +9,13 @@ from hypothesis import given, strategies as st
 from divsym import deltadata, image
 from divsym.cli import main
 from divsym.collector import MAX_STACK_BYTES, sample_call_chains
+from divsym.diversify import parse_opportunity_log
 from divsym.progmodel import parse_model
+from divsym.replicate import replicate
+from divsym.symfile import parse_symbol_file
 from hostile import (HEADER_FAULTS, PATCH_FAULTS, _plain_container,
-                     bad_nop_container, edited_container, inflation_bomb,
-                     mutate)
+                     bad_nop_container, edited_container, growth_faults,
+                     inflation_bomb, mutate)
 
 
 def run(*argv):
@@ -76,6 +79,10 @@ def test_full_pipeline(tmp_path, capsys):
                "--div-sym", str(div / "diversified.sym"),
                "--seeds", "0x11,0x22,0x33", "--out", str(delta)) == 0
     assert delta.read_bytes()[:4] == b"DBPD"
+    patch = deltadata.unpack(delta.read_bytes()).patch
+    assert capsys.readouterr().out.endswith(
+        "(%d bytes, patch payload %d, %d growth records)\n"
+        % (delta.stat().st_size, patch.payload_bytes, len(patch.growth)))
 
     chain = sample_call_chains(model, 4, 3)[0]
     chain_arg = ",".join("%s:%d:%d" % c for c in chain)
@@ -195,6 +202,23 @@ def test_malformed_payload_record_exit_codes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "corrupt patch:" in err and "error:" in err
     assert "Traceback" not in err
+
+
+def test_hostile_growth_records_exit_code(tmp_path, capsys):
+    common, dumps = _build_and_crash(tmp_path, 1)
+    args = dict(zip(common[::2], common[1::2]))
+    delta = Path(args["--delta"])
+    dd = deltadata.unpack(delta.read_bytes())
+    approx = replicate(
+        parse_symbol_file(Path(args["--default-sym"]).read_text()),
+        parse_opportunity_log(Path(args["--opplog"]).read_text()),
+        dd.seeds, dd.options())
+    for growth, message in growth_faults(approx).values():
+        delta.write_bytes(deltadata.pack(
+            replace(dd, patch=replace(dd.patch, growth=growth))))
+        assert run("report", "--dump", dumps[0], *common) == 4
+        err = capsys.readouterr().err
+        assert re.search("^corrupt patch: " + message, err), err
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from divsym import _speed, cfi, collector, diversify
@@ -15,7 +17,7 @@ from divsym.progmodel import BuildOptions, generate_corpus
 from divsym.replicate import replicate
 from divsym.symfile import emit_symbol_file
 from hostile import (HEADER_FAULTS, PATCH_FAULTS, bad_nop_container,
-                     edited_container, inflation_bomb)
+                     edited_container, growth_faults, inflation_bomb)
 
 OPTS = BuildOptions()
 SEEDS = SeedTuple(0xD1, 0xD2, 0xD3)
@@ -377,6 +379,21 @@ def test_report_rejects_malformed_payload_records(error, edits):
                           _chain(model, 2))
     with pytest.raises(error):
         report(dump, edited_container(edits, SEEDS), dres.symfile, log)
+
+
+def test_report_rejects_hostile_growth_records():
+    model = _model()
+    dres, log = build_default(model, OPTS)
+    truth, dec = build_diversified(model, SEEDS, OPTS)
+    approx = replicate(dres.symfile, log, SEEDS, OPTS)
+    patch = diff(approx, truth.symfile)
+    dump = simulate_crash(crash_info(truth, dec, model.module_name), model,
+                          _chain(model, 2))
+    for growth, message in growth_faults(approx).values():
+        bad = pack(delta_from_options(SEEDS, OPTS,
+                                      replace(patch, growth=growth)))
+        with pytest.raises(PatchCorruptError, match=message):
+            report(dump, bad, dres.symfile, log)
 
 
 def test_report_rejects_tab_separated_symbol_record():

@@ -1,18 +1,22 @@
 import dataclasses
 import random
+import struct
+import zlib
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from divsym import deltadata
-from divsym.deltadata import (Patch, PatchOp, apply, delta_from_options,
-                              diff, pack, unpack)
+from divsym.deltadata import (Growth, Patch, PatchOp, apply,
+                              delta_from_options, diff, pack, replay, unpack)
 from divsym.diversify import SeedTuple, build_default, build_diversified
 from divsym.errors import (AuthenticationError, DeltaFormatError,
-                           PatchCorruptError)
+                           PatchCorruptError, SymbolFormatError)
 from divsym.progmodel import BuildOptions, generate_corpus
 from divsym.replicate import replicate
 from divsym.symfile import (CfiInitRecord, FuncRecord, LineRecord, SymbolFile,
                             emit_symbol_file)
+from hostile import growth_faults
 from sfgen import random_symbol_file
 
 OPTS = BuildOptions()
@@ -90,6 +94,104 @@ def test_diff_apply_round_trip_on_random_pairs():
         assert emit_symbol_file(apply(a, p)) == emit_symbol_file(b)
 
 
+def grow_line(sf, fi, li, n):
+    """sf with line record li of function fi grown by n bytes, the way a
+    layout without alignment places it: the function's later line records
+    and its CFI deltas at or past the record's old end move by n, and so
+    does every later function with its CFI region."""
+    f, c = sf.funcs[fi], sf.cfi_regions[fi]
+    ln = f.lines[li]
+    end = ln.address + ln.size
+
+    def moved(a):
+        return a + n if a >= end else a
+    nf = dataclasses.replace(f, size=f.size + n, lines=f.lines[:li] + (
+        dataclasses.replace(ln, size=ln.size + n),) + tuple(
+        dataclasses.replace(x, address=x.address + n) for x in f.lines[li + 1:]))
+    nc = dataclasses.replace(c, size=c.size + n, deltas=tuple(
+        (moved(a), r) for a, r in c.deltas))
+    later = [shift_function(sf, k, n) for k in range(fi + 1, len(sf.funcs))]
+    return dataclasses.replace(
+        sf, funcs=sf.funcs[:fi] + (nf,) + tuple(
+            t.funcs[k] for k, t in enumerate(later, fi + 1)),
+        cfi_regions=sf.cfi_regions[:fi] + (nc,) + tuple(
+            t.cfi_regions[k] for k, t in enumerate(later, fi + 1)))
+
+
+@given(st.integers(0, 10 ** 6), st.data())
+def test_diff_apply_round_trip_on_grown_line_records(seed, data):
+    approx = random_symbol_file(seed)
+    assume(approx.funcs)
+    fi = data.draw(st.integers(0, len(approx.funcs) - 1))
+    f = approx.funcs[fi]
+    li = data.draw(st.integers(0, len(f.lines) - 1))
+    ln = f.lines[li]
+    n = data.draw(st.integers(1, 64) | st.integers(1 - ln.size, -1))
+    truth = grow_line(approx, fi, li, n)
+    try:
+        want = emit_symbol_file(truth)
+    except SymbolFormatError:
+        assume(False)   # the shrink left a CFI delta outside its region
+    p = diff(approx, truth)
+    assert p.growth == (Growth(fi, ln.address - f.address, n),)
+    # the replay rebuilds the grown function and its CFI region exactly
+    grown = replay(approx, p.growth)
+    assert grown.funcs[fi] == truth.funcs[fi]
+    assert grown.cfi_regions[fi] == truth.cfi_regions[fi]
+    assert emit_symbol_file(apply(approx, p)) == want
+    assert emit_symbol_file(apply(approx, unpack(pack(small_dd(p))).patch)) \
+        == want
+
+
+def test_replay_pushes_later_functions_and_reuses_records():
+    sf = random_symbol_file(2, n_funcs=8)
+    f = sf.funcs[3]
+    gap = sf.funcs[4].address - (f.address + f.size)
+    grown = replay(sf, (Growth(3, f.lines[0].address - f.address, gap + 8),))
+    # function 4 moves just past the grown function 3
+    assert grown.funcs[4].address == grown.funcs[3].address + grown.funcs[3].size
+    assert grown.cfi_regions[4].address == grown.funcs[4].address
+    assert grown.funcs[3].size == f.size + gap + 8
+    assert grown.cfi_regions[3].size == f.size + gap + 8
+    assert all(a is b for a, b in zip(grown.funcs[:3], sf.funcs[:3]))
+    # once a function keeps its place, the rest keep their records
+    moved = [k for k in range(8) if grown.funcs[k] is not sf.funcs[k]]
+    assert moved == list(range(3, moved[-1] + 1))
+    assert all(grown.funcs[k] is sf.funcs[k] for k in range(moved[-1] + 1, 8))
+
+
+def test_payload_bytes_count_growth_records():
+    p = Patch((PatchOp("K", 4),), (Growth(1, 0x10, 4), Growth(12, 0, -8)))
+    assert p.payload_bytes == len("G 1 10 4\nG 12 0 -8\n")
+    assert "G 1 10 4\nG 12 0 -8\nK 4" in deltadata._emit_payload(small_dd(p))
+    assert unpack(pack(small_dd(p))) == small_dd(p)
+
+
+def test_hostile_growth_records_raise_patch_corrupt():
+    model = generate_corpus(41, 1)[0]
+    dres, log = build_default(model, OPTS)
+    truth, _ = build_diversified(model, SEEDS, OPTS)
+    approx = replicate(dres.symfile, log, SEEDS, OPTS)
+    patch = diff(approx, truth.symfile)
+    for growth, message in growth_faults(approx).values():
+        bad = dataclasses.replace(patch, growth=growth)
+        with pytest.raises(PatchCorruptError, match=message):
+            apply(approx, bad)
+        with pytest.raises(PatchCorruptError, match=message):
+            apply(approx, unpack(pack(small_dd(bad))).patch)
+
+
+def test_prog000_delta_stays_small():
+    model = generate_corpus(0xBE7C, 1, "medium")[0]
+    dres, log = build_default(model, OPTS)
+    seeds = SeedTuple(11, 22, 33)
+    truth, _ = build_diversified(model, seeds, OPTS)
+    approx = replicate(dres.symfile, log, seeds, OPTS)
+    p = diff(approx, truth.symfile)
+    assert len(pack(delta_from_options(seeds, OPTS, p))) <= 450
+    assert emit_symbol_file(apply(approx, p)) == emit_symbol_file(truth.symfile)
+
+
 def test_apply_rejects_wrong_length():
     a = random_symbol_file(8)
     with pytest.raises(PatchCorruptError):
@@ -157,15 +259,34 @@ def test_truncated_and_corrupt_containers():
         unpack(bytes(bad))
 
 
+def test_version_1_container_is_refused():
+    text = deltadata._emit_payload(small_dd()).replace(
+        "DDATA v2", "DDATA v1").replace("PATCH v2 0 0", "PATCH v1 0")
+    comp = zlib.compressobj(6, zlib.DEFLATED, -15)
+    payload = comp.compress(text.encode()) + comp.flush()
+    blob = b"DBPD" + bytes([1, 0]) + struct.pack("<I", len(payload)) + payload
+    with pytest.raises(DeltaFormatError, match="unsupported version 1"):
+        unpack(blob)
+    # a v1 payload in a v2 container is refused as well
+    with pytest.raises(DeltaFormatError, match="payload header"):
+        unpack(b"DBPD" + bytes([2]) + blob[5:])
+
+
 @pytest.mark.parametrize("patch_text", [
-    "PATCH v1 1\nK -1", "PATCH v1 1\nS 2", "PATCH v1 1\nK x",
-    "PATCH v1 1\nR 1 3\nonly one line", "PATCH v1 -1", "PATCH v1 1\nK 1 2",
+    "PATCH v2 0 1\nK -1", "PATCH v2 0 1\nS 2", "PATCH v2 0 1\nK x",
+    "PATCH v2 0 1\nR 1 3\nonly one line", "PATCH v2 0 -1",
+    "PATCH v2 0 1\nK 1 2", "PATCH v2 0", "PATCH v1 0",
+    "PATCH v2 -1 0", "PATCH v2 1 0\nG 0 0 4 5", "PATCH v2 1 0\nG -1 0 4",
+    "PATCH v2 1 0\nG 0 -4 4", "PATCH v2 1 0\nG 0 A 4",
+    "PATCH v2 1 0\nG 0 0 +4", "PATCH v2 1 0\nG 01 0 4",
+    "PATCH v2 1 0\nG 0 04 4", "PATCH v2 1 0\nG 0 0 -04",
+    "PATCH v2 1 0\nK 1", "PATCH v2 1 1\nK 1\nG 0 0 4",
 ])
 def test_malformed_patch_ops_raise_patch_corrupt(patch_text):
     text = deltadata._emit_payload(small_dd())
-    assert "PATCH v1 0" in text
+    assert "PATCH v2 0 0" in text
     with pytest.raises(PatchCorruptError):
-        deltadata._parse_payload(text.replace("PATCH v1 0", patch_text))
+        deltadata._parse_payload(text.replace("PATCH v2 0 0", patch_text))
 
 
 @pytest.mark.parametrize("old,new", [

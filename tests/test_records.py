@@ -148,6 +148,7 @@ def test_mutated_symbol_file_parses_or_raises(which, data):
 @given(st.data())
 def test_mutated_delta_payload_parses_or_raises(data):
     patch = fuzz_texts()["patch"]
+    assert patch.growth    # so mutations reach the G lines too
     payload = deltadata._emit_payload(
         deltadata.DeltaData(seeds=SEEDS, patch=patch))
     i, new = data.draw(line_edits(payload.split("\n")))
