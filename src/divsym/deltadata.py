@@ -1,21 +1,26 @@
 """Delta data: the seeds, parameters and patch that ride with a crash.
 
-The patch is a line-oriented edit script over canonical symbol-file
-text with an explicit SHIFT op: address shifts are by far the dominant
-divergence mode (a moved pool or one desynced function shifts a run of
-otherwise identical records), and SHIFT encodes a whole run in O(1)
-bytes where REPLACE would copy every line.
+The patch is an edit script over the canonical lines of a symbol file,
+one entry per line as symfile gives them, with an explicit SHIFT op:
+address shifts are by far the dominant divergence mode (a moved pool or
+one desynced function shifts a run of otherwise identical records), and
+SHIFT encodes a whole run in O(1) bytes where REPLACE would copy every
+line.  Only REPLACE and INSERT carry text; symfile reads and writes it.
 
 Diffing aligns record segments per function (FUNC block by name, CFI
 block by position), exploiting the per-function containment of
-desynchronization; inside a segment, runs of lines equal modulo their
-leading address field become SHIFT ops.
+desynchronization; inside a segment, runs of entries equal but for
+their leading address become SHIFT ops.
 
-Before the text ops, the patch carries growth records: "line record k of
+Before the ops, the patch carries growth records: "line record k of
 function f grew by n bytes".  A grown line record would otherwise cost
 REPLACE ops for its own line, its FUNC line and its STACK CFI INIT line,
 and SHIFT ops for everything placed after it.  Apply replays the records
-on the approximation (see replay) and runs the text ops on the result.
+on the approximation (see replay), runs the ops over the entries of the
+result, parses only the REPLACE and INSERT lines, and validates the
+outcome once.  Every address and end of the result lies below 2^32.
+A patch that does not apply raises PatchCorruptError (CLI exit 4); a
+malformed container or header record raises DeltaFormatError (exit 2).
 
 Container layout (packed):
 
@@ -31,18 +36,22 @@ from __future__ import annotations
 import difflib
 import hashlib
 import hmac
+import itertools
 import re
 import struct
 import zlib
 from dataclasses import astuple, dataclass, field
+from operator import attrgetter
 
 from divsym.diversify import SeedTuple
 from divsym.errors import (AuthenticationError, DeltaFormatError,
-                           PatchCorruptError)
+                           PatchCorruptError, SymbolFormatError,
+                           SymbolParseError)
 from divsym.progmodel import BuildOptions
 from divsym.symfile import (CfiInitRecord, FuncRecord, LineRecord,
-                            SymbolFile, emit_symbol_file, parse_symbol_file)
-from divsym.errors import SymbolFormatError, SymbolParseError
+                            SymbolFile, entry_text, parse_entry,
+                            symbol_file_entries, symbol_file_from_entries,
+                            validate)
 
 MAGIC = b"DBPD"
 VERSION = 2
@@ -100,7 +109,6 @@ class DeltaData:
     pad_scheme: bool = True
     shuffle_scheme: bool = True
     patch: Patch = field(default_factory=Patch)
-    version: int = VERSION
 
     def options(self):
         """Replication options implied by the packed parameters."""
@@ -118,50 +126,6 @@ def delta_from_options(seeds, options, patch):
                      sp_fp_opt=options.sp_fp_opt,
                      pad_scheme=options.pad_scheme,
                      shuffle_scheme=options.shuffle_scheme, patch=patch)
-
-
-# ---------------------------------------------------------------------------
-# leading-address handling
-
-def _addr_token_index(line):
-    if line.startswith("FUNC ") or line.startswith("PUBLIC "):
-        return 1
-    if line.startswith("STACK CFI INIT "):
-        return 3
-    if line.startswith("STACK CFI "):
-        return 2
-    if line.startswith("MODULE ") or line.startswith("FILE "):
-        return -1
-    return 0  # line record
-
-
-def split_leading_address(line):
-    """(address, rest-with-placeholder) or (None, line) if unshiftable."""
-    idx = _addr_token_index(line)
-    if idx < 0:
-        return None, line
-    toks = line.split(" ")
-    try:
-        addr = int(toks[idx], 16)
-    except ValueError:
-        return None, line
-    toks[idx] = "@"
-    return addr, " ".join(toks)
-
-
-def shift_leading_address(line, delta):
-    idx = _addr_token_index(line)
-    if idx < 0:
-        return None
-    toks = line.split(" ")
-    try:
-        addr = int(toks[idx], 16) + delta
-    except ValueError:
-        return None
-    if addr < 0:
-        return None
-    toks[idx] = "%x" % addr
-    return " ".join(toks)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +228,7 @@ def replay(sf, growth):
     the previous function's new end ("push"), its own CFI region with it;
     functions left in place keep their record objects.  Records must be in
     strictly increasing (index, offset) order.  Hostile records raise
-    PatchCorruptError; the caller validates the result.
+    PatchCorruptError, and so does a replayed file that fails validate().
     """
     if not growth:
         return sf
@@ -297,138 +261,93 @@ def replay(sf, growth):
             break
         end = funcs[i].address + funcs[i].size
         i += 1
-    return SymbolFile(sf.module_id, sf.files, tuple(funcs), tuple(cfi),
-                      sf.publics)
+    out = SymbolFile(sf.module_id, sf.files, tuple(funcs), tuple(cfi),
+                     sf.publics)
+    try:
+        validate(out)
+    except SymbolFormatError as e:
+        raise PatchCorruptError("replayed growth records: %s" % e) from e
+    return out
 
 
 # ---------------------------------------------------------------------------
 # diff
 
-def _segments(lines):
-    """((key, start, end), ...) partition of canonical symbol-file lines."""
-    segs = []
-    n = len(lines)
-    i = 0
-    while i < n and (lines[i].startswith("MODULE ") or lines[i].startswith("FILE ")):
-        i += 1
-    segs.append((("H",), 0, i))
-    seen = {}
-    while i < n and lines[i].startswith("FUNC "):
-        name = lines[i].split(" ", 4)[4]
-        k = seen.get(name, 0)
-        seen[name] = k + 1
-        j = i + 1
-        while j < n and not (lines[j].startswith("FUNC ")
-                             or lines[j].startswith("PUBLIC ")
-                             or lines[j].startswith("STACK ")):
-            j += 1
-        segs.append((("F", name, k), i, j))
-        i = j
-    j = i
-    while j < n and lines[j].startswith("PUBLIC "):
-        j += 1
-    if j > i:
-        segs.append((("P",), i, j))
-        i = j
-    ci = 0
-    while i < n and lines[i].startswith("STACK CFI INIT "):
-        j = i + 1
-        while j < n and lines[j].startswith("STACK CFI ") \
-                and not lines[j].startswith("STACK CFI INIT "):
-            j += 1
-        segs.append((("C", ci), i, j))
-        ci += 1
-        i = j
-    if i < n:
-        segs.append((("T",), i, n))
-    return segs
+def _segments(sf):
+    """(keys, sizes): the key and entry count of each of sf's segments,
+    which are its header, each FUNC block keyed by its name and k (the
+    k-th of its name), its PUBLICs if any and each CFI block keyed by its
+    position."""
+    segs = [(("H",), bool(sf.module_id) + len(sf.files))]
+    segs += [(("F",) + key, 1 + len(f.lines))
+             for f, key in zip(sf.funcs, _name_keys(sf.funcs))]
+    if sf.publics:
+        segs.append((("P",), len(sf.publics)))
+    segs += [(("C", ci), 1 + len(c.deltas))
+             for ci, c in enumerate(sf.cfi_regions)]
+    return tuple(zip(*segs))
 
 
-def _shift_runs(a_lines, b_lines):
-    """Ops for equal-length line runs: per-line shift classification."""
+def _take(entries, n):
+    """The next n entries of an iterator, or as many as are left."""
+    return list(itertools.islice(entries, n))
+
+
+def _shift_runs(a, b):
+    """Ops for equal-length entry runs: per-entry shift classification."""
     ops = []
     deltas = []
-    for x, y in zip(a_lines, b_lines):
+    for x, y in zip(a, b):
         if x == y:
             deltas.append(0)
-            continue
-        ax, rx = split_leading_address(x)
-        ay, ry = split_leading_address(y)
-        if ax is not None and ay is not None and rx == ry:
-            deltas.append(ay - ax)
+        elif x[1] is not None and (x[0], x[2]) == (y[0], y[2]):
+            deltas.append(y[1] - x[1])
         else:
             deltas.append(None)
     i = 0
-    n = len(deltas)
-    while i < n:
-        d = deltas[i]
-        j = i
-        while j < n and deltas[j] == d:
-            j += 1
+    for d, run in itertools.groupby(deltas):
+        n = len(list(run))
         if d is None:
-            ops.append(PatchOp("R", j - i, lines=tuple(b_lines[i:j])))
+            ops.append(PatchOp("R", n, lines=_texts(b[i:i + n])))
         elif d == 0:
-            ops.append(PatchOp("K", j - i))
+            ops.append(PatchOp("K", n))
         else:
-            ops.append(PatchOp("S", j - i, delta=d))
-        i = j
+            ops.append(PatchOp("S", n, delta=d))
+        i += n
     return ops
 
 
-def _diff_lines(a_lines, b_lines):
-    if a_lines == b_lines:
-        return [PatchOp("K", len(a_lines))] if a_lines else []
-    if len(a_lines) == len(b_lines):
-        return _shift_runs(a_lines, b_lines)
-    sm = difflib.SequenceMatcher(None, a_lines, b_lines, autojunk=False)
+def _texts(entries):
+    return tuple(entry_text(e) for e in entries)
+
+
+def _diff_entries(a, b):
+    if len(a) == len(b):
+        return _shift_runs(a, b)
+    sm = difflib.SequenceMatcher(None, a, b, autojunk=False)
     ops = []
     for tag, i1, i2, j1, j2 in sm.get_opcodes():
-        if tag == "equal":
-            ops.append(PatchOp("K", i2 - i1))
-        elif tag == "delete":
+        if tag == "delete":
             ops.append(PatchOp("D", i2 - i1))
         elif tag == "insert":
-            ops.append(PatchOp("I", lines=tuple(b_lines[j1:j2])))
-        elif i2 - i1 == j2 - j1:
-            ops.extend(_shift_runs(a_lines[i1:i2], b_lines[j1:j2]))
+            ops.append(PatchOp("I", lines=_texts(b[j1:j2])))
+        elif i2 - i1 == j2 - j1:    # equal, or replaced by as many
+            ops.extend(_shift_runs(a[i1:i2], b[j1:j2]))
         else:
-            ops.append(PatchOp("R", i2 - i1, lines=tuple(b_lines[j1:j2])))
+            ops.append(PatchOp("R", i2 - i1, lines=_texts(b[j1:j2])))
     return ops
 
 
 def _coalesce(ops):
+    """Each run of adjacent ops of one kind, and for S of one delta, as one
+    op."""
     out = []
-    for op in ops:
-        if op.op in "KD" and op.n == 0:
-            continue
-        if op.op in "RI" and not op.lines and op.n == 0:
-            continue
-        if out:
-            prev = out[-1]
-            if prev.op == op.op and (op.op in "KD"
-                                     or (op.op == "S" and prev.delta == op.delta)):
-                out[-1] = PatchOp(op.op, prev.n + op.n, delta=op.delta)
-                continue
-            if prev.op == op.op and op.op in "RI":
-                out[-1] = PatchOp(op.op, prev.n + op.n,
-                                  lines=prev.lines + op.lines)
-                continue
-        out.append(op)
+    for (kind, delta), run in itertools.groupby(ops,
+                                                attrgetter("op", "delta")):
+        run = list(run)
+        out.append(PatchOp(kind, sum(op.n for op in run), delta,
+                           tuple(ln for op in run for ln in op.lines)))
     return out
-
-
-def _text_lines(sf):
-    """Canonical text lines, split at "\n" only, as parse_symbol_file
-    splits: a name may hold any other line break character."""
-    return emit_symbol_file(sf).split("\n")[:-1]
-
-
-def _replayed_lines(approx, growth):
-    """Canonical text lines of the approximation with growth replayed."""
-    try:
-        return _text_lines(replay(approx, growth))
-    except SymbolFormatError as e:
-        raise PatchCorruptError("replayed growth records: %s" % e) from e
 
 
 def diff(approx, truth):
@@ -436,73 +355,73 @@ def diff(approx, truth):
     with the records replayed, into the exact symbol file.
 
     Segments are aligned per function so a desync in one function never
-    degrades the encoding of its neighbours.
+    degrades the encoding of its neighbours.  A truth that fails
+    validate() raises SymbolFormatError.
     """
+    validate(truth)
     growth = derive_growth(approx, truth)
     try:
-        a_lines = _replayed_lines(approx, growth)
+        approx = replay(approx, growth)
     except PatchCorruptError:
         growth = ()
-        a_lines = _text_lines(approx)
-    b_lines = _text_lines(truth)
-    seg_a = _segments(a_lines)
-    seg_b = _segments(b_lines)
-    keys_a = [s[0] for s in seg_a]
-    keys_b = [s[0] for s in seg_b]
+    # entries are made segment by segment and die with it: held for the
+    # whole diff, they would reach the collector's oldest generation
+    a = symbol_file_entries(approx)
+    b = symbol_file_entries(truth)
+    keys_a, sizes_a = _segments(approx)
+    keys_b, sizes_b = _segments(truth)
     sm = difflib.SequenceMatcher(None, keys_a, keys_b, autojunk=False)
     ops = []
     for tag, i1, i2, j1, j2 in sm.get_opcodes():
         if tag in ("equal", "replace") and i2 - i1 == j2 - j1:
-            for sa, sb in zip(seg_a[i1:i2], seg_b[j1:j2]):
-                ops.extend(_diff_lines(a_lines[sa[1]:sa[2]], b_lines[sb[1]:sb[2]]))
+            for n, m in zip(sizes_a[i1:i2], sizes_b[j1:j2]):
+                ops.extend(_diff_entries(_take(a, n), _take(b, m)))
         else:
-            chunk_a = a_lines[seg_a[i1][1]:seg_a[i2 - 1][2]] if i2 > i1 else []
-            chunk_b = b_lines[seg_b[j1][1]:seg_b[j2 - 1][2]] if j2 > j1 else []
-            ops.extend(_diff_lines(chunk_a, chunk_b))
+            ops.extend(_diff_entries(_take(a, sum(sizes_a[i1:i2])),
+                                     _take(b, sum(sizes_b[j1:j2]))))
     return Patch(tuple(_coalesce(ops)), growth)
+
+
+# each op's name in an error; an I op consumes no entries (n is 0)
+_OPS = {"K": "keep", "S": "shift", "D": "delete", "R": "replace",
+        "I": "insert"}
 
 
 def apply(approx, patch):
     """Exact symbol file from the approximation plus the patch: the
-    growth records are replayed first, then the text ops run."""
-    a_lines = _replayed_lines(approx, patch.growth)
-    out = []
-    i = 0
-    for op in patch.ops:
-        if op.op == "K":
-            if i + op.n > len(a_lines):
-                raise PatchCorruptError("keep past end of input")
-            out.extend(a_lines[i:i + op.n])
-            i += op.n
-        elif op.op == "S":
-            if i + op.n > len(a_lines):
-                raise PatchCorruptError("shift past end of input")
-            for ln in a_lines[i:i + op.n]:
-                shifted = shift_leading_address(ln, op.delta)
-                if shifted is None:
-                    raise PatchCorruptError("unshiftable line %r" % ln)
-                out.append(shifted)
-            i += op.n
-        elif op.op == "D":
-            if i + op.n > len(a_lines):
-                raise PatchCorruptError("delete past end of input")
-            i += op.n
-        elif op.op == "R":
-            if i + op.n > len(a_lines):
-                raise PatchCorruptError("replace past end of input")
-            i += op.n
-            out.extend(op.lines)
-        elif op.op == "I":
-            out.extend(op.lines)
-        else:
-            raise PatchCorruptError("unknown op %r" % op.op)
-    if i != len(a_lines):
-        raise PatchCorruptError("patch consumed %d of %d lines" % (i, len(a_lines)))
-    text = "\n".join(out) + ("\n" if out else "")
+    growth records are replayed first, then the ops run over the entries
+    of the result, one per canonical line, and one validate() closes."""
     try:
-        return parse_symbol_file(text)
-    except SymbolParseError as e:
-        raise PatchCorruptError("patched text invalid: %s" % e) from e
+        return symbol_file_from_entries(
+            _patched(replay(approx, patch.growth), patch.ops))
+    except (SymbolFormatError, SymbolParseError) as e:
+        raise PatchCorruptError("patched symbol file invalid: %s" % e) from e
+
+
+def _patched(sf, ops):
+    """The entries the ops make of sf's, one at a time."""
+    entries = symbol_file_entries(sf)
+    total = sum(_segments(sf)[1])
+    done = 0
+    for op in ops:
+        if op.op not in _OPS:
+            raise PatchCorruptError("unknown op %r" % op.op)
+        if done + op.n > total:
+            raise PatchCorruptError("%s past end of input" % _OPS[op.op])
+        run = _take(entries, op.n)
+        done += op.n
+        if op.op == "K":
+            yield from run
+        elif op.op == "S":
+            for kind, addr, fields in run:
+                if addr is None:
+                    raise PatchCorruptError("unshiftable %s line" % kind)
+                yield (kind, addr + op.delta, fields)
+        elif op.op != "D":
+            yield from map(parse_entry, op.lines)
+    if done != total:
+        raise PatchCorruptError("patch consumed %d of %d lines"
+                                % (done, total))
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +485,10 @@ def _parse_patch(lines, pos):
         m = _GROWTH_RE.fullmatch(line)
         if m is None:
             raise PatchCorruptError("bad growth record %r" % line)
-        growth.append(Growth(int(m[1]), int(m[2], 16), int(m[3])))
+        what = "growth record"
+        growth.append(Growth(_int(m[1], PatchCorruptError, what),
+                             _int(m[2], PatchCorruptError, what, 16),
+                             _int(m[3], PatchCorruptError, what)))
     pos += n_growth
     ops = []
     for _ in range(n_ops):
@@ -669,7 +591,7 @@ def pack(dd, key=None):
     comp = zlib.compressobj(6, zlib.DEFLATED, -15)
     payload = comp.compress(_emit_payload(dd).encode()) + comp.flush()
     flags = FLAG_AUTH if key is not None else 0
-    blob = MAGIC + bytes([dd.version, flags]) + struct.pack("<I", len(payload)) \
+    blob = MAGIC + bytes([VERSION, flags]) + struct.pack("<I", len(payload)) \
         + payload
     if key is not None:
         blob += hmac.new(key, blob, hashlib.sha256).digest()

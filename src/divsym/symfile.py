@@ -18,7 +18,11 @@ Record grammar:
 
 Addresses, sizes and param_size are hex; line and filenum are decimal.
 Postfix expressions use decimal literals, register names and the
-operators + - ^.
+operators + - ^.  Addresses and ends lie below 2^32.
+
+This module owns the line grammar.  Each line is one entry (see
+symbol_file_entries); emission and parsing go through entries, and
+deltadata patches symbol files as entry lists.
 """
 
 from __future__ import annotations
@@ -29,10 +33,12 @@ from functools import cached_property
 from types import SimpleNamespace
 
 from divsym.errors import SymbolFormatError, SymbolParseError
-from divsym.records import read_records
+from divsym.records import RECORD_FAULTS, read_records
 
 _HEX_RE = re.compile(r"^[0-9a-fA-F]+$")
 _DEC_RE = re.compile(r"^-?[0-9]+$")
+# Addresses and ends stay below this: the model is 32-bit ARM.
+ADDRESS_LIMIT = 1 << 32
 
 # Expression tokens are register names (str) or signed integers (int).
 PostfixExpr = tuple
@@ -98,24 +104,9 @@ def _rule_sort_key(reg):
     return (3, 0, reg)
 
 
-def _expr_text(expr):
-    parts = []
-    for tok in expr:
-        parts.append(str(tok))
-    return " ".join(parts)
-
-
-def _rules_text(rules):
-    parts = []
-    for reg in sorted(rules, key=_rule_sort_key):
-        parts.append("%s: %s" % (reg, _expr_text(rules[reg])))
-    return " ".join(parts)
-
-
-def _hx(v):
-    if v < 0:
-        raise SymbolFormatError("negative value %d in hex field" % v)
-    return "%x" % v
+def _rules_text(items):
+    return " ".join("%s: %s" % (reg, " ".join(map(str, expr)))
+                    for reg, expr in items)
 
 
 def _check_text(text, what, blank_ok=False):
@@ -130,6 +121,11 @@ def _check_text(text, what, blank_ok=False):
 def validate(sf: SymbolFile) -> None:
     """Raise SymbolFormatError if sf violates its invariants.
 
+    Every FUNC, STACK CFI INIT and PUBLIC address, and every FUNC and
+    INIT end (address + size), lies in [0, 2^32): the model is 32-bit
+    ARM.  Line records and CFI deltas lie inside their FUNC and region,
+    so no hex field is negative.  FUNCs, and INIT regions, each start at
+    or after the end of the one before, so they are sorted and disjoint.
     Filenum existence is only checked when the file table is non-empty,
     so that excerpt-style inputs without FILE records stay parseable.
     """
@@ -137,18 +133,16 @@ def validate(sf: SymbolFile) -> None:
     for _, path in sf.files:
         _check_text(path, "FILE path")
     filenums = {fn for fn, _ in sf.files}
-    prev_end = None
-    prev_addr = None
+    prev_end = 0
     for f in sf.funcs:
         _check_text(f.name, "FUNC name")
-        if f.size <= 0:
-            raise SymbolFormatError("FUNC %s has size %d" % (f.name, f.size))
-        if prev_addr is not None and f.address < prev_addr:
-            raise SymbolFormatError("FUNC records not sorted by address")
-        if prev_end is not None and f.address < prev_end:
+        if f.size <= 0 or f.param_size < 0:
+            raise SymbolFormatError("FUNC %s has size %d, param_size %d"
+                                    % (f.name, f.size, f.param_size))
+        _check_address("FUNC %s" % f.name, f.address, f.address + f.size)
+        if f.address < prev_end:
             raise SymbolFormatError(
-                "FUNC %s overlaps previous function" % f.name)
-        prev_addr = f.address
+                "FUNC %s overlaps or precedes the previous function" % f.name)
         prev_end = f.address + f.size
         last = None
         for ln in f.lines:
@@ -164,15 +158,12 @@ def validate(sf: SymbolFile) -> None:
                 raise SymbolFormatError(
                     "line record references unknown filenum %d" % ln.filenum)
             last = ln.address
-    prev_end = None
-    prev_addr = None
+    prev_end = 0
     for c in sf.cfi_regions:
-        if prev_addr is not None and c.address < prev_addr:
-            raise SymbolFormatError("STACK CFI INIT records not sorted")
-        if prev_end is not None and c.address < prev_end:
-            raise SymbolFormatError(
-                "STACK CFI INIT %x overlaps previous region" % c.address)
-        prev_addr = c.address
+        _check_address("STACK CFI INIT", c.address, c.address + c.size)
+        if c.address < prev_end:
+            raise SymbolFormatError("STACK CFI INIT %x overlaps or precedes "
+                                    "the previous region" % c.address)
         prev_end = c.address + c.size
         for key in (".cfa", ".ra"):
             if key not in c.init_rules:
@@ -192,9 +183,16 @@ def validate(sf: SymbolFile) -> None:
     last = None
     for addr, name in sf.publics:
         _check_text(name, "PUBLIC name")
+        _check_address("PUBLIC %s" % name, addr, addr)
         if last is not None and addr < last:
             raise SymbolFormatError("PUBLIC records not sorted")
         last = addr
+
+
+def _check_address(what, addr, end):
+    if not 0 <= addr <= end < ADDRESS_LIMIT:
+        raise SymbolFormatError("%s at %x, ending at %x, leaves the 32-bit "
+                                "address space" % (what, addr, end))
 
 
 def _check_cfa_rule(addr, rules):
@@ -206,27 +204,62 @@ def _check_cfa_rule(addr, rules):
 def emit_symbol_file(sf: SymbolFile) -> str:
     """Serialize to canonical text.  parse(emit(sf)) == sf for valid sf."""
     validate(sf)
-    out = []
+    out = [entry_text(e) for e in symbol_file_entries(sf)]
+    return "\n".join(out) + "\n" if out else ""
+
+
+# ---------------------------------------------------------------------------
+# entries: one per canonical line
+
+# An entry is one symbol-file line as a tuple (kind, address, fields).
+# `kind` is MODULE, FILE, FUNC, LINE (a line record), PUBLIC, CFI INIT or
+# CFI (a STACK CFI delta); `address` is the leading address, None for
+# MODULE and FILE; `fields` are the line's other fields in order, a rule
+# map as ((reg, expr), ...) in canonical order.  Two entries are equal
+# exactly when their canonical lines are.
+
+
+def _rule_items(rules):
+    return tuple(sorted(rules.items(), key=lambda kv: _rule_sort_key(kv[0])))
+
+
+def symbol_file_entries(sf: SymbolFile):
+    """The entries of sf's canonical lines, in order, one at a time.  sf
+    is not validated."""
     if sf.module_id:
-        out.append("MODULE %s" % sf.module_id)
-    for filenum, path in sf.files:
-        out.append("FILE %d %s" % (filenum, path))
+        yield ("MODULE", None, (sf.module_id,))
+    for fp in sf.files:
+        yield ("FILE", None, fp)
     for f in sf.funcs:
-        out.append("FUNC %s %s %s %s"
-                   % (_hx(f.address), _hx(f.size), _hx(f.param_size), f.name))
+        yield ("FUNC", f.address, (f.size, f.param_size, f.name))
         for ln in f.lines:
-            out.append("%s %s %d %d" % (_hx(ln.address), _hx(ln.size),
-                                        ln.line, ln.filenum))
+            yield ("LINE", ln.address, (ln.size, ln.line, ln.filenum))
     for addr, name in sf.publics:
-        out.append("PUBLIC %s %s" % (_hx(addr), name))
+        yield ("PUBLIC", addr, (name,))
     for c in sf.cfi_regions:
-        out.append("STACK CFI INIT %s %s %s"
-                   % (_hx(c.address), _hx(c.size), _rules_text(c.init_rules)))
+        yield ("CFI INIT", c.address, (c.size, _rule_items(c.init_rules)))
         for addr, rules in c.deltas:
-            out.append("STACK CFI %s %s" % (_hx(addr), _rules_text(rules)))
-    if not out:
-        return ""
-    return "\n".join(out) + "\n"
+            yield ("CFI", addr, (_rule_items(rules),))
+
+
+# The line of each entry kind: its address, if any, then its fields.
+_FORMATS = {
+    "MODULE": "MODULE %s",
+    "FILE": "FILE %d %s",
+    "FUNC": "FUNC %x %x %x %s",
+    "LINE": "%x %x %d %d",
+    "PUBLIC": "PUBLIC %x %s",
+    "CFI INIT": "STACK CFI INIT %x %x %s",
+    "CFI": "STACK CFI %x %s",
+}
+
+
+def entry_text(e) -> str:
+    """The canonical line of an entry of a valid symbol file."""
+    kind, addr, f = e
+    if kind.startswith("CFI"):
+        f = f[:-1] + (_rules_text(f[-1]),)
+    return _FORMATS[kind] % (f if addr is None else (addr,) + f)
 
 
 def _parse_hex(tok):
@@ -252,7 +285,7 @@ def _trailing_field(line, toks, k):
 
 
 def _parse_rules(toks):
-    """Parse 'reg: tok tok ... reg: tok ...' into a RuleMap."""
+    """Parse 'reg: tok tok ... reg: tok ...' into rule items."""
     pairs = []
     for tok in toks:
         if tok.endswith(":") and len(tok) > 1:
@@ -266,79 +299,121 @@ def _parse_rules(toks):
     for reg, expr in pairs:
         if not expr:
             raise ValueError("empty expression for %s" % reg)
-    return {reg: tuple(expr) for reg, expr in pairs}
+    return _rule_items({reg: tuple(expr) for reg, expr in pairs})
 
 
-# The parse state's `lines` is the open FUNC's line-record list and
+def _entry(toks, line):
+    """The entry of a line and its whitespace-separated tokens; a malformed
+    line raises one of records.RECORD_FAULTS."""
+    keyword = toks[0]
+    if keyword == "FUNC":
+        return ("FUNC", _parse_hex(toks[1]), (_parse_hex(toks[2]),
+                _parse_hex(toks[3]), _trailing_field(line, toks, 4)))
+    if keyword == "STACK":
+        if toks[1] != "CFI":
+            raise ValueError("unknown STACK record")
+        if toks[2] == "INIT":
+            return ("CFI INIT", _parse_hex(toks[3]),
+                    (_parse_hex(toks[4]), _parse_rules(toks[5:])))
+        return ("CFI", _parse_hex(toks[2]), (_parse_rules(toks[3:]),))
+    if keyword == "PUBLIC":
+        return ("PUBLIC", _parse_hex(toks[1]),
+                (_trailing_field(line, toks, 2),))
+    if keyword == "FILE":
+        return ("FILE", None, (_parse_dec(toks[1]),
+                               _trailing_field(line, toks, 2)))
+    if keyword == "MODULE":
+        return ("MODULE", None, (line.rstrip("\r").partition(" ")[2],))
+    # a line record has no keyword: its first token is its address
+    addr = _parse_hex(keyword)
+    _, size, srcline, filenum = toks
+    return ("LINE", addr, (_parse_hex(size), _parse_dec(srcline),
+                           _parse_dec(filenum)))
+
+
+def parse_entry(line: str) -> tuple:
+    """The entry of one symbol-file line.  A blank or malformed line
+    raises SymbolParseError."""
+    toks = line.split()
+    if not toks:
+        raise SymbolParseError("blank line %r" % line)
+    try:
+        return _entry(toks, line)
+    except RECORD_FAULTS as e:
+        raise SymbolParseError("%s: %s %s" % (toks[0], type(e).__name__, e)) \
+            from None
+
+
+# The build state's `lines` is the open FUNC's line-record list and
 # `deltas` the open CFI region's delta list; None when none is open.
 
-def _sym_module(st, toks, line):
-    st.module_id = line.rstrip("\r").partition(" ")[2]
-
-
-def _sym_func(st, toks, line):
-    st.lines = []
-    st.deltas = None
-    st.funcs.append((_parse_hex(toks[1]), _parse_hex(toks[2]),
-                     _parse_hex(toks[3]), _trailing_field(line, toks, 4),
-                     st.lines))
-
-
-def _sym_public(st, toks, line):
-    st.lines = st.deltas = None
-    st.publics.append((_parse_hex(toks[1]), _trailing_field(line, toks, 2)))
-
-
-def _sym_stack(st, toks, line):
-    st.lines = None
-    if toks[1] != "CFI":
-        raise ValueError("unknown STACK record")
-    if toks[2] == "INIT":
-        st.deltas = []
-        st.cfi.append((_parse_hex(toks[3]), _parse_hex(toks[4]),
-                       _parse_rules(toks[5:]), st.deltas))
-    elif st.deltas is None:
-        raise ValueError("STACK CFI delta outside any INIT region")
+def _add(st, e):
+    """Add entry e to the build state.  A line record outside any FUNC,
+    or a CFI delta outside any INIT region, raises ValueError."""
+    kind, addr, f = e
+    if kind == "LINE":
+        if st.lines is None:
+            raise ValueError("line record outside any FUNC")
+        st.lines.append(LineRecord(addr, *f))
+    elif kind == "CFI":
+        if st.deltas is None:
+            raise ValueError("STACK CFI delta outside any INIT region")
+        st.deltas.append((addr, dict(f[0])))
+    elif kind == "FUNC":
+        st.lines, st.deltas = [], None
+        st.funcs.append(((addr,) + f, st.lines))
+    elif kind == "CFI INIT":
+        st.lines, st.deltas = None, []
+        st.cfi.append((addr, f[0], dict(f[1]), st.deltas))
+    elif kind == "PUBLIC":
+        st.lines = st.deltas = None
+        st.publics.append((addr, f[0]))
+    elif kind == "FILE":
+        st.files.append(f)
     else:
-        st.deltas.append((_parse_hex(toks[2]), _parse_rules(toks[3:])))
+        st.module_id = f[0]
 
 
-def _sym_line(st, toks, line):
-    """A line record has no keyword: its first token is its address."""
-    addr = _parse_hex(toks[0])
-    if st.lines is None:
-        raise ValueError("line record outside any FUNC")
-    _, size, srcline, filenum = toks
-    st.lines.append(LineRecord(addr, _parse_hex(size), _parse_dec(srcline),
-                               _parse_dec(filenum)))
+def _new_state():
+    return SimpleNamespace(module_id="", files=[], funcs=[], cfi=[],
+                           publics=[], lines=None, deltas=None)
 
 
-_SYMBOL_RECORDS = {
-    "MODULE": _sym_module,
-    "FILE": lambda st, toks, line: st.files.append(
-        (_parse_dec(toks[1]), _trailing_field(line, toks, 2))),
-    "FUNC": _sym_func,
-    "PUBLIC": _sym_public,
-    "STACK": _sym_stack,
-}
+def _built(st):
+    """The validated SymbolFile of a build state."""
+    sf = SymbolFile(
+        module_id=st.module_id, files=tuple(st.files),
+        funcs=tuple(FuncRecord(*head, tuple(lines))
+                    for head, lines in st.funcs),
+        cfi_regions=tuple(CfiInitRecord(a, s, rules, tuple(deltas))
+                          for a, s, rules, deltas in st.cfi),
+        publics=tuple(st.publics))
+    validate(sf)
+    return sf
+
+
+def symbol_file_from_entries(entries) -> SymbolFile:
+    """The symbol file of a sequence of entries, read as
+    parse_symbol_file reads lines.  A line record or CFI delta without
+    its parent, or a result that fails validate(), raises
+    SymbolFormatError."""
+    st = _new_state()
+    for entry in entries:
+        try:
+            _add(st, entry)
+        except ValueError as e:
+            raise SymbolFormatError(str(e)) from None
+    return _built(st)
 
 
 def parse_symbol_file(text: str) -> SymbolFile:
     """Parse symbol-file text.  A bad record raises SymbolParseError with
     its line number as `lineno`; a file that parses but fails validate()
     raises it with `lineno` None."""
-    st = SimpleNamespace(module_id="", files=[], funcs=[], cfi=[], publics=[],
-                         lines=None, deltas=None)
-    read_records(text, None, _SYMBOL_RECORDS, st, SymbolParseError, _sym_line)
-    sf = SymbolFile(
-        module_id=st.module_id, files=tuple(st.files),
-        funcs=tuple(FuncRecord(a, s, p, n, tuple(lines))
-                    for a, s, p, n, lines in st.funcs),
-        cfi_regions=tuple(CfiInitRecord(a, s, rules, tuple(deltas))
-                          for a, s, rules, deltas in st.cfi),
-        publics=tuple(st.publics))
+    st = _new_state()
+    read_records(text, None, {}, st, SymbolParseError,
+                 lambda st, toks, line: _add(st, _entry(toks, line)))
     try:
-        validate(sf)
+        return _built(st)
     except SymbolFormatError as e:
         raise SymbolParseError(str(e)) from e
-    return sf

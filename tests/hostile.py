@@ -7,8 +7,9 @@ import zlib
 from hypothesis import strategies as st
 
 from divsym import deltadata
-from divsym.deltadata import DeltaData, Growth, Patch
+from divsym.deltadata import DeltaData, Growth, Patch, PatchOp
 from divsym.diversify import SeedTuple
+from divsym.symfile import symbol_file_entries
 
 
 def _plain_container(payload_text):
@@ -49,6 +50,9 @@ PATCH_FAULTS = {
     "keep without count": {4: b"PATCH v2 0 1\nK"},
     "growth record without bytes": {4: b"PATCH v2 1 0\nG 0 0"},
     "growth records past the end": {4: b"PATCH v2 2 0\nG 0 0 4"},
+    # int() refuses a decimal string of more than 4300 digits
+    "growth index of 5000 digits": {4: b"PATCH v2 1 0\nG " + b"1" * 5000
+                                    + b" 0 4"},
 }
 # Malformed header records; the reader raises DeltaFormatError.
 HEADER_FAULTS = {
@@ -98,6 +102,36 @@ def growth_faults(sf):
             (Growth(i, last.address - h.address,
                     at - last.address - last.size),),
             "replayed growth records: CFI delta .* outside region"),
+        "growth past 2^32": (
+            (Growth(0, first, 10 ** 30),),
+            "replayed growth records: FUNC .* 32-bit address space"),
+    }
+
+
+def op_faults(sf):
+    """Patches over the symbol file sf that apply must refuse with
+    PatchCorruptError, by case, each with a pattern its message matches
+    from the start: R/I lines that do not read as symbol-file records in
+    their place, and a shift past 2^32.  sf has a MODULE line."""
+    n = len(list(symbol_file_entries(sf)))
+    head = 1 + len(sf.files)
+    keep = PatchOp("K", n)
+    return {
+        "blank line": (
+            Patch((PatchOp("I", lines=("",)), keep)),
+            "patched symbol file invalid: blank line"),
+        "line record before any FUNC": (
+            Patch((PatchOp("R", 1, lines=("10 4 1 1",)), PatchOp("K", n - 1))),
+            "patched symbol file invalid: line record outside any FUNC"),
+        "CFI delta before any INIT": (
+            Patch((PatchOp("I", lines=("STACK CFI 10 .cfa: sp 4 +",)), keep)),
+            "patched symbol file invalid: STACK CFI delta outside"),
+        "non-hex address": (
+            Patch((PatchOp("I", lines=("FUNC 1x 4 0 f",)), keep)),
+            "patched symbol file invalid: FUNC: .* malformed hex"),
+        "shift past 2^32": (
+            Patch((PatchOp("K", head), PatchOp("S", n - head, delta=1 << 40))),
+            "patched symbol file invalid: FUNC .* 32-bit address space"),
     }
 
 

@@ -15,7 +15,7 @@ from divsym.replicate import replicate
 from divsym.symfile import parse_symbol_file
 from hostile import (HEADER_FAULTS, PATCH_FAULTS, _plain_container,
                      bad_nop_container, edited_container, growth_faults,
-                     inflation_bomb, mutate)
+                     inflation_bomb, mutate, op_faults)
 
 
 def run(*argv):
@@ -216,6 +216,22 @@ def test_hostile_growth_records_exit_code(tmp_path, capsys):
     for growth, message in growth_faults(approx).values():
         delta.write_bytes(deltadata.pack(
             replace(dd, patch=replace(dd.patch, growth=growth))))
+        assert run("report", "--dump", dumps[0], *common) == 4
+        err = capsys.readouterr().err
+        assert re.search("^corrupt patch: " + message, err), err
+
+
+def test_hostile_patch_ops_exit_code(tmp_path, capsys):
+    common, dumps = _build_and_crash(tmp_path, 1)
+    args = dict(zip(common[::2], common[1::2]))
+    delta = Path(args["--delta"])
+    dd = deltadata.unpack(delta.read_bytes())
+    approx = replicate(
+        parse_symbol_file(Path(args["--default-sym"]).read_text()),
+        parse_opportunity_log(Path(args["--opplog"]).read_text()),
+        dd.seeds, dd.options())
+    for patch, message in op_faults(approx).values():
+        delta.write_bytes(deltadata.pack(replace(dd, patch=patch)))
         assert run("report", "--dump", dumps[0], *common) == 4
         err = capsys.readouterr().err
         assert re.search("^corrupt patch: " + message, err), err

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 import struct
 import zlib
@@ -16,7 +17,7 @@ from divsym.progmodel import BuildOptions, generate_corpus
 from divsym.replicate import replicate
 from divsym.symfile import (CfiInitRecord, FuncRecord, LineRecord, SymbolFile,
                             emit_symbol_file)
-from hostile import growth_faults
+from hostile import growth_faults, op_faults
 from sfgen import random_symbol_file
 
 OPTS = BuildOptions()
@@ -181,15 +182,52 @@ def test_hostile_growth_records_raise_patch_corrupt():
             apply(approx, unpack(pack(small_dd(bad))).patch)
 
 
-def test_prog000_delta_stays_small():
-    model = generate_corpus(0xBE7C, 1, "medium")[0]
+def test_hostile_patch_ops_raise_patch_corrupt():
+    model = generate_corpus(41, 1)[0]
     dres, log = build_default(model, OPTS)
-    seeds = SeedTuple(11, 22, 33)
+    approx = replicate(dres.symfile, log, SEEDS, OPTS)
+    for patch, message in op_faults(approx).values():
+        with pytest.raises(PatchCorruptError, match="^" + message):
+            apply(approx, patch)
+        with pytest.raises(PatchCorruptError, match="^" + message):
+            apply(approx, unpack(pack(small_dd(patch))).patch)
+
+
+@pytest.fixture(scope="module")
+def prog000():
+    """The benchmark program's model, default build and opportunity log."""
+    model = generate_corpus(0xBE7C, 1, "medium")[0]
+    return (model,) + build_default(model, OPTS)
+
+
+def prog000_delta(prog000, seeds):
+    """The truth, the approximation and the delta of one build of prog000."""
+    model, dres, log = prog000
     truth, _ = build_diversified(model, seeds, OPTS)
     approx = replicate(dres.symfile, log, seeds, OPTS)
-    p = diff(approx, truth.symfile)
-    assert len(pack(delta_from_options(seeds, OPTS, p))) <= 450
-    assert emit_symbol_file(apply(approx, p)) == emit_symbol_file(truth.symfile)
+    return truth.symfile, approx, \
+        delta_from_options(seeds, OPTS, diff(approx, truth.symfile))
+
+
+def test_prog000_delta_stays_small(prog000):
+    truth, approx, dd = prog000_delta(prog000, SeedTuple(11, 22, 33))
+    assert len(pack(dd)) <= 450
+    assert emit_symbol_file(apply(approx, dd.patch)) == emit_symbol_file(truth)
+
+
+# The writer's uncompressed payload for prog000, pinned: a change to the
+# diff or to the payload grammar shows here.  DEFLATE output depends on
+# the zlib build, so the packed bytes are not pinned.
+@pytest.mark.parametrize("seeds,digest", [
+    (SeedTuple(11, 22, 33),
+     "604856dd4ebfbc2036bc5bf5b954b16fa7a1aa36e41501543e2509b5429552a7"),
+    (SeedTuple(44, 55, 66),
+     "a87f4eae3a4020b4e1960c0fd706c903e9fe754ea0effe5edecb90d05115d264"),
+])
+def test_prog000_payload_is_pinned(prog000, seeds, digest):
+    _, _, dd = prog000_delta(prog000, seeds)
+    payload = deltadata._emit_payload(dd).encode()
+    assert hashlib.sha256(payload).hexdigest() == digest
 
 
 def test_apply_rejects_wrong_length():
@@ -281,6 +319,7 @@ def test_version_1_container_is_refused():
     "PATCH v2 1 0\nG 0 0 +4", "PATCH v2 1 0\nG 01 0 4",
     "PATCH v2 1 0\nG 0 04 4", "PATCH v2 1 0\nG 0 0 -04",
     "PATCH v2 1 0\nK 1", "PATCH v2 1 1\nK 1\nG 0 0 4",
+    "PATCH v2 1 0\nG %s 0 4" % ("1" * 5000),
 ])
 def test_malformed_patch_ops_raise_patch_corrupt(patch_text):
     text = deltadata._emit_payload(small_dd())

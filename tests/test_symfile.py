@@ -2,7 +2,9 @@ import pytest
 
 from divsym.errors import SymbolFormatError, SymbolParseError
 from divsym.symfile import (FuncRecord, LineRecord, SymbolFile,
-                            emit_symbol_file, parse_symbol_file)
+                            emit_symbol_file, entry_text, parse_entry,
+                            parse_symbol_file, symbol_file_entries,
+                            symbol_file_from_entries)
 from sfgen import random_symbol_file
 
 LINE_EXCERPT = ("FUNC 157c 34 0 google_breakpad::LineReader::PopLine\n"
@@ -97,6 +99,20 @@ def test_bad_record_reports_line(text, lineno):
     assert ei.value.lineno == lineno
 
 
+@pytest.mark.parametrize("text", [
+    "FUNC 100000000 4 0 f\n",
+    "FUNC fffffffc 4 0 f\n",                  # ends at 2^32
+    "PUBLIC 100000000 p\n",
+    "STACK CFI INIT fffffff0 10 .cfa: sp .ra: lr\n",
+])
+def test_address_or_end_past_32_bits_refused(text):
+    with pytest.raises(SymbolParseError, match="32-bit address space") as ei:
+        parse_symbol_file(text)
+    assert ei.value.lineno is None
+    # a function that ends just below 2^32 is accepted
+    assert parse_symbol_file("FUNC fffffffb 4 0 f\n").funcs[0].size == 4
+
+
 def test_crlf_input_parses():
     crlf = LINE_EXCERPT.replace("\n", "\r\n")
     assert parse_symbol_file(crlf) == parse_symbol_file(LINE_EXCERPT)
@@ -132,6 +148,11 @@ def test_random_round_trips():
         text = emit_symbol_file(sf)
         assert parse_symbol_file(text) == sf, "seed %d" % seed
         assert emit_symbol_file(parse_symbol_file(text)) == text
+        # one entry per canonical line, in both directions
+        entries = list(symbol_file_entries(sf))
+        assert "".join(entry_text(e) + "\n" for e in entries) == text
+        assert [parse_entry(ln) for ln in text.splitlines()] == entries
+        assert symbol_file_from_entries(entries) == sf
 
 
 def test_emit_parse_idempotent_on_excerpts():
