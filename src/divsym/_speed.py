@@ -13,10 +13,9 @@ is one big-int operation over all lanes.  A 64-bit product fits its
 shift keeps one lane's bits out of its neighbour.  The low 32 bits of
 each draw are compared with the threshold by one subtraction that
 cannot borrow, and byte 4 of each lane is then 1 exactly where the gap
-fires.
+fires.  Those bytes, read off with one slice, are the block's NOP mask;
+a span's NOP count is then one bytes.count over it.
 """
-
-from itertools import compress
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -69,23 +68,26 @@ def _lanes(n):
 
 
 def nop_gaps(seed, n_gaps, threshold):
-    """Gap indices (1-based) selected for NOP insertion.
+    """The block's NOP mask: n_gaps bytes, byte g-1 is 1 exactly when
+    gap g (after instruction g, 1-based) receives a NOP, else 0.
 
     One SplitMix64 draw per gap; gap g fires when the low 32 bits of
     draw g are below threshold.  threshold = (num << 32) // den.  The
     draws of up to CHUNK_LANES gaps are computed at once, one per lane
     of a packed int (see the module docstring).
     """
+    if n_gaps <= 0:
+        return b""
     # Outside [1, 2^32 - 1] no draw or every draw is below threshold,
     # and past [0, 2^32] the lane subtraction below would borrow or
     # carry into the next lane.
-    if n_gaps <= 0 or threshold <= 0:
-        return []
+    if threshold <= 0:
+        return bytes(n_gaps)
     if threshold >= 1 << 32:
-        return list(range(1, n_gaps + 1))
+        return b"\x01" * n_gaps
     seed &= MASK64
     bias = threshold + 0xFFFFFFFF      # 2^32 + threshold - 1
-    out = []
+    chunks = []
     for g0 in range(0, n_gaps, CHUNK_LANES):
         n = min(n_gaps - g0, CHUNK_LANES)
         lanes = -(-n // LANE_ROUND) * LANE_ROUND
@@ -99,8 +101,8 @@ def nop_gaps(seed, n_gaps, threshold):
         # each lane holds 2^32 + threshold - 1 - low32 in [1, 2^33): bit
         # 32, bit 0 of the lane's byte 4, is set iff low32 < threshold
         fired = (bias * ones - z).to_bytes(lanes * LANE_BYTES, "little")
-        out.extend(compress(range(g0 + 1, g0 + n + 1), fired[4::LANE_BYTES]))
-    return out
+        chunks.append(fired[4:n * LANE_BYTES:LANE_BYTES])
+    return b"".join(chunks)
 
 
 def arm_imm_encodable(v):

@@ -13,10 +13,9 @@ its decisions.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, compress, pairwise
 from types import SimpleNamespace
 
 from divsym._speed import FNV_PRIME, MASK64, fnv1a64, mix64, nop_gaps
@@ -28,11 +27,11 @@ from divsym.records import fields, read_records
 # re-exported: the PRNG and reseeding live in divsym.prng
 __all__ = [
     "SeedTuple", "Prng", "function_reseed", "pad_amount", "gap_decisions",
-    "clear_gap_memo", "insert_nops", "shuffle_permutation", "inject_desync",
+    "clear_gap_memo", "shuffle_permutation", "inject_desync",
     "build_default", "build_diversified", "OpportunityLog", "LogFunction",
     "LogBlock", "DecisionLog", "log_from_layout", "emit_opportunity_log",
     "parse_opportunity_log", "emit_decision_log", "parse_decision_log",
-    "bucket_gaps",
+    "span_counts",
 ]
 
 PAD_CHOICES = 32          # padding in {8, 16, ..., 256}
@@ -93,7 +92,7 @@ def pad_amount(identifier, pad_seed, default_mode):
 
 
 # The draws of one (nop_seed, num, den): (that triple, {(identifier,
-# block_index, n_gaps): gaps}).  A call with another triple replaces the
+# block_index, n_gaps): mask}).  A call with another triple replaces the
 # whole slot in one assignment, so threads under the GIL never see a
 # dict tagged with the wrong triple.
 _drawn = (None, {})
@@ -121,7 +120,8 @@ def _block_seed(identifier, block_index, nop_seed):
 
 
 def gap_decisions(identifier, block_index, n_gaps, nop_seed, num, den):
-    """1-based gap indices that receive a NOP, for one code block.
+    """The NOP mask of one code block: n_gaps bytes, byte g-1 is 1
+    exactly when gap g (after instruction g) receives a NOP.
 
     Reseeds per block from identifier '#' block_index, one draw per gap;
     a gap fires when the draw's low 32 bits are below num/den of 2^32.
@@ -132,19 +132,21 @@ def gap_decisions(identifier, block_index, n_gaps, nop_seed, num, den):
     differs between the two (a desynced block) draws again.
     """
     global _drawn
-    if n_gaps <= 0 or num <= 0:
-        return ()
+    if n_gaps <= 0:
+        return b""
+    if num <= 0:
+        return bytes(n_gaps)
     tag = (nop_seed, num, den)
     drawn_tag, drawn = _drawn
     if drawn_tag != tag:
         drawn = {}
         _drawn = (tag, drawn)
     key = (identifier, block_index, n_gaps)
-    gaps = drawn.get(key)
-    if gaps is None:
+    mask = drawn.get(key)
+    if mask is None:
         seed = _block_seed(identifier, block_index, nop_seed)
-        gaps = drawn[key] = tuple(nop_gaps(seed, n_gaps, (num << 32) // den))
-    return gaps
+        mask = drawn[key] = nop_gaps(seed, n_gaps, (num << 32) // den)
+    return mask
 
 
 def clear_gap_memo():
@@ -154,56 +156,43 @@ def clear_gap_memo():
     _drawn = (None, {})
 
 
-def bucket_gaps(gaps, sizes):
-    """Number of gaps landing in each span of the given instruction sizes.
+def span_counts(mask, sizes):
+    """NOPs landing in each span of the given instruction sizes.
 
-    Gap g (after instruction g, 1-based) lands in the first span whose
-    running total is >= g, i.e. the span holding instruction g.  A span of
-    size 0 shares its running total with the span before it, so it takes
-    no gap.  Gaps past the last span are dropped.
+    Gap g (after instruction g, 1-based) lands in the span holding
+    instruction g: a span holding instructions lo+1..hi takes
+    mask.count(1, lo, hi).  A span of size 0 takes no gap, and gaps
+    past the last span are dropped.
     """
-    counts = [0] * len(sizes)
-    bounds = list(accumulate(sizes))
-    n = len(bounds)
-    for g in gaps:
-        j = bisect_left(bounds, g)
-        if j < n:
-            counts[j] += 1
-    return counts
-
-
-def _grow_spans(spans, gaps):
-    """Insert one instruction after each gap index; NOPs inherit the
-    preceding instruction's source line."""
-    counts = bucket_gaps(gaps, [s.instrs for s in spans])
-    return tuple(LineSpan(s.line, s.filenum, s.instrs + k)
-                 for s, k in zip(spans, counts))
+    bounds = (0, *accumulate(sizes))
+    return tuple(mask.count(1, lo, hi) for lo, hi in pairwise(bounds))
 
 
 def _nop_pass(model, nop_seed, num, den):
-    """(model with NOPs inserted, decision-log nops): one gap_decisions
-    call per code block."""
+    """(NOP counts, decision-log nops): one gap_decisions call per code
+    block.  The counts hold, per function and per block, the span_counts
+    of a code block, or () for a data block."""
     if num < 0 or den <= 0 or num > den:
         raise ModelError("NOP probability %d/%d outside [0, 1]" % (num, den))
-    functions = []
+    counts = []
     nops = []
     for f in model.functions:
+        ident = f.identifier
         blocks = []
         for b in f.blocks:
-            if b.kind == "code":
-                gaps = gap_decisions(f.identifier, b.index, b.instr_count - 1,
-                                     nop_seed, num, den)
-                if gaps:
-                    nops.append((f.identifier, b.index, gaps))
-                    b = replace(b, spans=_grow_spans(b.spans, gaps))
-            blocks.append(b)
-        functions.append(replace(f, blocks=tuple(blocks)))
-    return replace(model, functions=tuple(functions)), tuple(nops)
-
-
-def insert_nops(model, nop_seed, num, den):
-    """Apply NOP insertion to every code block; data blocks untouched."""
-    return _nop_pass(model, nop_seed, num, den)[0]
+            if b.kind != "code":
+                blocks.append(())
+                continue
+            sizes = [s.instrs for s in b.spans]
+            mask = gap_decisions(ident, b.index, sum(sizes) - 1,
+                                 nop_seed, num, den)
+            grown = span_counts(mask, sizes)
+            blocks.append(grown)
+            if any(grown):
+                nops.append((ident, b.index,
+                             tuple(compress(range(1, len(mask) + 1), mask))))
+        counts.append(tuple(blocks))
+    return tuple(counts), tuple(nops)
 
 
 def shuffle_permutation(n, shuffle_seed):
@@ -279,8 +268,9 @@ def build_default(model, options=BuildOptions()):
 def build_diversified(model, seeds, options=BuildOptions()):
     """Diversified build: padding, then NOPs, then shuffling.
 
-    The decision log's nops come from the same pass that inserts them,
-    so every code block's gaps are drawn exactly once.
+    The NOPs are per-span counts that the layout adds to the padded
+    model's spans; the decision log's nops come from the same pass, so
+    every code block's gaps are drawn exactly once.
     """
     if options.pad_scheme:
         padded = _apply_padding(
@@ -292,13 +282,13 @@ def build_diversified(model, seeds, options=BuildOptions()):
     if options.desync_num:
         padded, desyncs = inject_desync(padded, seeds,
                                         options.desync_num, options.desync_den)
-    noppy, nops = _nop_pass(padded, seeds.nop_seed,
-                            options.nop_num, options.nop_den)
+    nop_counts, nops = _nop_pass(padded, seeds.nop_seed,
+                                 options.nop_num, options.nop_den)
     if options.shuffle_scheme:
         order = shuffle_permutation(len(model.functions), seeds.shuffle_seed)
     else:
         order = list(range(len(model.functions)))
-    result = layout(noppy, order, options)
+    result = layout(padded, order, options, nop_counts)
     structure = log_from_layout(result, model.module_name)
     dec = DecisionLog(
         module_name=model.module_name, functions=structure.functions,

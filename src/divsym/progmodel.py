@@ -286,7 +286,7 @@ def align_up(x, a):
     return (x + a - 1) & ~(a - 1)
 
 
-def _place_function(func, options, base, forced):
+def _place_function(func, options, base, forced, nops):
     """One placement attempt.
 
     Pools are emitted after the block where the running distance from
@@ -314,12 +314,13 @@ def _place_function(func, options, base, forced):
     threshold = POOL_REACH - 8
     for pos, b in enumerate(func.blocks):
         if b.kind == "code":
+            body = b.instr_count + (sum(nops[pos]) if nops else 0)
             pre = (push + fps + alloc) if pos == 0 else 0
             epi = (dealloc + pop) if b.epilogue else 0
-            n = pre + b.instr_count + mat.get(b.index, 0) + epi
+            n = pre + body + mat.get(b.index, 0) + epi
             size = INSTR_BYTES * n
             regions.append(Region(cursor, size, "code", b.index, n,
-                                  b.instr_count, pre, b.epilogue))
+                                  body, pre, b.epilogue))
             for c in b.consts:
                 pending.append((cursor, c))
         else:
@@ -354,10 +355,11 @@ def _emit_pool(regions, pools, pending, cursor, after_index):
     return cursor + pool.size, out_of_reach
 
 
-def _layout_function(func, options, base):
+def _layout_function(func, options, base, nops):
     forced = set()
     for _ in range(64):
-        regions, pools, violation = _place_function(func, options, base, forced)
+        regions, pools, violation = _place_function(func, options, base,
+                                                    forced, nops)
         if violation is None:
             return regions, pools
         if violation == 0 or violation - 1 in forced:
@@ -366,17 +368,18 @@ def _layout_function(func, options, base):
     raise LayoutError("pool pass did not converge for %s" % func.identifier)
 
 
-def _function_lines(func, regions):
+def _function_lines(func, regions, nops):
     lines = []
     by_index = {r.block_index: r for r in regions if r.kind == "code"}
     for b in func.blocks:
         if b.kind != "code":
             continue
         region = by_index[b.index]
-        post = region.n_instrs - region.pre_extras - b.instr_count
+        post = region.n_instrs - region.pre_extras - region.model_instrs
+        grown = nops[b.index] if nops else (0,) * len(b.spans)
         addr = region.address
-        for si, span in enumerate(b.spans):
-            size = INSTR_BYTES * span.instrs
+        for si, (span, k) in enumerate(zip(b.spans, grown)):
+            size = INSTR_BYTES * (span.instrs + k)
             if si == 0:
                 size += INSTR_BYTES * region.pre_extras
             if si == len(b.spans) - 1:
@@ -441,11 +444,12 @@ def _module_id(module_name):
     return "Linux arm %016x%016x0 %s" % (h, mix64(h), module_name)
 
 
-def layout(model, order, options):
+def layout(model, order, options, nop_counts=None):
     """Place functions in `order`; derive the image and its symbol file.
 
     Deterministic: identical inputs give identical results.  The model
-    must already carry its padding and NOPs.
+    must already carry its padding.  nop_counts (diversify._nop_pass)
+    holds, per function and per block, the NOPs added to each span.
     """
     validate_model(model)
     n = len(model.functions)
@@ -458,10 +462,11 @@ def layout(model, order, options):
     cursor = 0
     for idx in order:
         f = model.functions[idx]
+        nops = nop_counts[idx] if nop_counts else None
         fbase = align_up(cursor, f.alignment)
-        regions, pools = _layout_function(f, options, fbase)
+        regions, pools = _layout_function(f, options, fbase, nops)
         size = regions[-1].address + regions[-1].size - fbase
-        lines = _function_lines(f, regions)
+        lines = _function_lines(f, regions, nops)
         rec = _function_cfi(f, fbase, size, regions)
         image.append(FunctionLayout(
             identifier=f.identifier, name=f.name, alignment=f.alignment,

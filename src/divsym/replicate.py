@@ -7,8 +7,9 @@ direct effects are modeled:
 * padding replay rewrites frame-size CFI constants and resizes the
   prologue/epilogue allocation groups by the predicted sp-adjust
   instruction-count change;
-* NOP replay regenerates the per-block gap decisions and grows the line
-  record containing each gap, shifting everything after it;
+* NOP replay regenerates each code block's NOP mask (one byte per
+  gap, 1 where a NOP goes) and grows each line record by the count of
+  ones over its own instructions, shifting everything after it;
 * shuffle replay reorders functions and reassigns base addresses from
   the logged alignments.
 
@@ -18,26 +19,12 @@ are deliberately not modeled; the patch closes the residue.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from divsym.diversify import (DEFAULT_PAD, bucket_gaps, gap_decisions,
-                              pad_amount, shuffle_permutation)
+from divsym.diversify import (DEFAULT_PAD, gap_decisions, pad_amount,
+                              shuffle_permutation, span_counts)
 from divsym.errors import ReplicationInputError
 from divsym.progmodel import (INSTR_BYTES, align_up, epilogue_extras,
                               prologue_extras)
 from divsym.symfile import CfiInitRecord, FuncRecord, LineRecord, SymbolFile
-
-
-@dataclass(frozen=True)
-class _Bundle:
-    """One function rebuilt with function-relative addresses."""
-    name: str
-    param_size: int
-    alignment: int
-    size: int
-    lines: tuple           # offsets relative to the function base
-    init_rules: dict
-    deltas: tuple
 
 
 def _pair_records(default_sf, log):
@@ -90,7 +77,8 @@ def _block_records(func, lf):
     return out
 
 
-def _replicate_function(func, cfi, lf, seeds, options):
+def _replicate_function(func, cfi, lf, seeds, options, fbase):
+    """(FuncRecord, CfiInitRecord) of one function placed at fbase."""
     ident = lf.identifier
     defpad = DEFAULT_PAD if options.default_padding else 0
     if options.pad_scheme:
@@ -135,9 +123,9 @@ def _replicate_function(func, cfi, lf, seeds, options):
             raise ReplicationInputError(
                 "record/extras mismatch in %s block %d" % (func.name, b.index))
 
-        gaps = gap_decisions(ident, b.index, b.model_instrs - 1,
+        mask = gap_decisions(ident, b.index, b.model_instrs - 1,
                              seeds.nop_seed, options.nop_num, options.nop_den)
-        nops = bucket_gaps(gaps, bodies)
+        nops = span_counts(mask, bodies)
 
         new_start = cursor
         for j, r in enumerate(recs):
@@ -146,7 +134,8 @@ def _replicate_function(func, cfi, lf, seeds, options):
                 size += INSTR_BYTES * pre_new
             if j == len(recs) - 1:
                 size += mat_bytes + INSTR_BYTES * post_new
-            new_lines.append(LineRecord(cursor, size, r.line, r.filenum))
+            new_lines.append(LineRecord(fbase + cursor, size, r.line,
+                                        r.filenum))
             cursor += size
         old_end = recs[-1].address + recs[-1].size - base
         placed.append((b, recs[0].address - base, old_end, new_start, cursor))
@@ -177,35 +166,31 @@ def _replicate_function(func, cfi, lf, seeds, options):
             if total_def and rules.get(".cfa") == frame_cfa:
                 rules[".cfa"] = ("sp", 4 * lf.saved_count + total_new, "+")
             deltas[new_off] = rules
-    return _Bundle(func.name, func.param_size, lf.alignment, cursor,
-                   tuple(new_lines), dict(cfi.init_rules),
-                   tuple(sorted(deltas.items())))
+    return (FuncRecord(fbase, cursor, func.param_size, func.name,
+                       tuple(new_lines)),
+            CfiInitRecord(fbase, cursor, dict(cfi.init_rules),
+                          tuple((fbase + off, rules)
+                                for off, rules in sorted(deltas.items()))))
 
 
 def replicate(default_sf, log, seeds, options):
     """Approximate diversified symbol file from default + log + seeds."""
     pairs = _pair_records(default_sf, log)
-    bundles = [_replicate_function(func, cfi, lf, seeds, options)
-               for func, cfi, lf in pairs]
-    n = len(bundles)
+    n = len(pairs)
     if options.shuffle_scheme and n:
         order = shuffle_permutation(n, seeds.shuffle_seed)
     else:
-        order = list(range(n))
+        order = range(n)
     funcs = []
     cfi_regions = []
     cursor = 0
     for idx in order:
-        b = bundles[idx]
-        fbase = align_up(cursor, b.alignment)
-        funcs.append(FuncRecord(
-            fbase, b.size, b.param_size, b.name,
-            tuple(LineRecord(fbase + ln.address, ln.size, ln.line, ln.filenum)
-                  for ln in b.lines)))
-        cfi_regions.append(CfiInitRecord(
-            fbase, b.size, b.init_rules,
-            tuple((fbase + off, rules) for off, rules in b.deltas)))
-        cursor = fbase + b.size
+        func, cfi, lf = pairs[idx]
+        f, c = _replicate_function(func, cfi, lf, seeds, options,
+                                   align_up(cursor, lf.alignment))
+        funcs.append(f)
+        cfi_regions.append(c)
+        cursor = f.address + f.size
     return SymbolFile(module_id=default_sf.module_id, files=default_sf.files,
                       funcs=tuple(funcs), cfi_regions=tuple(cfi_regions),
                       publics=default_sf.publics)

@@ -94,13 +94,15 @@ class SymbolFile:
 
 
 def _rule_sort_key(reg):
+    """.cfa, .ra, then rN by N, then the rest; the name breaks ties, so
+    the order is total (r01 before r1)."""
     if reg == ".cfa":
-        return (0, 0, "")
+        return (0, 0, reg)
     if reg == ".ra":
-        return (1, 0, "")
+        return (1, 0, reg)
     m = re.match(r"^r(\d+)$", reg)
     if m:
-        return (2, int(m.group(1)), "")
+        return (2, int(m.group(1)), reg)
     return (3, 0, reg)
 
 
@@ -296,10 +298,14 @@ def _parse_rules(toks):
             pairs[-1][1].append(int(tok, 10) if _DEC_RE.match(tok) else tok)
     if not pairs:
         raise ValueError("STACK CFI record without rules")
+    rules = {}
     for reg, expr in pairs:
         if not expr:
             raise ValueError("empty expression for %s" % reg)
-    return _rule_items({reg: tuple(expr) for reg, expr in pairs})
+        if reg in rules:
+            raise ValueError("register %s named twice" % reg)
+        rules[reg] = tuple(expr)
+    return _rule_items(rules)
 
 
 def _entry(toks, line):

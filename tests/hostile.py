@@ -129,6 +129,11 @@ def op_faults(sf):
         "non-hex address": (
             Patch((PatchOp("I", lines=("FUNC 1x 4 0 f",)), keep)),
             "patched symbol file invalid: FUNC: .* malformed hex"),
+        "register named twice in one CFI record": (
+            Patch((PatchOp("I", lines=(
+                "STACK CFI INIT 10 4 .cfa: sp 0 + .ra: lr r4: sp r4: lr",)),
+                keep)),
+            "patched symbol file invalid: STACK: .* register r4 named twice"),
         "shift past 2^32": (
             Patch((PatchOp("K", head), PatchOp("S", n - head, delta=1 << 40))),
             "patched symbol file invalid: FUNC .* 32-bit address space"),

@@ -224,7 +224,7 @@ def test_c08_decision_process_statistics():
     i = 0
     while gaps < 100000:
         got = gap_decisions("accept_fn_%d@o:s" % i, i % 7, 160, 0xACC8, 1, 5)
-        fired += len(got)
+        fired += got.count(1)
         gaps += 160
         i += 1
     rate = fired / gaps

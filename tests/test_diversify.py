@@ -1,20 +1,24 @@
+import hashlib
 import itertools
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
-from divsym import _speed, diversify
+from divsym import _speed, diversify, image
 from divsym.diversify import (SeedTuple, build_default, build_diversified,
-                              bucket_gaps, clear_gap_memo, emit_decision_log,
+                              clear_gap_memo, emit_decision_log,
                               emit_opportunity_log, gap_decisions,
-                              inject_desync, insert_nops,
-                              pad_amount, parse_decision_log,
-                              parse_opportunity_log, shuffle_permutation)
+                              inject_desync, pad_amount, parse_decision_log,
+                              parse_opportunity_log, shuffle_permutation,
+                              span_counts)
 from divsym.prng import Prng, function_reseed
-from divsym.progmodel import (BlockModel, BuildOptions, LineSpan,
-                              generate_corpus)
+from divsym.progmodel import (BlockModel, BuildOptions, FrameModel,
+                              FunctionModel, LineSpan, ProgramModel,
+                              generate_corpus, layout)
 from divsym.replicate import replicate
 from divsym.symfile import emit_symbol_file
 
@@ -84,20 +88,36 @@ def _nop_model():
     return generate_corpus(3, 1)[0]
 
 
+def _gaps(mask):
+    """The 1-based gap indices a NOP mask selects."""
+    return tuple(g for g, fired in enumerate(mask, 1) if fired)
+
+
+def _mask(gaps, n):
+    """The n-byte NOP mask that selects the given gaps."""
+    return bytes(g in gaps for g in range(1, n + 1))
+
+
 def test_insert_nops_zero_probability():
     m = _nop_model()
-    assert insert_nops(m, 99, 0, 5) == m
+    counts, nops = diversify._nop_pass(m, 99, 0, 5)
+    assert nops == ()
+    assert counts == tuple(
+        tuple((0,) * len(b.spans) if b.kind == "code" else ()
+              for b in f.blocks) for f in m.functions)
 
 
 def test_insert_nops_probability_one_doubles_gaps():
     m = _nop_model()
-    out = insert_nops(m, 99, 1, 1)
-    for f0, f1 in zip(m.functions, out.functions):
-        for b0, b1 in zip(f0.blocks, f1.blocks):
-            if b0.kind == "code":
-                assert b1.instr_count == 2 * b0.instr_count - 1
+    counts, _ = diversify._nop_pass(m, 99, 1, 1)
+    for f, fc in zip(m.functions, counts):
+        for b, bc in zip(f.blocks, fc):
+            if b.kind == "code":
+                # every gap fires; the last instruction has none after it
+                assert b.instr_count + sum(bc) == 2 * b.instr_count - 1
+                assert bc[-1] == b.spans[-1].instrs - 1
             else:
-                assert b1 == b0
+                assert bc == ()
 
 
 def test_insert_nops_rate_twenty_percent():
@@ -106,7 +126,8 @@ def test_insert_nops_rate_twenty_percent():
     for i in range(700):
         n = 150
         got = gap_decisions("f%d@o:s" % i, 0, n, 0x5EED, 1, 5)
-        fired += len(got)
+        assert len(got) == n
+        fired += got.count(1)
         gaps += n
     assert gaps >= 100000
     rate = fired / gaps
@@ -115,29 +136,32 @@ def test_insert_nops_rate_twenty_percent():
 
 def test_gap_decisions_depend_only_on_block_key():
     a = gap_decisions("f@o:s", 3, 40, 1234, 1, 5)
+    assert len(a) == 40 and set(a) == {0, 1}
     assert gap_decisions("f@o:s", 3, 40, 1234, 1, 5) == a
     assert gap_decisions("f@o:s", 4, 40, 1234, 1, 5) != a
     assert gap_decisions("g@o:s", 3, 40, 1234, 1, 5) != a
     # a longer block agrees on the shared prefix of gaps
     b = gap_decisions("f@o:s", 3, 60, 1234, 1, 5)
-    assert tuple(g for g in b if g <= 40) == a
+    assert b[:40] == a
 
 
 def test_nops_inherit_preceding_line():
+    # gaps 1 and 2 follow instructions 1 and 2 (2 is the last of span 0);
+    # gap 4 follows instruction 4, inside span 1
     spans = (LineSpan(10, 1, 2), LineSpan(20, 1, 3))
-    block = BlockModel("code", 0, spans=spans, epilogue=True)
-    grown = insert_nops.__globals__["_grow_spans"](spans, (1, 2, 4))
-    # gaps 1,2 follow instructions in span 0 and 2? gap 2 follows instr 2
-    # (last of span 0); gap 4 follows instr 4 (inside span 1)
-    assert grown[0].instrs == 2 + 2
-    assert grown[1].instrs == 3 + 1
-    assert grown[0].line == 10 and grown[1].line == 20
-    assert sum(s.instrs for s in grown) == sum(s.instrs for s in spans) + 3
-    assert block.kind == "code"
+    assert span_counts(_mask((1, 2, 4), 4), [s.instrs for s in spans]) \
+        == (2, 1)
+    f = FunctionModel("f", "f.o", ".text.f", 4, False, FrameModel(),
+                      (BlockModel("code", 0, spans=spans, epilogue=True),))
+    model = ProgramModel("m", ((1, "a.c"),), (f,))
+    lines = layout(model, [0], BuildOptions(), (((2, 1),),)).symfile \
+        .funcs[0].lines
+    assert [(r.line, r.size) for r in lines] == [(10, 16), (20, 16)]
 
 
 def _linear_gap_counts(gaps, sizes):
-    """The nested scan bucket_gaps replaced: first running total >= g."""
+    """The nested scan: gap g lands in the first span whose running
+    total is >= g."""
     bounds = list(itertools.accumulate(sizes))
     counts = [0] * len(sizes)
     for g in gaps:
@@ -159,7 +183,62 @@ def _linear_gap_counts(gaps, sizes):
     (tuple(range(1, 30)), (1, 0, 5, 7, 0, 3, 11)),
 ])
 def test_bucket_gaps_matches_linear_scan(gaps, sizes):
-    assert bucket_gaps(gaps, sizes) == _linear_gap_counts(gaps, sizes)
+    # the gaps bucketed into spans by counting their mask per span
+    mask = _mask(gaps, max(gaps + (sum(sizes),)))
+    assert span_counts(mask, sizes) == tuple(_linear_gap_counts(gaps, sizes))
+
+
+@given(sizes=st.lists(st.integers(0, 12), max_size=8),
+       mask=st.binary(max_size=80).map(lambda b: bytes(x & 1 for x in b)))
+def test_span_counts_match_the_linear_scan_on_any_mask(sizes, mask):
+    assert span_counts(mask, sizes) == \
+        tuple(_linear_gap_counts(_gaps(mask), sizes))
+
+
+def _grown_model(model, nop_seed, num, den):
+    """The model with one instruction added after each fired gap, the
+    spans grown by the linear scan over the gaps of each block's mask."""
+    functions = []
+    for f in model.functions:
+        blocks = []
+        for b in f.blocks:
+            if b.kind == "code":
+                gaps = _gaps(_oracle_mask(f.identifier, b.index,
+                                          b.instr_count - 1, nop_seed,
+                                          num, den))
+                counts = _linear_gap_counts(gaps, [s.instrs for s in b.spans])
+                b = replace(b, spans=tuple(
+                    LineSpan(s.line, s.filenum, s.instrs + k)
+                    for s, k in zip(b.spans, counts)))
+            blocks.append(b)
+        functions.append(replace(f, blocks=tuple(blocks)))
+    return replace(model, functions=tuple(functions))
+
+
+@pytest.mark.parametrize("options", [
+    BuildOptions(), BuildOptions(nop_num=1, nop_den=1),
+    BuildOptions(nop_num=0, nop_den=5),
+    BuildOptions(desync_num=1, desync_den=3)])
+def test_layout_of_the_grown_model_is_the_build(options):
+    # the build adds per-span NOP counts to the padded model's spans; the
+    # layout of a model whose spans were grown by the oracle is the same
+    for model in generate_corpus(0x6A0, 3):
+        res, dec = build_diversified(model, SEEDS, options)
+        padded = diversify._apply_padding(
+            model, lambda f: pad_amount(f.identifier, SEEDS.pad_seed, False))
+        if options.desync_num:
+            padded, hits = inject_desync(padded, SEEDS, options.desync_num,
+                                         options.desync_den)
+            assert hits == dec.desyncs
+        grown = _grown_model(padded, SEEDS.nop_seed, options.nop_num,
+                             options.nop_den)
+        want = layout(grown, shuffle_permutation(len(model.functions),
+                                                 SEEDS.shuffle_seed), options)
+        assert emit_symbol_file(res.symfile) == emit_symbol_file(want.symfile)
+        assert res.symfile == want.symfile
+        assert [fl.regions for fl in res.image] == \
+            [fl.regions for fl in want.image]
+        assert res.pool_placements == want.pool_placements
 
 
 def test_build_diversified_draws_each_code_block_once(monkeypatch):
@@ -177,12 +256,10 @@ def test_build_diversified_draws_each_code_block_once(monkeypatch):
     assert sorted(calls) == sorted(blocks)
 
 
-def _oracle_gaps(identifier, block_index, n_gaps, nop_seed, num, den):
+def _oracle_mask(identifier, block_index, n_gaps, nop_seed, num, den):
     """gap_decisions without the memo: the scalar reseed and draw loop."""
-    if n_gaps <= 0 or num <= 0:
-        return ()
     seed = function_reseed("%s#%d" % (identifier, block_index), nop_seed)
-    return tuple(_speed.nop_gaps(seed, n_gaps, (num << 32) // den))
+    return _speed.nop_gaps(seed, n_gaps, (num << 32) // den)
 
 
 def test_block_seed_is_the_function_reseed_of_the_block_key(monkeypatch):
@@ -239,9 +316,9 @@ def test_decision_log_nops_are_the_per_block_draws(options):
         for b in f.blocks:
             if b.kind != "code":
                 continue
-            gaps = _oracle_gaps(f.identifier, b.index, b.instr_count - 1,
-                                SEEDS.nop_seed, options.nop_num,
-                                options.nop_den)
+            gaps = _gaps(_oracle_mask(f.identifier, b.index,
+                                      b.instr_count - 1, SEEDS.nop_seed,
+                                      options.nop_num, options.nop_den))
             if gaps:
                 want.append((f.identifier, b.index, gaps))
     assert dec.nops == tuple(want)
@@ -258,14 +335,14 @@ def test_gap_memo_matches_the_scalar_oracle():
         for nop, num, den in triples + triples[::-1]:
             for ident, bi, n in keys:
                 assert gap_decisions(ident, bi, n, nop, num, den) == \
-                    _oracle_gaps(ident, bi, n, nop, num, den)
+                    _oracle_mask(ident, bi, n, nop, num, den)
 
 
 def test_gap_memo_under_threads_with_alternating_triples():
     # each thread switches the slot's triple on every call; a thread
-    # that read gaps drawn for another triple would fail the oracle
+    # that read a mask drawn for another triple would fail the oracle
     keys = [("f%d@o:s" % i, i % 3, 20 + i) for i in range(40)]
-    want = {(key, nop): _oracle_gaps(*key, nop, 1, 3)
+    want = {(key, nop): _oracle_mask(*key, nop, 1, 3)
             for key in keys for nop in range(4)}
     wrong = []
 
@@ -444,3 +521,25 @@ def test_log_round_trips():
     assert parse_opportunity_log(emit_opportunity_log(opp)) == opp
     _, dec = build_diversified(m, SEEDS, BuildOptions(desync_num=10))
     assert parse_decision_log(emit_decision_log(dec)) == dec
+
+
+# The build side's outputs for the benchmark program, prog000, pinned:
+# the symbol file, the decision log and the crash image, in that order.
+# A change to the NOP pass or to the layout shows here.
+@pytest.mark.parametrize("seeds,digests", [
+    (SeedTuple(11, 22, 33), (
+        "6b5b2a456e31985a9a375cfa7704744986a8e4157b1050961c30744d42f4f5b8",
+        "7ea50fbad49abb5f769407b0ede3d0ce2cb115b4606910cc31e4bba808d86c36",
+        "3f847ff2eed6d11de7dd92422a55ca866caaa86261d7d5246043609f73ae1b9b")),
+    (SeedTuple(44, 55, 66), (
+        "33fc6486613808c0e56f54d4351f1cc8b0edae9e4eb54baa802e56e6d97c71d6",
+        "b947eb4bc8525f7d74b395634eddbf5b7ee0bbf406710abd13cc2317c5e58716",
+        "5c818f05cc989a181f1583c67b81b813282366a4e5ac3e22f34c41b68b962499")),
+])
+def test_prog000_build_is_pinned(seeds, digests):
+    m = generate_corpus(0xBE7C, 1, "medium")[0]
+    res, dec = build_diversified(m, seeds)
+    outputs = (emit_symbol_file(res.symfile).encode(),
+               emit_decision_log(dec).encode(),
+               image.write_image(res, dec, m.module_name))
+    assert tuple(hashlib.sha256(o).hexdigest() for o in outputs) == digests

@@ -17,11 +17,15 @@ CLAMPED_THRESHOLDS = (-1, (1 << 32) + 1, 1 << 40, (1 << 64) - 1)
 EDGE_SEEDS = (0, 0x6A9, (1 << 64) - 1)
 
 
-def _stream_gaps(seed, n, threshold):
-    """The scalar rule: gap g fires when the low 32 bits of draw g of
-    Prng(seed) are below threshold."""
+def _stream_mask(seed, n, threshold):
+    """The scalar rule: gap g fires, and byte g-1 of the mask is 1, when
+    the low 32 bits of draw g of Prng(seed) are below threshold."""
     draws = Prng(seed)
-    return [g for g in range(1, n + 1) if (draws.next() & 0xFFFFFFFF) < threshold]
+    return bytes((draws.next() & 0xFFFFFFFF) < threshold for _ in range(n))
+
+
+def _gaps(mask):
+    return [g for g, fired in enumerate(mask, 1) if fired]
 
 
 # Reference outputs, recorded from the compiled SplitMix64/FNV-1a kernels
@@ -45,8 +49,9 @@ FROZEN_RESEED = {
     (b"fn307_ffff", 0xffffffffffffffff): 0x59505685ca59ec69,
     (b"x", 0x5eed): 0xe4e21f91e3f50668,
 }
-# (seed, threshold) -> (len(nop_gaps(seed, n, threshold)) for n in CHUNK_NS,
-#                       crc32 of the comma-joined nop_gaps(seed, 2000, threshold))
+# (seed, threshold) -> (fired gaps of nop_gaps(seed, n, threshold) for n in
+#                       CHUNK_NS, crc32 of the comma-joined gap indices
+#                       that nop_gaps(seed, 2000, threshold) selects)
 FROZEN_NOP_GAPS = {
     (0x0, 0x0): ((0, 0, 0, 0, 0, 0, 0, 0, 0, 0), 0x00000000),
     (0x0, 0x1): ((0, 0, 0, 0, 0, 0, 0, 0, 0, 0), 0x00000000),
@@ -101,8 +106,9 @@ def test_frozen_nop_gaps():
         (seed, thr) for seed in EDGE_SEEDS
         for thr in EDGE_THRESHOLDS + ((1 << 32) // 5, (2 << 32) // 3)}
     for (seed, thr), (counts, crc) in FROZEN_NOP_GAPS.items():
-        assert tuple(len(_speed.nop_gaps(seed, n, thr)) for n in CHUNK_NS) == counts
-        gaps = _speed.nop_gaps(seed, 2000, thr)
+        assert tuple(_speed.nop_gaps(seed, n, thr).count(1)
+                     for n in CHUNK_NS) == counts
+        gaps = _gaps(_speed.nop_gaps(seed, 2000, thr))
         assert zlib.crc32(",".join(map(str, gaps)).encode()) == crc
 
 
@@ -113,21 +119,21 @@ def test_pure_nop_gaps_matches_the_mix64_stream():
         n = rng.randrange(0, 200)
         thr = rng.choice((0, 1, (1 << 32) // 5, 1 << 32,
                           rng.randrange(0, 1 << 32)))
-        assert _speed.nop_gaps(seed, n, thr) == _stream_gaps(seed, n, thr)
+        assert _speed.nop_gaps(seed, n, thr) == _stream_mask(seed, n, thr)
 
 
 @pytest.mark.parametrize("n", CHUNK_NS)
 def test_pure_nop_gaps_across_chunk_boundaries(n):
     for seed in EDGE_SEEDS:
         for thr in EDGE_THRESHOLDS:
-            assert _speed.nop_gaps(seed, n, thr) == _stream_gaps(seed, n, thr)
+            assert _speed.nop_gaps(seed, n, thr) == _stream_mask(seed, n, thr)
 
 
 @pytest.mark.parametrize("threshold", CLAMPED_THRESHOLDS)
 def test_pure_nop_gaps_clamps_the_threshold(threshold):
     for n in CHUNK_NS:
-        want = _stream_gaps(0x5EED, n, threshold)
-        assert want == ([] if threshold < 0 else list(range(1, n + 1)))
+        want = _stream_mask(0x5EED, n, threshold)
+        assert want == (bytes(n) if threshold < 0 else b"\x01" * n)
         assert _speed.nop_gaps(0x5EED, n, threshold) == want
 
 
@@ -152,5 +158,5 @@ def test_pure_nop_gaps_scratch_memory_is_bounded_on_a_huge_block():
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert out == _stream_gaps(0xB16, n, 1 << 31)
+    assert out == _stream_mask(0xB16, n, 1 << 31)
     assert peak - kept < 300_000

@@ -154,10 +154,11 @@ def test_desync_contained_to_its_function():
         model, lambda f: pad_amount(f.identifier, SEEDS.pad_seed, False))
     desynced, hits = inject_desync(padded, SEEDS, 0, 100, targets=[target])
     assert [h[0] for h in hits] == [target]
-    from divsym.diversify import insert_nops, shuffle_permutation
-    noppy = insert_nops(desynced, SEEDS.nop_seed, OPTS.nop_num, OPTS.nop_den)
+    from divsym.diversify import _nop_pass, shuffle_permutation
+    nop_counts, _ = _nop_pass(desynced, SEEDS.nop_seed, OPTS.nop_num,
+                              OPTS.nop_den)
     order = shuffle_permutation(len(model.functions), SEEDS.shuffle_seed)
-    truth = layout(noppy, order, OPTS)
+    truth = layout(desynced, order, OPTS, nop_counts)
 
     approx = replicate(dres.symfile, log, SEEDS, OPTS)
     t_rec = function_records(truth.symfile)

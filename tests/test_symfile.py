@@ -1,7 +1,9 @@
+import itertools
+
 import pytest
 
 from divsym.errors import SymbolFormatError, SymbolParseError
-from divsym.symfile import (FuncRecord, LineRecord, SymbolFile,
+from divsym.symfile import (CfiInitRecord, FuncRecord, LineRecord, SymbolFile,
                             emit_symbol_file, entry_text, parse_entry,
                             parse_symbol_file, symbol_file_entries,
                             symbol_file_from_entries)
@@ -140,6 +142,35 @@ def test_unknown_register_preserved():
     sf = parse_symbol_file(text)
     assert sf.cfi_regions[0].init_rules["x29"] == (".cfa", -16, "+", "^")
     assert emit_symbol_file(sf) == text
+
+
+@pytest.mark.parametrize("rules", [
+    ".cfa: sp 0 + .ra: lr r4: sp r4: lr",
+    ".cfa: sp 0 + .cfa: sp 4 + .ra: lr",
+    ".cfa: sp 0 + .ra: lr x29: sp x29: sp",
+])
+def test_register_named_twice_in_one_record_is_refused(rules):
+    for line in ("STACK CFI INIT 0 10 " + rules, "STACK CFI 4 " + rules):
+        with pytest.raises(SymbolParseError, match="named twice"):
+            parse_entry(line)
+    with pytest.raises(SymbolParseError, match="^line 1: .*named twice"):
+        parse_symbol_file("STACK CFI INIT 0 10 %s\n" % rules)
+
+
+def test_emitted_rule_order_does_not_depend_on_insertion_order():
+    # r1 and r01 share a register number; the name breaks the tie
+    rules = {".cfa": ("sp", 0, "+"), ".ra": ("lr",), "r1": ("sp",),
+             "r01": ("lr",), "x29": ("sp",), "r10": ("sp",)}
+    texts = set()
+    for order in itertools.permutations(rules):
+        sf = SymbolFile(cfi_regions=(CfiInitRecord(
+            0, 16, {reg: rules[reg] for reg in order},
+            ((4, {reg: rules[reg] for reg in reversed(order)}),)),))
+        texts.add(emit_symbol_file(sf))
+    assert texts == {
+        "STACK CFI INIT 0 10 .cfa: sp 0 + .ra: lr r01: lr r1: sp r10: sp "
+        "x29: sp\nSTACK CFI 4 .cfa: sp 0 + .ra: lr r01: lr r1: sp r10: sp "
+        "x29: sp\n"}
 
 
 def test_random_round_trips():
