@@ -119,7 +119,8 @@ def cmd_diversify(args):
         image.write_image(result, dec, model.module_name))
     (out / "diversified.sym").write_text(emit_symbol_file(result.symfile),
                                          encoding="utf-8")
-    (out / "decision.log").write_text(emit_decision_log(dec), encoding="utf-8")
+    (out / "decision.log").write_text(emit_decision_log(result, dec),
+                                      encoding="utf-8")
     print(out / "diversified.sym")
     return EXIT_OK
 

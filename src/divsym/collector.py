@@ -31,7 +31,6 @@ from divsym.diversify import (build_default, build_diversified,
                               clear_gap_memo, emit_opportunity_log)
 from divsym.errors import HarnessError, ReplicationInputError
 from divsym.image import ImageInfo
-from divsym.prng import Prng
 from divsym.progmodel import INSTR_BYTES, BuildOptions, ProgramModel, layout
 from divsym.records import read_records
 from divsym.replicate import replicate
@@ -159,31 +158,6 @@ def simulate_crash(info: ImageInfo, model: ProgramModel, chain):
     return MinidumpLite(module_id=info.module_id, crash_reason=CRASH_REASON,
                         crash_address=pc, registers=regs,
                         stack=cfi.StackSnapshot(base, bytes(buf)))
-
-
-def sample_call_chains(model, n, seed):
-    """Deterministic random call chains through the model's call DAG.
-
-    Each chain follows call sites downward and ends at a crash site
-    inside the last function; single-element chains are leaf crashes.
-    """
-    rng = Prng(seed)
-    by_name = {f.name: f for f in model.functions}
-    chains = []
-    for _ in range(n):
-        f = model.functions[rng.below(len(model.functions))]
-        chain = []
-        while True:
-            if not f.call_sites or len(chain) >= 5 or rng.chance(30):
-                blocks = [b for b in f.blocks if b.kind == "code"]
-                b = blocks[rng.below(len(blocks))]
-                chain.append((f.name, b.index, rng.below(b.instr_count)))
-                break
-            bi, ii, callee = f.call_sites[rng.below(len(f.call_sites))]
-            chain.append((f.name, bi, ii))
-            f = by_name[callee]
-        chains.append(tuple(chain))
-    return chains
 
 
 # ---------------------------------------------------------------------------

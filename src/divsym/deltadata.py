@@ -28,7 +28,8 @@ Container layout (packed):
     DEFLATE payload | [32-byte HMAC-SHA-256 tag]
 
 flags bit 0 marks an authenticated container; the tag covers everything
-before it.  The payload is deterministic ASCII, compressed raw DEFLATE.
+before it.  No other flag bit is defined, and unpack refuses one.  The
+payload is deterministic ASCII, compressed raw DEFLATE.
 """
 
 from __future__ import annotations
@@ -607,6 +608,8 @@ def unpack(blob, key=None):
     if version != VERSION:
         raise DeltaFormatError("unsupported version %d" % version)
     flags = blob[5]
+    if flags & ~FLAG_AUTH:
+        raise DeltaFormatError("unknown container flags 0x%02x" % flags)
     plen = struct.unpack("<I", blob[6:10])[0]
     expect = HEADER_LEN + plen + (TAG_LEN if flags & FLAG_AUTH else 0)
     if len(blob) != expect:

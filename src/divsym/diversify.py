@@ -21,17 +21,16 @@ from types import SimpleNamespace
 from divsym._speed import FNV_PRIME, MASK64, fnv1a64, mix64, nop_gaps
 from divsym.errors import ModelError
 from divsym.prng import Prng, function_reseed
-from divsym.progmodel import BuildOptions, LineSpan, layout
+from divsym.progmodel import BuildOptions, layout
 from divsym.records import fields, read_records
 
 # re-exported: the PRNG and reseeding live in divsym.prng
 __all__ = [
     "SeedTuple", "Prng", "function_reseed", "pad_amount", "gap_decisions",
-    "clear_gap_memo", "shuffle_permutation", "inject_desync",
+    "clear_gap_memo", "shuffle_permutation", "desync_blocks",
     "build_default", "build_diversified", "OpportunityLog", "LogFunction",
     "LogBlock", "DecisionLog", "log_from_layout", "emit_opportunity_log",
-    "parse_opportunity_log", "emit_decision_log", "parse_decision_log",
-    "span_counts",
+    "parse_opportunity_log", "emit_decision_log", "span_counts",
 ]
 
 PAD_CHOICES = 32          # padding in {8, 16, ..., 256}
@@ -73,11 +72,10 @@ class OpportunityLog:
 @dataclass(frozen=True)
 class DecisionLog:
     module_name: str
-    functions: tuple          # LogFunction of the diversified build
     paddings: tuple           # ((identifier, bytes), ...)
     nops: tuple               # ((identifier, block_index, (gap, ...)), ...)
     order: tuple
-    desyncs: tuple = ()       # ((identifier, block_index), ...)
+    desyncs: tuple            # ((identifier, block_index), ...)
 
 
 def pad_amount(identifier, pad_seed, default_mode):
@@ -168,12 +166,18 @@ def span_counts(mask, sizes):
     return tuple(mask.count(1, lo, hi) for lo, hi in pairwise(bounds))
 
 
-def _nop_pass(model, nop_seed, num, den):
+def _nop_pass(model, nop_seed, num, den, desyncs=()):
     """(NOP counts, decision-log nops): one gap_decisions call per code
     block.  The counts hold, per function and per block, the span_counts
-    of a code block, or () for a data block."""
+    of a code block, or () for a data block.
+
+    A block in `desyncs` (desync_blocks) is drawn one instruction
+    longer, and its phantom instruction is one more count on its last
+    span.
+    """
     if num < 0 or den <= 0 or num > den:
         raise ModelError("NOP probability %d/%d outside [0, 1]" % (num, den))
+    hit = set(desyncs)
     counts = []
     nops = []
     for f in model.functions:
@@ -184,13 +188,17 @@ def _nop_pass(model, nop_seed, num, den):
                 blocks.append(())
                 continue
             sizes = [s.instrs for s in b.spans]
+            phantom = (ident, b.index) in hit
+            sizes[-1] += phantom
             mask = gap_decisions(ident, b.index, sum(sizes) - 1,
                                  nop_seed, num, den)
             grown = span_counts(mask, sizes)
-            blocks.append(grown)
             if any(grown):
                 nops.append((ident, b.index,
                              tuple(compress(range(1, len(mask) + 1), mask))))
+            if phantom:
+                grown = (*grown[:-1], grown[-1] + 1)
+            blocks.append(grown)
         counts.append(tuple(blocks))
     return tuple(counts), tuple(nops)
 
@@ -205,31 +213,25 @@ def shuffle_permutation(n, shuffle_seed):
     return order
 
 
-def inject_desync(model, seeds, num, den, targets=None):
-    """Append one phantom instruction to a random block of a fraction of
-    functions, emulating CFG/size perturbations the replicator cannot
-    see.  `targets` forces specific identifiers (tests)."""
+def desync_blocks(model, seeds, num, den, targets=None):
+    """((identifier, block_index), ...): the code block of each of a
+    num/den fraction of functions that gains one phantom instruction,
+    emulating CFG/size perturbations the replicator cannot see.
+    `targets` forces specific identifiers (tests)."""
+    if num < 0 or den <= 0 or num > den:
+        raise ModelError("desync probability %d/%d outside [0, 1]"
+                         % (num, den))
     dseed = mix64(seeds.pad_seed ^ mix64(seeds.nop_seed ^ mix64(seeds.shuffle_seed)))
-    threshold = (num << 32) // den if den else 0
-    functions = []
+    threshold = (num << 32) // den
     hits = []
     for f in model.functions:
         v = function_reseed(f.identifier + "#desync", dseed)
         fire = (f.identifier in targets) if targets is not None \
             else (v & 0xFFFFFFFF) < threshold
-        if not fire:
-            functions.append(f)
-            continue
-        code = [b.index for b in f.blocks if b.kind == "code"]
-        bi = code[Prng(v).next() % len(code)]
-        blocks = list(f.blocks)
-        b = blocks[bi]
-        last = b.spans[-1]
-        spans = b.spans[:-1] + (LineSpan(last.line, last.filenum, last.instrs + 1),)
-        blocks[bi] = replace(b, spans=spans)
-        functions.append(replace(f, blocks=tuple(blocks)))
-        hits.append((f.identifier, bi))
-    return replace(model, functions=tuple(functions)), tuple(hits)
+        if fire:
+            code = [b.index for b in f.blocks if b.kind == "code"]
+            hits.append((f.identifier, code[Prng(v).next() % len(code)]))
+    return tuple(hits)
 
 
 def _apply_padding(model, pad_for):
@@ -268,9 +270,10 @@ def build_default(model, options=BuildOptions()):
 def build_diversified(model, seeds, options=BuildOptions()):
     """Diversified build: padding, then NOPs, then shuffling.
 
-    The NOPs are per-span counts that the layout adds to the padded
-    model's spans; the decision log's nops come from the same pass, so
-    every code block's gaps are drawn exactly once.
+    The NOPs, and each desynced block's phantom instruction, are
+    per-span counts that the layout adds to the padded model's spans;
+    the decision log's nops come from the same pass, so every code
+    block's gaps are drawn exactly once.
     """
     if options.pad_scheme:
         padded = _apply_padding(
@@ -278,20 +281,17 @@ def build_diversified(model, seeds, options=BuildOptions()):
     else:
         padded = _apply_padding(
             model, lambda f: DEFAULT_PAD if options.default_padding else 0)
-    desyncs = ()
-    if options.desync_num:
-        padded, desyncs = inject_desync(padded, seeds,
-                                        options.desync_num, options.desync_den)
-    nop_counts, nops = _nop_pass(padded, seeds.nop_seed,
-                                 options.nop_num, options.nop_den)
+    desyncs = desync_blocks(padded, seeds, options.desync_num,
+                            options.desync_den)
+    nop_counts, nops = _nop_pass(padded, seeds.nop_seed, options.nop_num,
+                                 options.nop_den, desyncs)
     if options.shuffle_scheme:
         order = shuffle_permutation(len(model.functions), seeds.shuffle_seed)
     else:
         order = list(range(len(model.functions)))
     result = layout(padded, order, options, nop_counts)
-    structure = log_from_layout(result, model.module_name)
     dec = DecisionLog(
-        module_name=model.module_name, functions=structure.functions,
+        module_name=model.module_name,
         paddings=tuple((f.identifier, f.frame.padding) for f in padded.functions),
         nops=nops, order=tuple(order), desyncs=desyncs)
     return result, dec
@@ -337,25 +337,14 @@ def _log_block(st, toks, line):
     st.functions[-1][-1].append(b)
 
 
-# The records both logs share.  Each function under construction is a
-# tuple of LogFunction fields with a block list last.
+# Each function under construction is a tuple of LogFunction fields
+# with a block list last.
 _LOG_RECORDS = {
     "FUNCTION": _log_function,
     "BLOCK": _log_block,
     "POOL": lambda st, toks, line: st.functions[-1][-1].append(
         LogBlock("pool", -1, int(fields(line, "bytes")[0]))),
 }
-_DECISION_RECORDS = dict(
-    _LOG_RECORDS,
-    ORDER=lambda st, toks, line: st.order.extend(
-        int(t) for t in toks[1].split(",")),
-    PAD=lambda st, toks, line: st.paddings.append(
-        (line.split(" ", 2)[2], int(toks[1]))),
-    NOPS=lambda st, toks, line: st.nops.append(
-        (line.split(" ", 3)[3], int(toks[1]),
-         tuple(int(g) for g in toks[2].split(",")))),
-    DESYNC=lambda st, toks, line: st.desyncs.append(
-        (line.split(" ", 2)[2], int(toks[1]))))
 
 
 def _log_functions(st):
@@ -374,7 +363,10 @@ def parse_opportunity_log(text):
     return OpportunityLog(module_name, _log_functions(st))
 
 
-def emit_decision_log(dec):
+def emit_decision_log(result, dec):
+    """The build's decisions, then its placed structure (the layout's
+    FUNCTION/BLOCK/POOL records).  Written for the record only: no
+    pipeline path reads it back."""
     out = ["DECLOG v1 %s" % dec.module_name]
     out.append("ORDER %s" % ",".join(str(i) for i in dec.order))
     for ident, pad in dec.paddings:
@@ -383,14 +375,5 @@ def emit_decision_log(dec):
         out.append("NOPS %d %s %s" % (bi, ",".join(str(g) for g in gaps), ident))
     for ident, bi in dec.desyncs:
         out.append("DESYNC %d %s" % (bi, ident))
-    _emit_log_functions(out, dec.functions)
+    _emit_log_functions(out, log_from_layout(result, dec.module_name).functions)
     return "\n".join(out) + "\n"
-
-
-def parse_decision_log(text):
-    st = SimpleNamespace(functions=[], order=[], paddings=[], nops=[],
-                         desyncs=[])
-    module_name = read_records(text, "DECLOG v1", _DECISION_RECORDS, st,
-                               ModelError)
-    return DecisionLog(module_name, _log_functions(st), tuple(st.paddings),
-                       tuple(st.nops), tuple(st.order), tuple(st.desyncs))

@@ -98,11 +98,9 @@ def find_section(blob, name):
 def crash_info(result, decisions=None, module_name=""):
     """ImageInfo straight from a layout result (library-side shortcut)."""
     nop_map = {}
-    pad_map = {}
     if decisions is not None:
         for ident, bi, gaps in decisions.nops:
             nop_map[(ident, bi)] = tuple(gaps)
-        pad_map = dict(decisions.paddings)
     fns = []
     for fl in result.image:
         blocks = []
@@ -112,8 +110,7 @@ def crash_info(result, decisions=None, module_name=""):
             blocks.append(CrashBlock(r.block_index, r.address, r.pre_extras,
                                      nop_map.get((fl.identifier, r.block_index), ())))
         fns.append(CrashFn(fl.identifier, fl.name, fl.base, fl.size,
-                           pad_map.get(fl.identifier, fl.padding),
-                           tuple(blocks)))
+                           fl.padding, tuple(blocks)))
     return ImageInfo(module_name, result.symfile.module_id, tuple(fns),
                      _text_bytes(result))
 

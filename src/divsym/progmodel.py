@@ -167,12 +167,6 @@ def stack_alloc_instrs(total):
     return count
 
 
-def access_instrs(frame, options, has_fp=False):
-    """Total LD/ST instruction count for the frame's stack accesses."""
-    return sum(acc.count * _access_cost(acc, frame, has_fp, options)
-               for acc in frame.accesses)
-
-
 def _access_cost(acc, frame, has_fp, options):
     sp_off = frame.local_size + frame.padding - acc.offset
     if has_fp:

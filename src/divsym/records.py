@@ -1,10 +1,11 @@
 """The one reader behind the line-record text formats.
 
-The symbol file, the program model, the opportunity and decision logs,
-the image's meta and crash sections and the minidump share one shape
+The symbol file, the program model, the opportunity log, the image's
+meta and crash sections and the minidump share one shape
 (docs/formats.md): an optional header line `<TAG> v1 [<trailing text>]`,
 then one record per line whose first whitespace-separated token is its
-keyword (a symbol file's line record has none).  Each parser gives
+keyword (a symbol file's line record has none).  The decision log is
+written in that shape too, but nothing reads it back.  Each parser gives
 `read_records` a module-level table from keyword to handler and the
 state its handlers fill, and every parser fails the same way: with its
 format's error class, a `line N:` prefix and N as the error's `lineno`.

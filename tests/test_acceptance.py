@@ -10,9 +10,8 @@ from dataclasses import replace
 
 import pytest
 
-from divsym.collector import (sample_call_chains, simulate_crash,
-                              size_variation_histogram, trace_from_dump,
-                              report)
+from divsym.collector import (simulate_crash, size_variation_histogram,
+                              trace_from_dump, report)
 from divsym.deltadata import (apply, delta_from_options, diff, pack, unpack,
                               Patch, PatchOp)
 from divsym.diversify import (SeedTuple, build_default, build_diversified,
@@ -24,6 +23,7 @@ from divsym._speed import arm_imm_encodable
 from divsym.progmodel import _ENCODABLE, BuildOptions, generate_corpus
 from divsym.replicate import replicate
 from divsym.symfile import emit_symbol_file, parse_symbol_file
+from modeltools import sample_call_chains
 from sfgen import random_symbol_file
 
 CORPUS_SEED = 0xACCE97

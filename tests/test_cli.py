@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from divsym import deltadata, image
 from divsym.cli import main
-from divsym.collector import MAX_STACK_BYTES, sample_call_chains
+from divsym.collector import MAX_STACK_BYTES
 from divsym.diversify import parse_opportunity_log
 from divsym.progmodel import parse_model
 from divsym.replicate import replicate
@@ -16,6 +16,7 @@ from divsym.symfile import parse_symbol_file
 from hostile import (HEADER_FAULTS, PATCH_FAULTS, _plain_container,
                      bad_nop_container, edited_container, growth_faults,
                      inflation_bomb, mutate, op_faults)
+from modeltools import sample_call_chains
 
 
 def run(*argv):
@@ -186,7 +187,9 @@ def test_report_several_dumps_in_order(tmp_path, capsys):
 def test_hostile_delta_exit_code(tmp_path, capsys):
     common, dumps = _build_and_crash(tmp_path, 1)
     delta = Path(common[1])
-    for blob in (bad_nop_container(1, 0), inflation_bomb()):
+    shipped = delta.read_bytes()
+    unknown_flag = shipped[:5] + b"\x02" + shipped[6:]
+    for blob in (bad_nop_container(1, 0), inflation_bomb(), unknown_flag):
         delta.write_bytes(blob)
         assert run("report", "--dump", dumps[0], *common) == 2
     assert "error:" in capsys.readouterr().err

@@ -4,8 +4,8 @@ import pytest
 
 from divsym import _speed, cfi, collector, diversify
 from divsym.collector import (MinidumpLite, corpus_metrics, emit_minidump,
-                              parse_minidump, report, sample_call_chains,
-                              simulate_crash, trace_from_dump)
+                              parse_minidump, report, simulate_crash,
+                              trace_from_dump)
 from divsym.deltadata import (DeltaData, Patch, PatchOp, apply,
                               delta_from_options, diff, pack, unpack)
 from divsym.diversify import SeedTuple, build_default, build_diversified
@@ -18,6 +18,7 @@ from divsym.replicate import replicate
 from divsym.symfile import emit_symbol_file
 from hostile import (HEADER_FAULTS, PATCH_FAULTS, bad_nop_container,
                      edited_container, growth_faults, inflation_bomb)
+from modeltools import sample_call_chains
 
 OPTS = BuildOptions()
 SEEDS = SeedTuple(0xD1, 0xD2, 0xD3)

@@ -295,6 +295,11 @@ def test_truncated_and_corrupt_containers():
     bad[4] = 9  # unsupported version
     with pytest.raises(DeltaFormatError):
         unpack(bytes(bad))
+    for flags in (0x02, 0x80, 0x03):  # a bit pack never writes
+        bad = bytearray(blob)
+        bad[5] = flags
+        with pytest.raises(DeltaFormatError, match="unknown container flags"):
+            unpack(bytes(bad))
 
 
 def test_version_1_container_is_refused():

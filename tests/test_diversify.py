@@ -10,17 +10,19 @@ from hypothesis import given, strategies as st
 
 from divsym import _speed, diversify, image
 from divsym.diversify import (SeedTuple, build_default, build_diversified,
-                              clear_gap_memo, emit_decision_log,
-                              emit_opportunity_log, gap_decisions,
-                              inject_desync, pad_amount, parse_decision_log,
+                              clear_gap_memo, desync_blocks,
+                              emit_decision_log, emit_opportunity_log,
+                              gap_decisions, pad_amount,
                               parse_opportunity_log, shuffle_permutation,
                               span_counts)
+from divsym.errors import ModelError
 from divsym.prng import Prng, function_reseed
 from divsym.progmodel import (BlockModel, BuildOptions, FrameModel,
                               FunctionModel, LineSpan, ProgramModel,
                               generate_corpus, layout)
 from divsym.replicate import replicate
 from divsym.symfile import emit_symbol_file
+from modeltools import with_phantoms
 
 # chi-square critical value, df=31, significance 0.001
 CHI2_CRIT = 61.0983
@@ -227,9 +229,10 @@ def test_layout_of_the_grown_model_is_the_build(options):
         padded = diversify._apply_padding(
             model, lambda f: pad_amount(f.identifier, SEEDS.pad_seed, False))
         if options.desync_num:
-            padded, hits = inject_desync(padded, SEEDS, options.desync_num,
-                                         options.desync_den)
+            hits = desync_blocks(padded, SEEDS, options.desync_num,
+                                 options.desync_den)
             assert hits == dec.desyncs
+            padded = with_phantoms(padded, hits)
         grown = _grown_model(padded, SEEDS.nop_seed, options.nop_num,
                              options.nop_den)
         want = layout(grown, shuffle_permutation(len(model.functions),
@@ -308,9 +311,10 @@ def test_decision_log_nops_are_the_per_block_draws(options):
     _, dec = build_diversified(model, SEEDS, options)
     drawn = model
     if options.desync_num:
-        drawn, hits = inject_desync(model, SEEDS, options.desync_num,
-                                    options.desync_den)
+        hits = desync_blocks(model, SEEDS, options.desync_num,
+                             options.desync_den)
         assert hits == dec.desyncs and hits
+        drawn = with_phantoms(model, hits)
     want = []
     for f in drawn.functions:
         for b in f.blocks:
@@ -396,7 +400,7 @@ def test_build_then_replicate_draws_each_block_once(monkeypatch, desync_num):
     built = len(draws)
     replicate(dres.symfile, log, SEEDS, options)
     clear_gap_memo()
-    desynced, _ = inject_desync(model, SEEDS, desync_num, 3)
+    desynced = with_phantoms(model, desync_blocks(model, SEEDS, desync_num, 3))
     assert sorted(draws[:built]) == \
         _block_seeds(_drawn_blocks(desynced), SEEDS.nop_seed)
     # the log's gap count of a desynced block differs from the build's
@@ -503,24 +507,47 @@ def test_shuffle_depends_only_on_seed_and_count():
     assert shuffle_permutation(len(log.functions), SEEDS.shuffle_seed) == list(d1.order)
 
 
-def test_inject_desync_targets_and_rate():
+def test_desync_blocks_targets_and_rate():
     m = _nop_model()
-    m2, hits = inject_desync(m, SEEDS, 0, 100,
-                             targets=[m.functions[0].identifier])
+    hits = desync_blocks(m, SEEDS, 0, 100,
+                         targets=[m.functions[0].identifier])
     assert [h[0] for h in hits] == [m.functions[0].identifier]
+    m2 = with_phantoms(m, hits)
     f0, f0b = m.functions[0], m2.functions[0]
     assert sum(b.instr_count for b in f0b.blocks if b.kind == "code") == \
         sum(b.instr_count for b in f0.blocks if b.kind == "code") + 1
-    m3, _ = inject_desync(m, SEEDS, 0, 100, targets=[])
+    # with no NOPs drawn, the phantom is the one count of the NOP pass,
+    # on the last span of the hit block
+    counts, nops = diversify._nop_pass(m, 99, 0, 5, hits)
+    (_, bi), = hits
+    assert nops == ()
+    assert [sum(map(sum, fc)) for fc in counts] == \
+        [1] + [0] * (len(m.functions) - 1)
+    assert counts[0][bi][-1] == 1
+    m3 = with_phantoms(m, desync_blocks(m, SEEDS, 0, 100, targets=[]))
     assert m3 == m
+
+
+@pytest.mark.parametrize("num,den", [(1, 0), (-1, 5), (7, 5)])
+def test_desync_fraction_outside_zero_one_is_refused(num, den):
+    with pytest.raises(ModelError, match="desync probability"):
+        build_diversified(_nop_model(), SEEDS,
+                          BuildOptions(desync_num=num, desync_den=den))
 
 
 def test_log_round_trips():
     m = _nop_model()
     _, opp = build_default(m)
     assert parse_opportunity_log(emit_opportunity_log(opp)) == opp
-    _, dec = build_diversified(m, SEEDS, BuildOptions(desync_num=10))
-    assert parse_decision_log(emit_decision_log(dec)) == dec
+
+
+def _prog000_build_digests(seeds, options=BuildOptions()):
+    m = generate_corpus(0xBE7C, 1, "medium")[0]
+    res, dec = build_diversified(m, seeds, options)
+    outputs = (emit_symbol_file(res.symfile).encode(),
+               emit_decision_log(res, dec).encode(),
+               image.write_image(res, dec, m.module_name))
+    return tuple(hashlib.sha256(o).hexdigest() for o in outputs), dec
 
 
 # The build side's outputs for the benchmark program, prog000, pinned:
@@ -537,9 +564,23 @@ def test_log_round_trips():
         "5c818f05cc989a181f1583c67b81b813282366a4e5ac3e22f34c41b68b962499")),
 ])
 def test_prog000_build_is_pinned(seeds, digests):
-    m = generate_corpus(0xBE7C, 1, "medium")[0]
-    res, dec = build_diversified(m, seeds)
-    outputs = (emit_symbol_file(res.symfile).encode(),
-               emit_decision_log(dec).encode(),
-               image.write_image(res, dec, m.module_name))
-    assert tuple(hashlib.sha256(o).hexdigest() for o in outputs) == digests
+    assert _prog000_build_digests(seeds)[0] == digests
+
+
+# The same under desync 1/4, where 80 of the 308 functions gain a
+# phantom instruction.
+@pytest.mark.parametrize("seeds,digests", [
+    (SeedTuple(11, 22, 33), (
+        "97307895730aeddf9372665bf2d2f19b4b5add4a7eb8a225a378197b0f0dabd7",
+        "11ee42a89860a1558862168a24e4d7badddd8f2c0def7115924191d44a9b61e5",
+        "8a4dbba1cf1542f04c4b70fb196a198b0a643bd00be40cbfb7007389c4f6aba2")),
+    (SeedTuple(44, 55, 66), (
+        "1750c1474031924f3a2b57ac3dbfb1652813493c6c57c912dba4c33a125fa84b",
+        "c742231f09a69d45e3c76fb59eadc1b6272bd2ed10168295ae3e1aa5afd9688a",
+        "f69879d0b16c4eb7ea90e7d42be9bb0251178373dde9183ee9419dc73202d481")),
+])
+def test_prog000_desync_build_is_pinned(seeds, digests):
+    got, dec = _prog000_build_digests(
+        seeds, BuildOptions(desync_num=1, desync_den=4))
+    assert len(dec.desyncs) == 80
+    assert got == digests

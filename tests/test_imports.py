@@ -1,6 +1,7 @@
 """Every name a divsym module imports is used in that module or listed
-in its __all__ (re-exports).  ast only: no linter is needed.  The package
-holds Python sources only: no generated C or compiled extension."""
+in its __all__ (re-exports), and every module-level definition is read
+outside the tests.  ast only: no linter is needed.  The package holds
+Python sources only: no generated C or compiled extension."""
 
 import ast
 from pathlib import Path
@@ -49,3 +50,42 @@ def test_package_holds_only_python_sources():
     files = [p for p in SRC.rglob("*")
              if p.is_file() and "__pycache__" not in p.parts]
     assert files and [p.name for p in files if p.suffix != ".py"] == []
+
+
+def unread_definitions(modules, readers):
+    """(module, name) of each module-level def or class in `modules`
+    ({name: source}) that no Name or Attribute node in `readers`
+    (sources) loads; strings such as __all__ entries do not count."""
+    read = set()
+    for source in readers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and \
+                    isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted((module, node.name)
+                  for module, source in modules.items()
+                  for node in ast.parse(source).body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                       ast.ClassDef))
+                  and node.name not in read)
+
+
+def test_unread_definition_checker():
+    modules = {"m": "__all__ = ['f', 'g']\n"
+                    "def f(): pass\ndef g(): pass\nclass C: pass\n"
+                    "def h(): pass\n"}
+    readers = [modules["m"], "import m\nm.g()\nm.C = h = 1\n"]
+    assert unread_definitions(modules, readers) == \
+        [("m", "C"), ("m", "f"), ("m", "h")]
+
+
+def test_every_definition_is_read_outside_the_tests():
+    # a package definition that only tests call belongs in the tests
+    bench = SRC.parents[1] / "perfbench"
+    paths = sorted(SRC.glob("*.py")) + [
+        p for p in sorted(bench.glob("*.py")) if not p.name.startswith("test_")]
+    sources = {p: p.read_text(encoding="utf-8") for p in paths}
+    modules = {p.stem: s for p, s in sources.items() if p.parent == SRC}
+    assert unread_definitions(modules, sources.values()) == []

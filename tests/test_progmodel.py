@@ -6,10 +6,10 @@ from divsym._speed import arm_imm_encodable
 from divsym.errors import LayoutError, ModelError
 from divsym.progmodel import (BlockModel, BuildOptions, FrameModel,
                               FunctionModel, LineSpan, ProgramModel,
-                              StackAccess, access_instrs, emit_model,
-                              generate_corpus, layout, parse_model,
-                              stack_alloc_instrs)
+                              StackAccess, emit_model, generate_corpus,
+                              layout, parse_model, stack_alloc_instrs)
 from divsym.symfile import emit_symbol_file
+from modeltools import access_instrs
 
 OPTS = BuildOptions()
 

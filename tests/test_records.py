@@ -14,10 +14,9 @@ from hypothesis import given, strategies as st
 
 from divsym import cfi, deltadata, image, records
 from divsym.collector import (MAX_STACK_BYTES, emit_minidump, parse_minidump,
-                              sample_call_chains, simulate_crash)
+                              simulate_crash)
 from divsym.diversify import (SeedTuple, build_default, build_diversified,
-                              emit_decision_log, emit_opportunity_log,
-                              parse_decision_log, parse_opportunity_log)
+                              emit_opportunity_log, parse_opportunity_log)
 from divsym.errors import (DeltaFormatError, DivsymError, HarnessError,
                            ModelError, SymbolParseError)
 from divsym.progmodel import (BuildOptions, emit_model, generate_corpus,
@@ -25,17 +24,18 @@ from divsym.progmodel import (BuildOptions, emit_model, generate_corpus,
 from divsym.replicate import replicate
 from divsym.symfile import emit_symbol_file, parse_symbol_file
 from hostile import edited_container, line_edits, mutate
+from modeltools import sample_call_chains
 
 SEEDS = SeedTuple(0x51, 0x52, 0x53)
-# Desync on, so decision logs carry DESYNC records too.
+# Desync on, so the patch carries the growth of desynced blocks too.
 OPTS = BuildOptions(desync_num=1, desync_den=4)
 
 
 @functools.cache
 def emitted(seed, size_class):
-    """Every text format emitted for one program: model, opportunity log,
-    decision log, image (bytes), a minidump, a delta payload's patch and
-    the default and diversified symbol files."""
+    """Every text format divsym reads back, emitted for one program:
+    model, opportunity log, image (bytes), a minidump, a delta payload's
+    patch and the default and diversified symbol files."""
     model = generate_corpus(seed, 1, size_class)[0]
     dres, log = build_default(model, OPTS)
     truth, dec = build_diversified(model, SEEDS, OPTS)
@@ -45,8 +45,7 @@ def emitted(seed, size_class):
     patch = deltadata.diff(replicate(dres.symfile, log, SEEDS, OPTS),
                            truth.symfile)
     return dict(model=emit_model(model), opplog=emit_opportunity_log(log),
-                declog=emit_decision_log(dec), image=blob,
-                dump=emit_minidump(dump), patch=patch,
+                image=blob, dump=emit_minidump(dump), patch=patch,
                 default_sym=emit_symbol_file(dres.symfile),
                 div_sym=emit_symbol_file(truth.symfile))
 
@@ -117,11 +116,6 @@ def test_mutated_model_parses_or_raises(data):
 def test_mutated_opportunity_log_parses_or_raises(data):
     parses_or_raises(parse_opportunity_log,
                      mutate(data, fuzz_texts()["opplog"]))
-
-
-@given(st.data())
-def test_mutated_decision_log_parses_or_raises(data):
-    parses_or_raises(parse_decision_log, mutate(data, fuzz_texts()["declog"]))
 
 
 @given(st.sampled_from(("meta", "crash")), st.data())
@@ -207,8 +201,6 @@ def test_emit_parse_emit_identity(seed, size_class):
     assert emit_model(parse_model(t["model"])) == t["model"]
     assert emit_opportunity_log(parse_opportunity_log(t["opplog"])) == \
         t["opplog"]
-    assert emit_decision_log(parse_decision_log(t["declog"])) == t["declog"]
-    assert "DESYNC" in t["declog"]
     assert image.pack_image(image.read_image(t["image"])) == t["image"]
     assert emit_minidump(parse_minidump(t["dump"])) == t["dump"]
     for k in ("default_sym", "div_sym"):

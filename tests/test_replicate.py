@@ -2,14 +2,16 @@ from dataclasses import replace
 
 import pytest
 
-from divsym.diversify import (SeedTuple, build_default, build_diversified,
-                              inject_desync, pad_amount)
+from divsym.diversify import (SeedTuple, _apply_padding, _nop_pass,
+                              build_default, build_diversified, desync_blocks,
+                              pad_amount, shuffle_permutation)
 from divsym.errors import ReplicationInputError
 from divsym.progmodel import (BlockModel, BuildOptions, FrameModel,
                               FunctionModel, LineSpan, ProgramModel,
-                              access_instrs, generate_corpus, layout)
+                              generate_corpus, layout)
 from divsym.replicate import replicate
 from divsym.symfile import emit_symbol_file
+from modeltools import access_instrs, with_phantoms
 
 OPTS = BuildOptions()
 SEEDS = SeedTuple(0xA1A1, 0xB2B2, 0xC3C3)
@@ -148,13 +150,11 @@ def test_desync_contained_to_its_function():
     target = model.functions[2].identifier
 
     # diversified build with a phantom instruction in one function
-    padded = model
-    from divsym.diversify import _apply_padding  # same path as the driver
     padded = _apply_padding(
         model, lambda f: pad_amount(f.identifier, SEEDS.pad_seed, False))
-    desynced, hits = inject_desync(padded, SEEDS, 0, 100, targets=[target])
+    hits = desync_blocks(padded, SEEDS, 0, 100, targets=[target])
     assert [h[0] for h in hits] == [target]
-    from divsym.diversify import _nop_pass, shuffle_permutation
+    desynced = with_phantoms(padded, hits)
     nop_counts, _ = _nop_pass(desynced, SEEDS.nop_seed, OPTS.nop_num,
                               OPTS.nop_den)
     order = shuffle_permutation(len(model.functions), SEEDS.shuffle_seed)
