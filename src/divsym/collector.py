@@ -356,13 +356,12 @@ class MetricsReport:
         return "\n".join(out) + "\n"
 
 
-def _function_size(func, padding, options):
-    solo = replace(func, call_sites=(),
-                   frame=replace(func.frame, padding=padding))
+def _function_sizes(func, paddings, options):
+    """The function's size laid out alone, under each padding."""
     one = ProgramModel("h", ((1, "h.c"), (2, "h2.c"), (3, "h3.c")),
-                       (solo,))
-    res = layout(one, [0], options)
-    return res.image[0].size
+                       (replace(func, call_sites=()),))
+    return [layout(one, [0], options, paddings=(pad,)).image[0].size
+            for pad in paddings]
 
 
 def size_variation_histogram(corpus, options, default_padding):
@@ -372,9 +371,10 @@ def size_variation_histogram(corpus, options, default_padding):
     abs_sum = 0
     for model in corpus:
         for f in model.functions:
-            dflt = _function_size(f, 8 if default_padding else 0, options)
-            for pad in range(8, 257, 8):
-                d = _function_size(f, pad, options) - dflt
+            dflt, *sizes = _function_sizes(
+                f, (8 if default_padding else 0, *range(8, 257, 8)), options)
+            for size in sizes:
+                d = size - dflt
                 total += 1
                 if d == 0:
                     zero += 1

@@ -13,12 +13,11 @@ its decisions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, compress, pairwise
 from types import SimpleNamespace
 
-from divsym._speed import FNV_PRIME, MASK64, fnv1a64, mix64, nop_gaps
+from divsym._speed import FNV_PRIME, MASK64, fnv1a64, mix64, nop_masks
 from divsym.errors import ModelError
 from divsym.prng import Prng, function_reseed
 from divsym.progmodel import BuildOptions, layout
@@ -31,6 +30,7 @@ __all__ = [
     "build_default", "build_diversified", "OpportunityLog", "LogFunction",
     "LogBlock", "DecisionLog", "log_from_layout", "emit_opportunity_log",
     "parse_opportunity_log", "emit_decision_log", "span_counts",
+    "mask_gaps",
 ]
 
 PAD_CHOICES = 32          # padding in {8, 16, ..., 256}
@@ -71,9 +71,12 @@ class OpportunityLog:
 
 @dataclass(frozen=True)
 class DecisionLog:
+    """The diversified build's decisions.  `nops` holds the NOP mask of
+    each code block with at least one NOP, as gap_decisions gives it:
+    byte g-1 is 1 where gap g got a NOP (mask_gaps lists those g)."""
     module_name: str
     paddings: tuple           # ((identifier, bytes), ...)
-    nops: tuple               # ((identifier, block_index, (gap, ...)), ...)
+    nops: tuple               # ((identifier, block_index, mask), ...)
     order: tuple
     desyncs: tuple            # ((identifier, block_index), ...)
 
@@ -117,34 +120,42 @@ def _block_seed(identifier, block_index, nop_seed):
     return mix64(h ^ (nop_seed & MASK64))
 
 
-def gap_decisions(identifier, block_index, n_gaps, nop_seed, num, den):
-    """The NOP mask of one code block: n_gaps bytes, byte g-1 is 1
-    exactly when gap g (after instruction g) receives a NOP.
+def gap_decisions(keys, nop_seed, num, den):
+    """The NOP masks of code blocks, one per key, in order.
 
-    Reseeds per block from identifier '#' block_index, one draw per gap;
-    a gap fires when the draw's low 32 bits are below num/den of 2^32.
-    The same routine runs on the build system and in the replicator, and
-    the result is a pure function of the arguments, so it is memoised for
-    the last (nop_seed, num, den): a build followed by a replicate with
-    the same seeds draws each code block once.  A block whose gap count
-    differs between the two (a desynced block) draws again.
+    Each key is (identifier, block_index, n_gaps); its mask has n_gaps
+    bytes, byte g-1 is 1 exactly when gap g (after instruction g)
+    receives a NOP.  A block reseeds from identifier '#' block_index,
+    one draw per gap; a gap fires when the draw's low 32 bits are below
+    num/den of 2^32.  Raises ModelError unless 0 <= num/den <= 1.
+
+    The build system and the replicator each call this once per pass,
+    and a mask is a pure function of its key and (nop_seed, num, den),
+    so masks are memoised for the last (nop_seed, num, den): a build
+    followed by a replicate with the same seeds draws each code block
+    once.  A block whose gap count differs between the two (a desynced
+    block) draws again.  The misses of a call are drawn together
+    (_speed.nop_masks).
     """
     global _drawn
-    if n_gaps <= 0:
-        return b""
-    if num <= 0:
-        return bytes(n_gaps)
+    if num < 0 or den <= 0 or num > den:
+        raise ModelError("NOP probability %d/%d outside [0, 1]" % (num, den))
+    if num == 0:
+        return [bytes(max(n, 0)) for _, _, n in keys]
     tag = (nop_seed, num, den)
     drawn_tag, drawn = _drawn
     if drawn_tag != tag:
         drawn = {}
         _drawn = (tag, drawn)
-    key = (identifier, block_index, n_gaps)
-    mask = drawn.get(key)
-    if mask is None:
-        seed = _block_seed(identifier, block_index, nop_seed)
-        mask = drawn[key] = nop_gaps(seed, n_gaps, (num << 32) // den)
-    return mask
+    masks = [drawn.get(key) for key in keys]
+    if None in masks:
+        missing = list(dict.fromkeys(key for key, mask in zip(keys, masks)
+                                     if mask is None))
+        drawn.update(zip(missing, nop_masks(
+            [_block_seed(ident, bi, nop_seed) for ident, bi, _ in missing],
+            [n for _, _, n in missing], (num << 32) // den)))
+        masks = [drawn[key] for key in keys]
+    return masks
 
 
 def clear_gap_memo():
@@ -162,22 +173,34 @@ def span_counts(mask, sizes):
     mask.count(1, lo, hi).  A span of size 0 takes no gap, and gaps
     past the last span are dropped.
     """
-    bounds = (0, *accumulate(sizes))
-    return tuple(mask.count(1, lo, hi) for lo, hi in pairwise(bounds))
+    counts = []
+    lo = 0
+    for size in sizes:
+        hi = lo + size
+        counts.append(mask.count(1, lo, hi))
+        lo = hi
+    return tuple(counts)
+
+
+def mask_gaps(mask):
+    """The gaps a NOP mask fires, 1-based, in order."""
+    return tuple(g for g, fired in enumerate(mask, 1) if fired)
 
 
 def _nop_pass(model, nop_seed, num, den, desyncs=()):
-    """(NOP counts, decision-log nops): one gap_decisions call per code
-    block.  The counts hold, per function and per block, the span_counts
-    of a code block, or () for a data block.
+    """(NOP counts, decision-log nops) from one gap_decisions call for
+    the whole program.  The counts hold, per function and per block,
+    the span_counts of a code block, or () for a data block.
 
     A block in `desyncs` (desync_blocks) is drawn one instruction
     longer, and its phantom instruction is one more count on its last
     span.
     """
-    if num < 0 or den <= 0 or num > den:
-        raise ModelError("NOP probability %d/%d outside [0, 1]" % (num, den))
     hit = set(desyncs)
+    keys = [(f.identifier, b.index, b.instr_count - 1
+             + ((f.identifier, b.index) in hit))
+            for f in model.functions for b in f.blocks if b.kind == "code"]
+    masks = iter(gap_decisions(keys, nop_seed, num, den))
     counts = []
     nops = []
     for f in model.functions:
@@ -187,15 +210,13 @@ def _nop_pass(model, nop_seed, num, den, desyncs=()):
             if b.kind != "code":
                 blocks.append(())
                 continue
+            mask = next(masks)
             sizes = [s.instrs for s in b.spans]
             phantom = (ident, b.index) in hit
             sizes[-1] += phantom
-            mask = gap_decisions(ident, b.index, sum(sizes) - 1,
-                                 nop_seed, num, den)
             grown = span_counts(mask, sizes)
-            if any(grown):
-                nops.append((ident, b.index,
-                             tuple(compress(range(1, len(mask) + 1), mask))))
+            if 1 in mask:
+                nops.append((ident, b.index, mask))
             if phantom:
                 grown = (*grown[:-1], grown[-1] + 1)
             blocks.append(grown)
@@ -221,6 +242,8 @@ def desync_blocks(model, seeds, num, den, targets=None):
     if num < 0 or den <= 0 or num > den:
         raise ModelError("desync probability %d/%d outside [0, 1]"
                          % (num, den))
+    if num == 0 and targets is None:
+        return ()
     dseed = mix64(seeds.pad_seed ^ mix64(seeds.nop_seed ^ mix64(seeds.shuffle_seed)))
     threshold = (num << 32) // den
     hits = []
@@ -232,12 +255,6 @@ def desync_blocks(model, seeds, num, den, targets=None):
             code = [b.index for b in f.blocks if b.kind == "code"]
             hits.append((f.identifier, code[Prng(v).next() % len(code)]))
     return tuple(hits)
-
-
-def _apply_padding(model, pad_for):
-    functions = tuple(replace(f, frame=replace(f.frame, padding=pad_for(f)))
-                      for f in model.functions)
-    return replace(model, functions=functions)
 
 
 def log_from_layout(result, module_name):
@@ -262,37 +279,38 @@ def log_from_layout(result, module_name):
 def build_default(model, options=BuildOptions()):
     """Default (undiversified) build: image, symbol file, opportunity log."""
     pad = DEFAULT_PAD if options.default_padding else 0
-    padded = _apply_padding(model, lambda f: pad)
-    result = layout(padded, list(range(len(model.functions))), options)
+    n = len(model.functions)
+    result = layout(model, list(range(n)), options, paddings=(pad,) * n)
     return result, log_from_layout(result, model.module_name)
 
 
 def build_diversified(model, seeds, options=BuildOptions()):
     """Diversified build: padding, then NOPs, then shuffling.
 
-    The NOPs, and each desynced block's phantom instruction, are
-    per-span counts that the layout adds to the padded model's spans;
-    the decision log's nops come from the same pass, so every code
-    block's gaps are drawn exactly once.
+    The paddings, and the NOPs and each desynced block's phantom
+    instruction as per-span counts, go to the layout beside the model,
+    which it lays out without copying; the decision log's nops come from
+    the same pass, so every code block's gaps are drawn exactly once.
     """
+    n = len(model.functions)
     if options.pad_scheme:
-        padded = _apply_padding(
-            model, lambda f: pad_amount(f.identifier, seeds.pad_seed, False))
+        paddings = tuple(pad_amount(f.identifier, seeds.pad_seed, False)
+                         for f in model.functions)
     else:
-        padded = _apply_padding(
-            model, lambda f: DEFAULT_PAD if options.default_padding else 0)
-    desyncs = desync_blocks(padded, seeds, options.desync_num,
+        paddings = (DEFAULT_PAD if options.default_padding else 0,) * n
+    desyncs = desync_blocks(model, seeds, options.desync_num,
                             options.desync_den)
-    nop_counts, nops = _nop_pass(padded, seeds.nop_seed, options.nop_num,
+    nop_counts, nops = _nop_pass(model, seeds.nop_seed, options.nop_num,
                                  options.nop_den, desyncs)
     if options.shuffle_scheme:
-        order = shuffle_permutation(len(model.functions), seeds.shuffle_seed)
+        order = shuffle_permutation(n, seeds.shuffle_seed)
     else:
-        order = list(range(len(model.functions)))
-    result = layout(padded, order, options, nop_counts)
+        order = list(range(n))
+    result = layout(model, order, options, nop_counts, paddings)
     dec = DecisionLog(
         module_name=model.module_name,
-        paddings=tuple((f.identifier, f.frame.padding) for f in padded.functions),
+        paddings=tuple((f.identifier, pad)
+                       for f, pad in zip(model.functions, paddings)),
         nops=nops, order=tuple(order), desyncs=desyncs)
     return result, dec
 
@@ -371,8 +389,9 @@ def emit_decision_log(result, dec):
     out.append("ORDER %s" % ",".join(str(i) for i in dec.order))
     for ident, pad in dec.paddings:
         out.append("PAD %d %s" % (pad, ident))
-    for ident, bi, gaps in dec.nops:
-        out.append("NOPS %d %s %s" % (bi, ",".join(str(g) for g in gaps), ident))
+    for ident, bi, mask in dec.nops:
+        out.append("NOPS %d %s %s"
+                   % (bi, ",".join(map(str, mask_gaps(mask))), ident))
     for ident, bi in dec.desyncs:
         out.append("DESYNC %d %s" % (bi, ident))
     _emit_log_functions(out, log_from_layout(result, dec.module_name).functions)

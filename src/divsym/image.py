@@ -19,6 +19,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
+from divsym.diversify import mask_gaps
 from divsym.errors import DeltaFormatError
 from divsym.progmodel import INSTR_BYTES
 from divsym.records import fields, read_records
@@ -99,8 +100,8 @@ def crash_info(result, decisions=None, module_name=""):
     """ImageInfo straight from a layout result (library-side shortcut)."""
     nop_map = {}
     if decisions is not None:
-        for ident, bi, gaps in decisions.nops:
-            nop_map[(ident, bi)] = tuple(gaps)
+        for ident, bi, mask in decisions.nops:
+            nop_map[(ident, bi)] = mask_gaps(mask)
     fns = []
     for fl in result.image:
         blocks = []

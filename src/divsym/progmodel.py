@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, replace
+from functools import cached_property
 from types import SimpleNamespace
+from typing import NamedTuple
 
 from divsym._speed import mix64
 from divsym.errors import LayoutError, ModelError
@@ -67,7 +69,7 @@ class BlockModel:
     byte_size: int = 0        # data only
     epilogue: bool = False
 
-    @property
+    @cached_property
     def instr_count(self):
         return sum(s.instrs for s in self.spans)
 
@@ -84,7 +86,7 @@ class FrameModel:
     local_size: int = 0
     callee_saved: tuple = ()
     accesses: tuple = ()
-    padding: int = 0          # 0 in source models; set by diversification
+    padding: int = 0          # 0 in source models; the builds pass theirs
 
 
 @dataclass(frozen=True)
@@ -99,9 +101,20 @@ class FunctionModel:
     call_sites: tuple = ()    # ((block_index, instr_index, callee_name), ...)
     param_size: int = 0
 
-    @property
+    @cached_property
     def identifier(self):
         return "%s@%s:%s" % (self.name, self.object_name, self.section_name)
+
+    @cached_property
+    def access_blocks(self):
+        """The code block charged with each frame access's LD/ST
+        instructions, in frame.accesses order: the first code block
+        with a span on the access's source line, else the last."""
+        code = [b for b in self.blocks if b.kind == "code"]
+        return tuple(next((b.index for b in code
+                           if any(s.line == acc.source_line for s in b.spans)),
+                          code[-1].index)
+                     for acc in self.frame.accesses)
 
 
 @dataclass(frozen=True)
@@ -110,9 +123,17 @@ class ProgramModel:
     files: tuple              # ((filenum, path), ...)
     functions: tuple
 
+    @cached_property
+    def valid(self):
+        """True once validate_model passed on this model; layout,
+        generate_corpus and parse_model read it, so each model object is
+        checked once.  A failed check is not cached: it raises
+        ModelError again on the next read."""
+        validate_model(self)
+        return True
 
-@dataclass(frozen=True)
-class Region:
+
+class Region(NamedTuple):
     address: int
     size: int
     kind: str                 # "code" | "data" | "pool"
@@ -167,8 +188,10 @@ def stack_alloc_instrs(total):
     return count
 
 
-def _access_cost(acc, frame, has_fp, options):
-    sp_off = frame.local_size + frame.padding - acc.offset
+def _access_cost(acc, total, has_fp, options):
+    """LD/ST instructions per use of an access in a frame of `total`
+    local and padding bytes."""
+    sp_off = total - acc.offset
     if has_fp:
         fp_off = acc.offset + FP_BIAS
         if options.sp_fp_opt:
@@ -199,15 +222,6 @@ def epilogue_extras(saved_count, has_fp, total):
     else:
         dealloc = stack_alloc_instrs(total)
     return dealloc, (1 if saved_count else 0)
-
-
-def owning_block(func, access):
-    """Code block charged with an access's LD/ST instructions."""
-    code = [b for b in func.blocks if b.kind == "code"]
-    for b in code:
-        if any(s.line == access.source_line for s in b.spans):
-            return b.index
-    return code[-1].index
 
 
 def validate_model(model):
@@ -280,7 +294,7 @@ def align_up(x, a):
     return (x + a - 1) & ~(a - 1)
 
 
-def _place_function(func, options, base, forced, nops):
+def _place_function(func, options, base, forced, nops, padding):
     """One placement attempt.
 
     Pools are emitted after the block where the running distance from
@@ -291,13 +305,12 @@ def _place_function(func, options, base, forced, nops):
     """
     fr = func.frame
     saved = len(fr.callee_saved)
-    total = fr.local_size + fr.padding
+    total = fr.local_size + padding
     push, fps, alloc = prologue_extras(saved, func.has_fp, total)
     dealloc, pop = epilogue_extras(saved, func.has_fp, total)
     mat = {}
-    for acc in fr.accesses:
-        owner = owning_block(func, acc)
-        cost = _access_cost(acc, fr, func.has_fp, options)
+    for acc, owner in zip(fr.accesses, func.access_blocks):
+        cost = _access_cost(acc, total, func.has_fp, options)
         mat[owner] = mat.get(owner, 0) + acc.count * cost
 
     regions = []
@@ -349,11 +362,11 @@ def _emit_pool(regions, pools, pending, cursor, after_index):
     return cursor + pool.size, out_of_reach
 
 
-def _layout_function(func, options, base, nops):
+def _layout_function(func, options, base, nops, padding):
     forced = set()
     for _ in range(64):
         regions, pools, violation = _place_function(func, options, base,
-                                                    forced, nops)
+                                                    forced, nops, padding)
         if violation is None:
             return regions, pools
         if violation == 0 or violation - 1 in forced:
@@ -398,10 +411,10 @@ def _saved_slot_rules(callee_saved):
     return rules
 
 
-def _function_cfi(func, base, size, regions):
+def _function_cfi(func, base, size, regions, padding):
     fr = func.frame
     saved = len(fr.callee_saved)
-    total = fr.local_size + fr.padding
+    total = fr.local_size + padding
     push, fps, alloc = prologue_extras(saved, func.has_fp, total)
     dealloc, pop = epilogue_extras(saved, func.has_fp, total)
     init = {".cfa": ("sp", 0, "+"), ".ra": ("lr",)}
@@ -438,17 +451,24 @@ def _module_id(module_name):
     return "Linux arm %016x%016x0 %s" % (h, mix64(h), module_name)
 
 
-def layout(model, order, options, nop_counts=None):
+def layout(model, order, options, nop_counts=None, paddings=None):
     """Place functions in `order`; derive the image and its symbol file.
 
-    Deterministic: identical inputs give identical results.  The model
-    must already carry its padding.  nop_counts (diversify._nop_pass)
-    holds, per function and per block, the NOPs added to each span.
+    Deterministic: identical inputs give identical results.  paddings
+    holds each function's stack padding in model order (None: each
+    frame's own padding), and nop_counts (diversify._nop_pass), per
+    function and per block, the NOPs added to each span; the model is
+    laid out as if it carried both, without being copied.
     """
-    validate_model(model)
+    model.valid                 # raises ModelError on a malformed model
     n = len(model.functions)
     if sorted(order) != list(range(n)):
         raise LayoutError("order is not a permutation of 0..%d" % (n - 1))
+    if paddings is None:
+        paddings = [f.frame.padding for f in model.functions]
+    elif len(paddings) != n or any(p < 0 or p % 8 for p in paddings):
+        raise ModelError("paddings must be %d multiples of 8, none negative"
+                         % n)
     image = []
     funcs = []
     cfi = []
@@ -457,17 +477,18 @@ def layout(model, order, options, nop_counts=None):
     for idx in order:
         f = model.functions[idx]
         nops = nop_counts[idx] if nop_counts else None
+        padding = paddings[idx]
         fbase = align_up(cursor, f.alignment)
-        regions, pools = _layout_function(f, options, fbase, nops)
+        regions, pools = _layout_function(f, options, fbase, nops, padding)
         size = regions[-1].address + regions[-1].size - fbase
         lines = _function_lines(f, regions, nops)
-        rec = _function_cfi(f, fbase, size, regions)
+        rec = _function_cfi(f, fbase, size, regions, padding)
         image.append(FunctionLayout(
             identifier=f.identifier, name=f.name, alignment=f.alignment,
             base=fbase, size=size, regions=tuple(regions), lines=lines,
             cfi=rec, local_size=f.frame.local_size,
             saved_count=len(f.frame.callee_saved), has_fp=f.has_fp,
-            padding=f.frame.padding))
+            padding=padding))
         funcs.append(FuncRecord(fbase, size, f.param_size, f.name, lines))
         cfi.append(rec)
         pool_placements.extend((f.identifier, bi, sz) for bi, sz in pools)
@@ -512,7 +533,7 @@ def _generate_program(seed, index, size_class):
     for i in range(n_funcs):
         functions.append(_generate_function(rng, fnames, files, i, edges[i]))
     model = ProgramModel(name, files, tuple(functions))
-    validate_model(model)
+    model.valid                 # raises ModelError on a malformed model
     return model
 
 
@@ -671,5 +692,5 @@ def parse_model(text):
                          for kind, i, spans, consts, size, epi in f.pop("blocks")),
             call_sites=tuple(f.pop("call_sites")), **f))
     model = ProgramModel(module_name, tuple(st.files), tuple(functions))
-    validate_model(model)
+    model.valid                 # raises ModelError on a malformed model
     return model

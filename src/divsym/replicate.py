@@ -77,12 +77,12 @@ def _block_records(func, lf):
     return out
 
 
-def _replicate_function(func, cfi, lf, seeds, options, fbase):
-    """(FuncRecord, CfiInitRecord) of one function placed at fbase."""
-    ident = lf.identifier
+def _replicate_function(func, cfi, lf, seeds, options, fbase, masks):
+    """(FuncRecord, CfiInitRecord) of one function placed at fbase;
+    `masks` yields the NOP mask of each of its code blocks in order."""
     defpad = DEFAULT_PAD if options.default_padding else 0
     if options.pad_scheme:
-        newpad = pad_amount(ident, seeds.pad_seed, False)
+        newpad = pad_amount(lf.identifier, seeds.pad_seed, False)
     else:
         newpad = defpad
     total_def = lf.local_size + defpad
@@ -123,9 +123,7 @@ def _replicate_function(func, cfi, lf, seeds, options, fbase):
             raise ReplicationInputError(
                 "record/extras mismatch in %s block %d" % (func.name, b.index))
 
-        mask = gap_decisions(ident, b.index, b.model_instrs - 1,
-                             seeds.nop_seed, options.nop_num, options.nop_den)
-        nops = span_counts(mask, bodies)
+        nops = span_counts(next(masks), bodies)
 
         new_start = cursor
         for j, r in enumerate(recs):
@@ -181,13 +179,28 @@ def replicate(default_sf, log, seeds, options):
         order = shuffle_permutation(n, seeds.shuffle_seed)
     else:
         order = range(n)
+    keys = []
+    for idx in order:
+        func, _, lf = pairs[idx]
+        for b in lf.blocks:
+            if b.kind == "code":
+                # a body longer than its block fails the placement
+                # below; refusing it first bounds the draws by the
+                # symbol file's size
+                if b.model_instrs > b.size:
+                    raise ReplicationInputError(
+                        "record/extras mismatch in %s block %d"
+                        % (func.name, b.index))
+                keys.append((lf.identifier, b.index, b.model_instrs - 1))
+    masks = iter(gap_decisions(keys, seeds.nop_seed, options.nop_num,
+                               options.nop_den))
     funcs = []
     cfi_regions = []
     cursor = 0
     for idx in order:
         func, cfi, lf = pairs[idx]
         f, c = _replicate_function(func, cfi, lf, seeds, options,
-                                   align_up(cursor, lf.alignment))
+                                   align_up(cursor, lf.alignment), masks)
         funcs.append(f)
         cfi_regions.append(c)
         cursor = f.address + f.size

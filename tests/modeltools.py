@@ -1,5 +1,6 @@
 """Test-side helpers over program models: crash-site call chains, the
-LD/ST total of a frame and the model a desynced build lays out."""
+LD/ST total of a frame, and the models a padded or a desynced build
+lays out."""
 
 from dataclasses import replace
 
@@ -34,8 +35,18 @@ def sample_call_chains(model, n, seed):
 
 def access_instrs(frame, options, has_fp=False):
     """Total LD/ST instruction count for the frame's stack accesses."""
-    return sum(acc.count * _access_cost(acc, frame, has_fp, options)
+    total = frame.local_size + frame.padding
+    return sum(acc.count * _access_cost(acc, total, has_fp, options)
                for acc in frame.accesses)
+
+
+def with_padding(model, pad_for):
+    """The model with each function's frame padding set to pad_for(f),
+    which layout must place as it places the model with those paddings
+    passed beside it."""
+    functions = tuple(replace(f, frame=replace(f.frame, padding=pad_for(f)))
+                      for f in model.functions)
+    return replace(model, functions=functions)
 
 
 def with_phantoms(model, hits):

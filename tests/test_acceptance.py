@@ -219,14 +219,12 @@ def test_c07_size_ordering(matrix):
 
 
 def test_c08_decision_process_statistics():
-    fired = 0
-    gaps = 0
-    i = 0
-    while gaps < 100000:
-        got = gap_decisions("accept_fn_%d@o:s" % i, i % 7, 160, 0xACC8, 1, 5)
-        fired += got.count(1)
-        gaps += 160
-        i += 1
+    keys = [("accept_fn_%d@o:s" % i, i % 7, 160)
+            for i in range(-(-100000 // 160))]
+    masks = gap_decisions(keys, 0xACC8, 1, 5)
+    fired = sum(mask.count(1) for mask in masks)
+    gaps = sum(len(mask) for mask in masks)
+    assert gaps >= 100000
     rate = fired / gaps
     assert abs(rate - 0.2) <= 0.01
     counts = [0] * 32

@@ -457,11 +457,12 @@ def test_corpus_metrics_times_a_cold_reconstruction(monkeypatch):
         per_replicate.append(len(draws) - before)
         return out
 
-    def drawing(seed, n_gaps, threshold):
-        draws.append(seed)
-        return _speed.nop_gaps(seed, n_gaps, threshold)
+    def drawing(seeds, counts, threshold):
+        # a block with no gap draws nothing
+        draws.extend(seed for seed, n in zip(seeds, counts) if n > 0)
+        return _speed.nop_masks(seeds, counts, threshold)
 
-    monkeypatch.setattr(diversify, "nop_gaps", drawing)
+    monkeypatch.setattr(diversify, "nop_masks", drawing)
     monkeypatch.setattr(collector, "replicate", counted)
     diversify.clear_gap_memo()
     corpus_metrics([model], [SEEDS], OPTS, histogram_corpus=[])

@@ -22,7 +22,7 @@ from divsym.progmodel import (BlockModel, BuildOptions, FrameModel,
                               generate_corpus, layout)
 from divsym.replicate import replicate
 from divsym.symfile import emit_symbol_file
-from modeltools import with_phantoms
+from modeltools import with_padding, with_phantoms
 
 # chi-square critical value, df=31, significance 0.001
 CHI2_CRIT = 61.0983
@@ -125,9 +125,9 @@ def test_insert_nops_probability_one_doubles_gaps():
 def test_insert_nops_rate_twenty_percent():
     fired = 0
     gaps = 0
-    for i in range(700):
-        n = 150
-        got = gap_decisions("f%d@o:s" % i, 0, n, 0x5EED, 1, 5)
+    n = 150
+    for got in gap_decisions([("f%d@o:s" % i, 0, n) for i in range(700)],
+                             0x5EED, 1, 5):
         assert len(got) == n
         fired += got.count(1)
         gaps += n
@@ -137,13 +137,15 @@ def test_insert_nops_rate_twenty_percent():
 
 
 def test_gap_decisions_depend_only_on_block_key():
-    a = gap_decisions("f@o:s", 3, 40, 1234, 1, 5)
+    [a] = gap_decisions([("f@o:s", 3, 40)], 1234, 1, 5)
     assert len(a) == 40 and set(a) == {0, 1}
-    assert gap_decisions("f@o:s", 3, 40, 1234, 1, 5) == a
-    assert gap_decisions("f@o:s", 4, 40, 1234, 1, 5) != a
-    assert gap_decisions("g@o:s", 3, 40, 1234, 1, 5) != a
+    same, other_block, other_fn, b = gap_decisions(
+        [("f@o:s", 3, 40), ("f@o:s", 4, 40), ("g@o:s", 3, 40),
+         ("f@o:s", 3, 60)], 1234, 1, 5)
+    assert same == a
+    assert other_block != a
+    assert other_fn != a
     # a longer block agrees on the shared prefix of gaps
-    b = gap_decisions("f@o:s", 3, 60, 1234, 1, 5)
     assert b[:40] == a
 
 
@@ -226,7 +228,7 @@ def test_layout_of_the_grown_model_is_the_build(options):
     # layout of a model whose spans were grown by the oracle is the same
     for model in generate_corpus(0x6A0, 3):
         res, dec = build_diversified(model, SEEDS, options)
-        padded = diversify._apply_padding(
+        padded = with_padding(
             model, lambda f: pad_amount(f.identifier, SEEDS.pad_seed, False))
         if options.desync_num:
             hits = desync_blocks(padded, SEEDS, options.desync_num,
@@ -245,18 +247,21 @@ def test_layout_of_the_grown_model_is_the_build(options):
 
 
 def test_build_diversified_draws_each_code_block_once(monkeypatch):
+    # one gap_decisions call for the whole pass, asking for each code
+    # block once
     model = generate_corpus(3, 1)[0]
     calls = []
 
-    def counting(*args):
-        calls.append(args[:2])
-        return gap_decisions(*args)
+    def counting(keys, *args):
+        calls.append([key[:2] for key in keys])
+        return gap_decisions(keys, *args)
 
     monkeypatch.setattr(diversify, "gap_decisions", counting)
     build_diversified(model, SEEDS, BuildOptions())
     blocks = [(f.identifier, b.index) for f in model.functions
               for b in f.blocks if b.kind == "code"]
-    assert sorted(calls) == sorted(blocks)
+    assert len(calls) == 1
+    assert sorted(calls[0]) == sorted(blocks)
 
 
 def _oracle_mask(identifier, block_index, n_gaps, nop_seed, num, den):
@@ -270,17 +275,17 @@ def test_block_seed_is_the_function_reseed_of_the_block_key(monkeypatch):
     # gives the seed of the whole '<identifier>#<block_index>' string
     seeds = []
 
-    def recording(seed, n_gaps, threshold):
-        seeds.append(seed)
-        return _speed.nop_gaps(seed, n_gaps, threshold)
+    def recording(block_seeds, counts, threshold):
+        seeds.extend(block_seeds)
+        return _speed.nop_masks(block_seeds, counts, threshold)
 
-    monkeypatch.setattr(diversify, "nop_gaps", recording)
+    monkeypatch.setattr(diversify, "nop_masks", recording)
     for nop_seed in (0, 0x5EED, 1 << 63, (1 << 64) - 1):
         clear_gap_memo()
         for ident in ("f@o:s", "fünf@mödul.o:.text.ß", "関数@o:s", "x"):
             for bi in (0, 9, 10, 99, 1000, 123456):
                 seeds.clear()
-                gap_decisions(ident, bi, 5, nop_seed, 1, 5)
+                gap_decisions([(ident, bi, 5)], nop_seed, 1, 5)
                 assert seeds == [function_reseed("%s#%d" % (ident, bi),
                                                  nop_seed)]
 
@@ -320,11 +325,11 @@ def test_decision_log_nops_are_the_per_block_draws(options):
         for b in f.blocks:
             if b.kind != "code":
                 continue
-            gaps = _gaps(_oracle_mask(f.identifier, b.index,
-                                      b.instr_count - 1, SEEDS.nop_seed,
-                                      options.nop_num, options.nop_den))
-            if gaps:
-                want.append((f.identifier, b.index, gaps))
+            mask = _oracle_mask(f.identifier, b.index, b.instr_count - 1,
+                                SEEDS.nop_seed, options.nop_num,
+                                options.nop_den)
+            if _gaps(mask):
+                want.append((f.identifier, b.index, mask))
     assert dec.nops == tuple(want)
 
 
@@ -337,9 +342,14 @@ def test_gap_memo_matches_the_scalar_oracle():
             for n in (0, 1, 17, 90)]
     for _ in range(2):
         for nop, num, den in triples + triples[::-1]:
-            for ident, bi, n in keys:
-                assert gap_decisions(ident, bi, n, nop, num, den) == \
-                    _oracle_mask(ident, bi, n, nop, num, den)
+            want = [_oracle_mask(*key, nop, num, den) for key in keys]
+            # one key at a time, then a pass whose keys the memo holds
+            # in part (the odd ones drawn just before) and whose misses
+            # repeat (keys 0 and 2 twice)
+            for key, mask in zip(keys[1::2], want[1::2]):
+                assert gap_decisions([key], nop, num, den) == [mask]
+            assert gap_decisions(keys + keys[:3], nop, num, den) == \
+                want + want[:3]
 
 
 def test_gap_memo_under_threads_with_alternating_triples():
@@ -355,8 +365,11 @@ def test_gap_memo_under_threads_with_alternating_triples():
         for r in range(2000):
             nop = (r + offset) % 4
             key = keys[r % len(keys)]
-            if gap_decisions(*key, nop, 1, 3) != want[key, nop]:
-                wrong.append((key, nop))
+            try:
+                if gap_decisions([key], nop, 1, 3) != [want[key, nop]]:
+                    wrong.append((key, nop))
+            except Exception as e:      # a thread's error fails the test
+                wrong.append(e)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -390,11 +403,12 @@ def test_build_then_replicate_draws_each_block_once(monkeypatch, desync_num):
     dres, log = build_default(model, options)
     draws = []
 
-    def counting(seed, n_gaps, threshold):
-        draws.append(seed)
-        return _speed.nop_gaps(seed, n_gaps, threshold)
+    def counting(seeds, counts, threshold):
+        # a block with no gap draws nothing
+        draws.extend(seed for seed, n in zip(seeds, counts) if n > 0)
+        return _speed.nop_masks(seeds, counts, threshold)
 
-    monkeypatch.setattr(diversify, "nop_gaps", counting)
+    monkeypatch.setattr(diversify, "nop_masks", counting)
     clear_gap_memo()
     _, dec = build_diversified(model, SEEDS, options)
     built = len(draws)
@@ -584,3 +598,39 @@ def test_prog000_desync_build_is_pinned(seeds, digests):
         seeds, BuildOptions(desync_num=1, desync_den=4))
     assert len(dec.desyncs) == 80
     assert got == digests
+
+
+# The default build of prog000, pinned: its symbol file and opportunity
+# log, with and without default padding.
+@pytest.mark.parametrize("options,digests", [
+    (BuildOptions(), (
+        "20e02af8ca37be82177ab447bc53894346ffacc39693ae707dff6a46eea9945a",
+        "edf727011adc3df24a37fe10d20cba0f7df156ceeef46dcb51ebf2bd1152f61e")),
+    (BuildOptions(default_padding=False), (
+        "4a4f506a8cdd4febcfca962c3cf9f8b52db91b703126dac270379ce8c224617f",
+        "300d7ce396e10de5335a4a4075e0835b731138446c3bf73a5ddfff66b67e1d3b")),
+])
+def test_prog000_default_build_is_pinned(options, digests):
+    m = generate_corpus(0xBE7C, 1, "medium")[0]
+    res, log = build_default(m, options)
+    outputs = (emit_symbol_file(res.symfile), emit_opportunity_log(log))
+    assert tuple(hashlib.sha256(o.encode()).hexdigest()
+                 for o in outputs) == digests
+
+
+# The diversified build under (11, 22, 33) with the padding scheme and
+# default padding off, and with the SP/FP access optimisation at NOP
+# rate 2/3: symbol file, decision log and crash image.
+@pytest.mark.parametrize("options,digests", [
+    (BuildOptions(pad_scheme=False, default_padding=False), (
+        "9cf90c794cb694852ee6eba2f7bbea85cb4ae7e19cd9c1cfd309de68f63e36c5",
+        "2e404214af3d1aa119faf587776a5110c556c787f1d5a2b87ab06d281f339cbe",
+        "fdc50cc0950001877024d365ba6b2397803426e07891c606f7d2700eaf290166")),
+    (BuildOptions(sp_fp_opt=True, nop_num=2, nop_den=3), (
+        "30d1a6c339798ace8800cfff3f523421f9fb4ee35abb99473835c81e1b358cd7",
+        "5060d7a3ae6da24fdc89e94afc1ec45efa8c923870a69401fcc8048d5b7b76d3",
+        "11b5085af6c8379a222dea5d03fe75653033fc56604a3fecea02ce7e8e83b0b2")),
+])
+def test_prog000_build_options_are_pinned(options, digests):
+    assert _prog000_build_digests(SeedTuple(11, 22, 33), options)[0] == \
+        digests

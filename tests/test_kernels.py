@@ -4,12 +4,14 @@ import tracemalloc
 import zlib
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from divsym import _speed
 from divsym.prng import Prng
 
 
-# gap counts on both sides of the 16-lane rounding and the 256-lane chunk
+# gap counts on both sides of the 16-lane rounding and the 256-lane
+# chunk of an earlier packing; the frozen counts below are recorded at them
 CHUNK_NS = (0, 1, 15, 16, 17, 255, 256, 257, 513, 2000)
 EDGE_THRESHOLDS = (0, 1, 1 << 31, (1 << 32) - 1, 1 << 32)
 # thresholds outside [0, 2^32]: the scalar loop fires nothing or everything
@@ -137,21 +139,54 @@ def test_pure_nop_gaps_clamps_the_threshold(threshold):
         assert _speed.nop_gaps(0x5EED, n, threshold) == want
 
 
-def test_lane_constant_cache_stays_within_its_bound():
-    for n in range(1, 2 * _speed.CHUNK_LANES + 2):
+CHUNK = _speed.CHUNK_LANES
+# thresholds at and past the edges of the packed compare
+MASK_THRESHOLDS = (0, 1, (1 << 32) // 5, (1 << 32) - 1, 1 << 32,
+                   (1 << 32) + 1, 1 << 40)
+
+
+@settings(max_examples=80, deadline=None)
+@given(blocks=st.lists(
+           st.tuples(st.integers(0, (1 << 64) - 1),
+                     st.integers(-1, 40) | st.integers(CHUNK - 40, CHUNK + 40)
+                     | st.integers(0, 3 * CHUNK)),
+           max_size=8),
+       threshold=st.sampled_from(MASK_THRESHOLDS) | st.integers(0, 1 << 32))
+@example(blocks=[(1, CHUNK - 5), (2, 10), (3, 7)], threshold=1 << 31)
+@example(blocks=[(4, CHUNK), (5, 1), (6, CHUNK - 1), (7, 2)],
+         threshold=(1 << 32) - 1)
+@example(blocks=[(8, 3), (9, 2 * CHUNK + 7), (10, 5)], threshold=1)
+def test_nop_masks_are_the_per_block_nop_gaps(blocks, threshold):
+    # blocks share chunks, straddle chunk boundaries and span several
+    # chunks; each block's mask is still its own draws
+    seeds = [seed for seed, _ in blocks]
+    counts = [n for _, n in blocks]
+    assert _speed.nop_masks(seeds, counts, threshold) == \
+        [_speed.nop_gaps(seed, n, threshold) for seed, n in blocks]
+
+
+def test_nop_masks_across_chunks_match_the_mix64_stream():
+    # 3 blocks over 2.5 chunks: the second straddles a boundary
+    blocks = [(0x5EED, CHUNK - 100), (0x6A9, CHUNK + 3), (1, 150)]
+    for thr in MASK_THRESHOLDS:
+        assert _speed.nop_masks([s for s, _ in blocks],
+                                [n for _, n in blocks], thr) == \
+            [_stream_mask(seed, n, thr) for seed, n in blocks]
+
+
+def test_packed_constants_stay_within_their_bound():
+    # one chunk's constants, built once; no call adds any
+    for n in range(1, 2 * CHUNK + 2, 61):
         _speed.nop_gaps(n, n, 1 << 31)
-    cache = _speed._lane_consts
-    assert sorted(cache) == list(range(_speed.LANE_ROUND,
-                                       _speed.CHUNK_LANES + 1,
-                                       _speed.LANE_ROUND))
-    assert sum(sys.getsizeof(v) for c in cache.values() for v in c) < 160_000
+    consts = (_speed._ONES, _speed._M64, _speed._M32, _speed._STEPS)
+    assert all(c.bit_length() <= _speed.LANE_BITS * CHUNK for c in consts)
+    assert sum(sys.getsizeof(c) for c in consts) < 160_000
 
 
 def test_pure_nop_gaps_scratch_memory_is_bounded_on_a_huge_block():
-    # one 100,000-gap call holds at most one 256-lane chunk at a time;
+    # one 100,000-gap call holds at most one CHUNK_LANES chunk at a time;
     # packing the whole block at once would hold several 1.6 MB ints
     n = 100_000
-    _speed.nop_gaps(1, _speed.CHUNK_LANES, 1 << 31)  # constants
     tracemalloc.start()
     try:
         out = _speed.nop_gaps(0xB16, n, 1 << 31)

@@ -9,7 +9,7 @@ from divsym.progmodel import (BlockModel, BuildOptions, FrameModel,
                               StackAccess, emit_model, generate_corpus,
                               layout, parse_model, stack_alloc_instrs)
 from divsym.symfile import emit_symbol_file
-from modeltools import access_instrs
+from modeltools import access_instrs, with_padding
 
 OPTS = BuildOptions()
 
@@ -301,3 +301,48 @@ def test_validate_rejects_duplicate_identifier():
     f = simple_func()
     with pytest.raises(ModelError):
         layout(ProgramModel("m", ((1, "a.c"),), (f, f)), [0, 1], OPTS)
+
+
+def test_invalid_model_raises_on_every_layout():
+    # a failed check is not cached: each call checks and raises again
+    f = simple_func()
+    model = ProgramModel("m", ((1, "a.c"),), (f, f))
+    for _ in range(3):
+        with pytest.raises(ModelError, match="duplicate identifier"):
+            layout(model, [0, 1], OPTS)
+
+
+@pytest.mark.parametrize("options", [
+    OPTS, BuildOptions(sp_fp_opt=True), BuildOptions(default_padding=False)])
+def test_layout_with_paddings_is_the_layout_of_the_padded_model(options):
+    # the paddings a build hands layout act as the padded copy would
+    rng = random.Random(0x9AD)
+    for model in generate_corpus(0x9AD, 3) + generate_corpus(0xBE7C, 1,
+                                                             "medium"):
+        n = len(model.functions)
+        pads = [8 * rng.randrange(0, 33) for _ in range(n)]
+        order = rng.sample(range(n), n)
+        got = layout(model, order, options, paddings=tuple(pads))
+        by_id = dict(zip((f.identifier for f in model.functions), pads))
+        want = layout(with_padding(model, lambda f: by_id[f.identifier]),
+                      order, options)
+        assert got == want
+
+
+def test_layout_paddings_default_to_the_frames_own():
+    model = generate_corpus(0x9AD, 1)[0]
+    padded = with_padding(model, lambda f: 8 * (len(f.name) % 5))
+    n = len(model.functions)
+    assert layout(padded, list(range(n)), OPTS) == layout(
+        model, list(range(n)), OPTS,
+        paddings=tuple(f.frame.padding for f in padded.functions))
+
+
+@pytest.mark.parametrize("paddings", [
+    (), (8,), (8, 8, 8), (8, -8), (8, 4), (12, 8)])
+def test_layout_rejects_bad_paddings(paddings):
+    model = ProgramModel("m", ((1, "a.c"),), (simple_func(), simple_func("g")))
+    assert layout(model, [0, 1], OPTS, paddings=(8, 16)).image[1].padding \
+        == 16
+    with pytest.raises(ModelError, match="paddings"):
+        layout(model, [0, 1], OPTS, paddings=paddings)

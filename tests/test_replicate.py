@@ -2,16 +2,16 @@ from dataclasses import replace
 
 import pytest
 
-from divsym.diversify import (SeedTuple, _apply_padding, _nop_pass,
-                              build_default, build_diversified, desync_blocks,
-                              pad_amount, shuffle_permutation)
-from divsym.errors import ReplicationInputError
+from divsym.diversify import (SeedTuple, _nop_pass, build_default,
+                              build_diversified, desync_blocks, pad_amount,
+                              shuffle_permutation)
+from divsym.errors import ModelError, ReplicationInputError
 from divsym.progmodel import (BlockModel, BuildOptions, FrameModel,
                               FunctionModel, LineSpan, ProgramModel,
                               generate_corpus, layout)
 from divsym.replicate import replicate
 from divsym.symfile import emit_symbol_file
-from modeltools import access_instrs, with_phantoms
+from modeltools import access_instrs, with_padding, with_phantoms
 
 OPTS = BuildOptions()
 SEEDS = SeedTuple(0xA1A1, 0xB2B2, 0xC3C3)
@@ -150,7 +150,7 @@ def test_desync_contained_to_its_function():
     target = model.functions[2].identifier
 
     # diversified build with a phantom instruction in one function
-    padded = _apply_padding(
+    padded = with_padding(
         model, lambda f: pad_amount(f.identifier, SEEDS.pad_seed, False))
     hits = desync_blocks(padded, SEEDS, 0, 100, targets=[target])
     assert [h[0] for h in hits] == [target]
@@ -169,6 +169,32 @@ def test_desync_contained_to_its_function():
         else:
             # identical up to the base shift that rebasing removed
             assert a_rec[f.name] == t_rec[f.name], f.name
+
+
+@pytest.mark.parametrize("num,den", [(1, 0), (-1, 5), (7, 5)])
+def test_nop_fraction_outside_zero_one_is_refused(num, den):
+    # the replicator refuses what the build refuses, in the same words
+    model = benign_model()
+    res, log = build_default(model, OPTS)
+    options = replace(OPTS, nop_num=num, nop_den=den)
+    for side in (lambda: build_diversified(model, SEEDS, options),
+                 lambda: replicate(res.symfile, log, SEEDS, options)):
+        with pytest.raises(ModelError, match="NOP probability"):
+            side()
+
+
+def test_a_body_longer_than_its_block_is_refused_before_drawing():
+    # a log whose block claims a billion body instructions would draw a
+    # billion gaps if replicate drew before checking the placement
+    model = benign_model()
+    res, log = build_default(model, OPTS)
+    lf = log.functions[1]
+    big = replace(lf.blocks[0], model_instrs=10 ** 9)
+    broken = replace(log, functions=(
+        log.functions[0], replace(lf, blocks=(big, *lf.blocks[1:])),
+        *log.functions[2:]))
+    with pytest.raises(ReplicationInputError, match="record/extras"):
+        replicate(res.symfile, broken, SEEDS, OPTS)
 
 
 def test_mismatched_log_rejected():
