@@ -27,11 +27,13 @@ from dataclasses import dataclass, field, replace
 
 from divsym import cfi
 from divsym.deltadata import apply, delta_from_options, diff, pack, unpack
-from divsym.diversify import (build_default, build_diversified,
-                              clear_gap_memo, emit_opportunity_log)
+from divsym.diversify import (PAD_CHOICES, build_default, build_diversified,
+                              clear_gap_memo, emit_opportunity_log,
+                              function_padding)
 from divsym.errors import HarnessError, ReplicationInputError
 from divsym.image import ImageInfo
-from divsym.progmodel import INSTR_BYTES, BuildOptions, ProgramModel, layout
+from divsym.progmodel import (INSTR_BYTES, BuildOptions, ProgramModel,
+                              function_size)
 from divsym.records import read_records
 from divsym.replicate import replicate
 from divsym.symfile import emit_symbol_file
@@ -356,34 +358,30 @@ class MetricsReport:
         return "\n".join(out) + "\n"
 
 
-def _function_sizes(func, paddings, options):
-    """The function's size laid out alone, under each padding."""
-    one = ProgramModel("h", ((1, "h.c"), (2, "h2.c"), (3, "h3.c")),
-                       (replace(func, call_sites=()),))
-    return [layout(one, [0], options, paddings=(pad,)).image[0].size
-            for pad in paddings]
-
-
-def size_variation_histogram(corpus, options, default_padding):
-    """Function-size deltas across the 32 padding amounts vs the default."""
-    zero = 0
+def size_variation_histograms(corpus, options):
+    """Function-size deltas across the 32 padding amounts against the
+    default build's padding: (with default padding, without), from one
+    pass over each function's sizes at paddings 0, 8, ..., 256."""
+    defaults = [replace(options, default_padding=on) for on in (True, False)]
+    zero = [0, 0]
+    abs_sum = [0, 0]
     total = 0
-    abs_sum = 0
     for model in corpus:
         for f in model.functions:
-            dflt, *sizes = _function_sizes(
-                f, (8 if default_padding else 0, *range(8, 257, 8)), options)
-            for size in sizes:
-                d = size - dflt
-                total += 1
-                if d == 0:
-                    zero += 1
-                abs_sum += abs(d)
-    return HistogramPoint(zero, total, abs_sum / total if total else 0.0)
+            sizes = [function_size(f, options, pad)
+                     for pad in range(0, 8 * PAD_CHOICES + 1, 8)]
+            total += PAD_CHOICES
+            for k, dopts in enumerate(defaults):
+                dflt = sizes[function_padding(f.identifier, None, dopts) // 8]
+                for size in sizes[1:]:
+                    d = abs(size - dflt)
+                    zero[k] += d == 0
+                    abs_sum[k] += d
+    return tuple(HistogramPoint(z, total, a / total if total else 0.0)
+                 for z, a in zip(zero, abs_sum))
 
 
-def corpus_metrics(corpus, seed_tuples, options=BuildOptions(),
-                   histogram_corpus=None):
+def corpus_metrics(corpus, seed_tuples, options=BuildOptions()):
     """Sizes, delta-data statistics and size-variation histograms."""
     timings = {"delta_generation": 0.0, "reconstruction": 0.0}
     programs = []
@@ -421,10 +419,11 @@ def corpus_metrics(corpus, seed_tuples, options=BuildOptions(),
         programs.append(ProgramMetrics(
             model.module_name, len(model.functions), default_bytes,
             sum(div_sizes) / len(div_sizes), opp_z, schemes))
-    hc = corpus if histogram_corpus is None else histogram_corpus
-    hist_on = size_variation_histogram(hc, options, True)
-    hist_off = size_variation_histogram(hc, options, False)
-    spfp_on = size_variation_histogram(hc, replace(options, sp_fp_opt=True), True)
-    spfp_off = size_variation_histogram(hc, replace(options, sp_fp_opt=False), True)
+    hist_on, hist_off = size_variation_histograms(corpus, options)
+    # the sp/fp pair: hist_on, and hist_on with sp_fp_opt flipped
+    flipped, _ = size_variation_histograms(
+        corpus, replace(options, sp_fp_opt=not options.sp_fp_opt))
+    spfp_on, spfp_off = (hist_on, flipped) if options.sp_fp_opt \
+        else (flipped, hist_on)
     return MetricsReport(tuple(programs), hist_on, hist_off, spfp_on,
                          spfp_off, timings)

@@ -20,17 +20,17 @@ from types import SimpleNamespace
 from divsym._speed import FNV_PRIME, MASK64, fnv1a64, mix64, nop_masks
 from divsym.errors import ModelError
 from divsym.prng import Prng, function_reseed
-from divsym.progmodel import BuildOptions, layout
+from divsym.progmodel import ALIGNMENTS, SAVEABLE, BuildOptions, layout
 from divsym.records import fields, read_records
 
 # re-exported: the PRNG and reseeding live in divsym.prng
 __all__ = [
-    "SeedTuple", "Prng", "function_reseed", "pad_amount", "gap_decisions",
-    "clear_gap_memo", "shuffle_permutation", "desync_blocks",
-    "build_default", "build_diversified", "OpportunityLog", "LogFunction",
-    "LogBlock", "DecisionLog", "log_from_layout", "emit_opportunity_log",
-    "parse_opportunity_log", "emit_decision_log", "span_counts",
-    "mask_gaps",
+    "SeedTuple", "Prng", "function_reseed", "function_padding",
+    "function_order", "gap_decisions", "clear_gap_memo",
+    "shuffle_permutation", "desync_blocks", "build_default",
+    "build_diversified", "OpportunityLog", "LogFunction", "LogBlock",
+    "DecisionLog", "log_from_layout", "emit_opportunity_log",
+    "parse_opportunity_log", "emit_decision_log", "span_counts", "mask_gaps",
 ]
 
 PAD_CHOICES = 32          # padding in {8, 16, ..., 256}
@@ -81,15 +81,16 @@ class DecisionLog:
     desyncs: tuple            # ((identifier, block_index), ...)
 
 
-def pad_amount(identifier, pad_seed, default_mode):
-    """Stack padding for one function: 8 in default mode, else 8..256.
-
-    Stateless: depends only on the identifier and the scheme seed, never
-    on compilation order.
-    """
-    if default_mode:
-        return DEFAULT_PAD
-    return 8 * (1 + function_reseed(identifier, pad_seed) % PAD_CHOICES)
+def function_padding(identifier, seeds, options):
+    """Stack padding for one function: the padding scheme's draw, 8..256
+    from the identifier and the pad seed, when `seeds` is given and the
+    scheme is on; else the default build's padding, DEFAULT_PAD or 0
+    without default padding.  `seeds` None means the default build.
+    Never depends on compilation order."""
+    if seeds is not None and options.pad_scheme:
+        return 8 * (1 + function_reseed(identifier, seeds.pad_seed)
+                    % PAD_CHOICES)
+    return DEFAULT_PAD if options.default_padding else 0
 
 
 # The draws of one (nop_seed, num, den): (that triple, {(identifier,
@@ -234,24 +235,30 @@ def shuffle_permutation(n, shuffle_seed):
     return order
 
 
-def desync_blocks(model, seeds, num, den, targets=None):
+def function_order(n, seeds, options):
+    """The link order of n functions: the shuffle scheme's permutation
+    when it is on, else 0..n-1."""
+    if options.shuffle_scheme:
+        return shuffle_permutation(n, seeds.shuffle_seed)
+    return list(range(n))
+
+
+def desync_blocks(model, seeds, num, den):
     """((identifier, block_index), ...): the code block of each of a
     num/den fraction of functions that gains one phantom instruction,
-    emulating CFG/size perturbations the replicator cannot see.
-    `targets` forces specific identifiers (tests)."""
+    emulating CFG/size perturbations the replicator cannot see.  Empty
+    when num is 0; raises ModelError unless 0 <= num/den <= 1."""
     if num < 0 or den <= 0 or num > den:
         raise ModelError("desync probability %d/%d outside [0, 1]"
                          % (num, den))
-    if num == 0 and targets is None:
+    if num == 0:
         return ()
     dseed = mix64(seeds.pad_seed ^ mix64(seeds.nop_seed ^ mix64(seeds.shuffle_seed)))
     threshold = (num << 32) // den
     hits = []
     for f in model.functions:
         v = function_reseed(f.identifier + "#desync", dseed)
-        fire = (f.identifier in targets) if targets is not None \
-            else (v & 0xFFFFFFFF) < threshold
-        if fire:
+        if (v & 0xFFFFFFFF) < threshold:
             code = [b.index for b in f.blocks if b.kind == "code"]
             hits.append((f.identifier, code[Prng(v).next() % len(code)]))
     return tuple(hits)
@@ -277,10 +284,12 @@ def log_from_layout(result, module_name):
 
 
 def build_default(model, options=BuildOptions()):
-    """Default (undiversified) build: image, symbol file, opportunity log."""
-    pad = DEFAULT_PAD if options.default_padding else 0
-    n = len(model.functions)
-    result = layout(model, list(range(n)), options, paddings=(pad,) * n)
+    """Default (undiversified) build: image, symbol file, opportunity
+    log, laid out in model order with function_padding(seeds None)."""
+    paddings = tuple(function_padding(f.identifier, None, options)
+                     for f in model.functions)
+    result = layout(model, list(range(len(model.functions))), options,
+                    paddings)
     return result, log_from_layout(result, model.module_name)
 
 
@@ -292,21 +301,14 @@ def build_diversified(model, seeds, options=BuildOptions()):
     which it lays out without copying; the decision log's nops come from
     the same pass, so every code block's gaps are drawn exactly once.
     """
-    n = len(model.functions)
-    if options.pad_scheme:
-        paddings = tuple(pad_amount(f.identifier, seeds.pad_seed, False)
-                         for f in model.functions)
-    else:
-        paddings = (DEFAULT_PAD if options.default_padding else 0,) * n
+    paddings = tuple(function_padding(f.identifier, seeds, options)
+                     for f in model.functions)
     desyncs = desync_blocks(model, seeds, options.desync_num,
                             options.desync_den)
     nop_counts, nops = _nop_pass(model, seeds.nop_seed, options.nop_num,
                                  options.nop_den, desyncs)
-    if options.shuffle_scheme:
-        order = shuffle_permutation(n, seeds.shuffle_seed)
-    else:
-        order = list(range(n))
-    result = layout(model, order, options, nop_counts, paddings)
+    order = function_order(len(model.functions), seeds, options)
+    result = layout(model, order, options, paddings, nop_counts)
     dec = DecisionLog(
         module_name=model.module_name,
         paddings=tuple((f.identifier, pad)
@@ -336,10 +338,17 @@ def _emit_log_functions(out, functions):
 
 
 def _log_function(st, toks, line):
-    align, local, saved, fp, ident = fields(
-        line, "align", "local", "saved", "fp", "id")
-    st.functions.append((ident, int(align), int(local), int(saved),
-                         bool(int(fp)), []))
+    *nums, ident = fields(line, "align", "local", "saved", "fp", "id")
+    align, local, saved, fp = map(int, nums)
+    # the ranges validate_model holds a model's functions to
+    if align not in ALIGNMENTS or local < 0 or local % 4 \
+            or not 0 <= saved <= len(SAVEABLE):
+        raise ValueError("function needs align in %s, local a multiple of 4"
+                         " >= 0 and saved in 0..%d" % (ALIGNMENTS,
+                                                       len(SAVEABLE)))
+    if fp not in (0, 1) or fp and saved < 2:
+        raise ValueError("fp must be 0, or 1 with r11 and lr saved")
+    st.functions.append((ident, align, local, saved, bool(fp), []))
 
 
 def _log_block(st, toks, line):

@@ -86,7 +86,6 @@ class FrameModel:
     local_size: int = 0
     callee_saved: tuple = ()
     accesses: tuple = ()
-    padding: int = 0          # 0 in source models; the builds pass theirs
 
 
 @dataclass(frozen=True)
@@ -153,8 +152,6 @@ class FunctionLayout:
     base: int
     size: int
     regions: tuple
-    lines: tuple
-    cfi: CfiInitRecord
     local_size: int
     saved_count: int
     has_fp: bool
@@ -165,7 +162,6 @@ class FunctionLayout:
 class LayoutResult:
     image: tuple              # FunctionLayout in placement order
     symfile: SymbolFile
-    pool_placements: tuple    # ((identifier, after_block_index, byte_size), ...)
 
 
 def stack_alloc_instrs(total):
@@ -262,8 +258,6 @@ def validate_model(model):
         fr = f.frame
         if fr.local_size < 0 or fr.local_size % 4:
             raise ModelError("%s: local_size %d" % (f.name, fr.local_size))
-        if fr.padding < 0 or fr.padding % 8:
-            raise ModelError("%s: padding %d" % (f.name, fr.padding))
         order = [r for r in SAVEABLE if r in fr.callee_saved]
         if tuple(order) != tuple(fr.callee_saved) or len(set(fr.callee_saved)) != len(fr.callee_saved):
             raise ModelError("%s: callee_saved must be unique, in push order"
@@ -300,8 +294,8 @@ def _place_function(func, options, base, forced, nops, padding):
     Pools are emitted after the block where the running distance from
     the earliest pending reference crosses POOL_REACH - 8, plus at any
     walk position in `forced` (retry points from the fixpoint loop).
-    Returns (regions, pools, violation) where violation is the walk
-    position whose pool left a constant out of reach, or None.
+    Returns (regions, violation) where violation is the walk position
+    whose pool left a constant out of reach, or None.
     """
     fr = func.frame
     saved = len(fr.callee_saved)
@@ -314,7 +308,6 @@ def _place_function(func, options, base, forced, nops, padding):
         mat[owner] = mat.get(owner, 0) + acc.count * cost
 
     regions = []
-    pools = []
     pending = []  # (ref_address, const) in reference order
     cursor = base
     violation = None
@@ -335,19 +328,18 @@ def _place_function(func, options, base, forced, nops, padding):
             regions.append(Region(cursor, size, "data", b.index))
         cursor += size
         if pending and (pos in forced or cursor - pending[0][0] > threshold):
-            cursor, bad = _emit_pool(regions, pools, pending, cursor, b.index)
+            cursor, bad = _emit_pool(regions, pending, cursor)
             if bad and violation is None:
                 violation = pos
             pending = []
     if pending:
-        cursor, bad = _emit_pool(regions, pools, pending, cursor,
-                                 func.blocks[-1].index)
+        cursor, bad = _emit_pool(regions, pending, cursor)
         if bad and violation is None:
             violation = len(func.blocks) - 1
-    return regions, pools, violation
+    return regions, violation
 
 
-def _emit_pool(regions, pools, pending, cursor, after_index):
+def _emit_pool(regions, pending, cursor):
     vals = []
     for _, c in pending:
         if c not in vals:
@@ -355,7 +347,6 @@ def _emit_pool(regions, pools, pending, cursor, after_index):
     pool = Region(cursor, INSTR_BYTES * len(vals), "pool", None,
                   consts=tuple(vals))
     regions.append(pool)
-    pools.append((after_index, pool.size))
     out_of_reach = any(
         pool.address + INSTR_BYTES * pool.consts.index(c) - ref > POOL_REACH
         for ref, c in pending)
@@ -365,10 +356,10 @@ def _emit_pool(regions, pools, pending, cursor, after_index):
 def _layout_function(func, options, base, nops, padding):
     forced = set()
     for _ in range(64):
-        regions, pools, violation = _place_function(func, options, base,
-                                                    forced, nops, padding)
+        regions, violation = _place_function(func, options, base, forced,
+                                             nops, padding)
         if violation is None:
-            return regions, pools
+            return regions
         if violation == 0 or violation - 1 in forced:
             break
         forced.add(violation - 1)
@@ -451,52 +442,54 @@ def _module_id(module_name):
     return "Linux arm %016x%016x0 %s" % (h, mix64(h), module_name)
 
 
-def layout(model, order, options, nop_counts=None, paddings=None):
+def layout(model, order, options, paddings, nop_counts=None):
     """Place functions in `order`; derive the image and its symbol file.
 
     Deterministic: identical inputs give identical results.  paddings
-    holds each function's stack padding in model order (None: each
-    frame's own padding), and nop_counts (diversify._nop_pass), per
-    function and per block, the NOPs added to each span; the model is
-    laid out as if it carried both, without being copied.
+    holds each function's stack padding in model order
+    (diversify.function_padding), and nop_counts (diversify._nop_pass),
+    per function and per block, the NOPs added to each span; the model
+    is laid out as if it carried both, without being copied.
     """
     model.valid                 # raises ModelError on a malformed model
     n = len(model.functions)
     if sorted(order) != list(range(n)):
         raise LayoutError("order is not a permutation of 0..%d" % (n - 1))
-    if paddings is None:
-        paddings = [f.frame.padding for f in model.functions]
-    elif len(paddings) != n or any(p < 0 or p % 8 for p in paddings):
+    if len(paddings) != n or any(p < 0 or p % 8 for p in paddings):
         raise ModelError("paddings must be %d multiples of 8, none negative"
                          % n)
     image = []
     funcs = []
     cfi = []
-    pool_placements = []
     cursor = 0
     for idx in order:
         f = model.functions[idx]
         nops = nop_counts[idx] if nop_counts else None
         padding = paddings[idx]
         fbase = align_up(cursor, f.alignment)
-        regions, pools = _layout_function(f, options, fbase, nops, padding)
+        regions = _layout_function(f, options, fbase, nops, padding)
         size = regions[-1].address + regions[-1].size - fbase
-        lines = _function_lines(f, regions, nops)
-        rec = _function_cfi(f, fbase, size, regions, padding)
         image.append(FunctionLayout(
             identifier=f.identifier, name=f.name, alignment=f.alignment,
-            base=fbase, size=size, regions=tuple(regions), lines=lines,
-            cfi=rec, local_size=f.frame.local_size,
+            base=fbase, size=size, regions=tuple(regions),
+            local_size=f.frame.local_size,
             saved_count=len(f.frame.callee_saved), has_fp=f.has_fp,
             padding=padding))
-        funcs.append(FuncRecord(fbase, size, f.param_size, f.name, lines))
-        cfi.append(rec)
-        pool_placements.extend((f.identifier, bi, sz) for bi, sz in pools)
+        funcs.append(FuncRecord(fbase, size, f.param_size, f.name,
+                                _function_lines(f, regions, nops)))
+        cfi.append(_function_cfi(f, fbase, size, regions, padding))
         cursor = fbase + size
     sf = SymbolFile(module_id=_module_id(model.module_name),
                     files=tuple(model.files), funcs=tuple(funcs),
                     cfi_regions=tuple(cfi))
-    return LayoutResult(tuple(image), sf, tuple(pool_placements))
+    return LayoutResult(tuple(image), sf)
+
+
+def function_size(func, options, padding):
+    """The function's size in bytes laid out alone at address 0, under
+    the given stack padding and without NOPs."""
+    last = _layout_function(func, options, 0, None, padding)[-1]
+    return last.address + last.size
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +593,7 @@ def _generate_function(rng, fnames, files, i, callees):
     return FunctionModel(
         name=name, object_name=name + ".o", section_name=".text." + name,
         alignment=alignment, has_fp=has_fp,
-        frame=FrameModel(local, callee_saved, tuple(accesses), 0),
+        frame=FrameModel(local, callee_saved, tuple(accesses)),
         blocks=tuple(blocks), call_sites=tuple(call_sites),
         param_size=rng.choice([0, 0, 0, 4, 8]))
 
@@ -618,8 +611,7 @@ def emit_model(model):
                    % (f.alignment, int(f.has_fp), f.param_size,
                       f.object_name, f.section_name, f.name))
         saved = ",".join(f.frame.callee_saved) or "-"
-        out.append("FRAME local=%d pad=%d saved=%s"
-                   % (f.frame.local_size, f.frame.padding, saved))
+        out.append("FRAME local=%d saved=%s" % (f.frame.local_size, saved))
         for a in f.frame.accesses:
             out.append("ACCESS %d %d %d" % (a.offset, a.count, a.source_line))
         for bi, ii, callee in f.call_sites:
@@ -646,9 +638,9 @@ def _model_function(st, toks, line):
 
 
 def _model_frame(st, toks, line):
-    local, pad, saved = fields(line, "local", "pad", "saved")
+    local, saved = fields(line, "local", "saved")
     f = st.functions[-1]
-    f["frame"] = replace(f["frame"], local_size=int(local), padding=int(pad),
+    f["frame"] = replace(f["frame"], local_size=int(local),
                          callee_saved=() if saved == "-" else tuple(saved.split(",")))
 
 

@@ -19,8 +19,8 @@ are deliberately not modeled; the patch closes the residue.
 
 from __future__ import annotations
 
-from divsym.diversify import (DEFAULT_PAD, gap_decisions, pad_amount,
-                              shuffle_permutation, span_counts)
+from divsym.diversify import (function_order, function_padding,
+                              gap_decisions, span_counts)
 from divsym.errors import ReplicationInputError
 from divsym.progmodel import (INSTR_BYTES, align_up, epilogue_extras,
                               prologue_extras)
@@ -80,13 +80,8 @@ def _block_records(func, lf):
 def _replicate_function(func, cfi, lf, seeds, options, fbase, masks):
     """(FuncRecord, CfiInitRecord) of one function placed at fbase;
     `masks` yields the NOP mask of each of its code blocks in order."""
-    defpad = DEFAULT_PAD if options.default_padding else 0
-    if options.pad_scheme:
-        newpad = pad_amount(lf.identifier, seeds.pad_seed, False)
-    else:
-        newpad = defpad
-    total_def = lf.local_size + defpad
-    total_new = lf.local_size + newpad
+    total_def = lf.local_size + function_padding(lf.identifier, None, options)
+    total_new = lf.local_size + function_padding(lf.identifier, seeds, options)
     push, fps, alloc_def = prologue_extras(lf.saved_count, lf.has_fp, total_def)
     _, _, alloc_new = prologue_extras(lf.saved_count, lf.has_fp, total_new)
     dealloc_def, pop = epilogue_extras(lf.saved_count, lf.has_fp, total_def)
@@ -174,11 +169,7 @@ def _replicate_function(func, cfi, lf, seeds, options, fbase, masks):
 def replicate(default_sf, log, seeds, options):
     """Approximate diversified symbol file from default + log + seeds."""
     pairs = _pair_records(default_sf, log)
-    n = len(pairs)
-    if options.shuffle_scheme and n:
-        order = shuffle_permutation(n, seeds.shuffle_seed)
-    else:
-        order = range(n)
+    order = function_order(len(pairs), seeds, options)
     keys = []
     for idx in order:
         func, _, lf = pairs[idx]

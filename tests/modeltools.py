@@ -1,11 +1,13 @@
-"""Test-side helpers over program models: crash-site call chains, the
-LD/ST total of a frame, and the models a padded or a desynced build
-lays out."""
+"""Test-side helpers over program models and layouts: crash-site call
+chains, the LD/ST total of a frame, a layout's pool placements, a
+function's size from a whole layout, the seeds that desync one function
+and the model a desynced build lays out."""
 
 from dataclasses import replace
 
+from divsym.diversify import SeedTuple, desync_blocks
 from divsym.prng import Prng
-from divsym.progmodel import LineSpan, _access_cost
+from divsym.progmodel import LineSpan, ProgramModel, _access_cost, layout
 
 
 def sample_call_chains(model, n, seed):
@@ -33,20 +35,42 @@ def sample_call_chains(model, n, seed):
     return chains
 
 
-def access_instrs(frame, options, has_fp=False):
-    """Total LD/ST instruction count for the frame's stack accesses."""
-    total = frame.local_size + frame.padding
+def access_instrs(frame, options, has_fp=False, padding=0):
+    """Total LD/ST instruction count for the frame's stack accesses
+    under the given stack padding."""
+    total = frame.local_size + padding
     return sum(acc.count * _access_cost(acc, total, has_fp, options)
                for acc in frame.accesses)
 
 
-def with_padding(model, pad_for):
-    """The model with each function's frame padding set to pad_for(f),
-    which layout must place as it places the model with those paddings
-    passed beside it."""
-    functions = tuple(replace(f, frame=replace(f.frame, padding=pad_for(f)))
-                      for f in model.functions)
-    return replace(model, functions=functions)
+def pool_placements(result):
+    """((identifier, after_block_index, byte_size), ...) of every pool a
+    layout placed, in placement order, read from the pool regions."""
+    out = []
+    for fl in result.image:
+        after = None
+        for r in fl.regions:
+            if r.kind == "pool":
+                out.append((fl.identifier, after, r.size))
+            else:
+                after = r.block_index
+    return tuple(out)
+
+
+def size_laid_out_alone(func, options, padding):
+    """The function's size from a whole layout of a one-function model
+    holding it (its calls dropped, three placeholder source files)."""
+    one = ProgramModel("h", ((1, "h.c"), (2, "h2.c"), (3, "h3.c")),
+                       (replace(func, call_sites=()),))
+    return layout(one, [0], options, (padding,)).image[0].size
+
+
+def seeds_desyncing_only(model, identifier, num, den):
+    """The first seed tuple (s, 0, 0) under which a num/den desync hits
+    exactly the function `identifier`."""
+    return next(seeds for seeds in (SeedTuple(s, 0, 0) for s in range(10000))
+                if [h[0] for h in desync_blocks(model, seeds, num, den)]
+                == [identifier])
 
 
 def with_phantoms(model, hits):

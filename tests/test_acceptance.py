@@ -10,12 +10,13 @@ from dataclasses import replace
 
 import pytest
 
-from divsym.collector import (simulate_crash, size_variation_histogram,
+from divsym.collector import (simulate_crash, size_variation_histograms,
                               trace_from_dump, report)
 from divsym.deltadata import (apply, delta_from_options, diff, pack, unpack,
                               Patch, PatchOp)
 from divsym.diversify import (SeedTuple, build_default, build_diversified,
-                              emit_opportunity_log, gap_decisions, pad_amount)
+                              emit_opportunity_log, function_padding,
+                              gap_decisions)
 from divsym.errors import AuthenticationError, DeltaFormatError
 from divsym.image import crash_info
 from divsym.prng import Prng
@@ -229,8 +230,10 @@ def test_c08_decision_process_statistics():
     assert abs(rate - 0.2) <= 0.01
     counts = [0] * 32
     n = 10000
+    chi_seeds = SeedTuple(0xCAFE, 0, 0)
     for i in range(n):
-        counts[(pad_amount("chi_fn_%d@o:s" % i, 0xCAFE, False) // 8) - 1] += 1
+        pad = function_padding("chi_fn_%d@o:s" % i, chi_seeds, OPTS)
+        counts[pad // 8 - 1] += 1
     expected = n / 32
     stat = sum((c - expected) ** 2 / expected for c in counts)
     assert stat < CHI2_CRIT
@@ -241,10 +244,14 @@ def test_c08_decision_process_statistics():
 
 def test_c09_default_padding_histogram():
     corpus = generate_corpus(CORPUS_SEED, N_PROGRAMS, "small")
-    on = size_variation_histogram(corpus, OPTS, True)
-    off = size_variation_histogram(corpus, OPTS, False)
+    on, off = size_variation_histograms(corpus, OPTS)
     assert on.total == off.total
     assert on.zero_mass > off.zero_mass
+    # the two points, pinned
+    assert (on.zero_mass, on.total, on.mean_abs) == \
+        (21596, 22400, 0.27517857142857144)
+    assert (off.zero_mass, off.total, off.mean_abs) == \
+        (14863, 22400, 2.8873214285714286)
     print("[criterion 9] PASS zero-delta mass %d/%d with default padding > "
           "%d/%d without (mean |delta| %.4f vs %.4f bytes/function)"
           % (on.zero_mass, on.total, off.zero_mass, off.total,

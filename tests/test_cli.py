@@ -395,6 +395,12 @@ def _replaced(path, old, new):
     return data.replace(old, new, 1)
 
 
+def _resubbed(path, pattern, new):
+    data, n = re.subn(pattern, new, path.read_bytes(), count=1)
+    assert n == 1
+    return data
+
+
 def _image_replaced(path, old, new):
     sections = dict(image.iter_sections(path.read_bytes()))
     assert old in sections["crash"]
@@ -424,6 +430,13 @@ def test_malformed_text_inputs_exit_2_with_line_number(tmp_path, capsys):
                            b"\nBLOCK code 99 n=0 model=0\nBLOCK code "),
          report, "BLOCK"),
         (opplog, _replaced(opplog, b" model=", b" model=-"), report, "BLOCK"),
+        # FUNCTION fields outside the model's ranges
+        *((opplog, _resubbed(opplog, pattern, new), report, "FUNCTION")
+          for pattern, new in (
+              (rb" align=\d+", b" align=0"), (rb" align=\d+", b" align=-4"),
+              (rb" local=\d+", b" local=-4"), (rb" saved=\d+", b" saved=-1"),
+              (rb" saved=\d+", b" saved=99"),
+              (rb" saved=\d+ fp=\d", b" saved=0 fp=1"))),
         (dump, _replaced(dump, b"\ncrashaddr ", b"\ncrashaddr zz"), report,
          "crashaddr"),
         (dump, _replaced(dump, b"\nstackdata ",

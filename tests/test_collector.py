@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import pytest
@@ -421,7 +422,7 @@ def test_pack_refuses_bad_nop_fraction(num, den):
 def test_corpus_metrics_shuffle_is_seeds_only():
     corpus = generate_corpus(67, 2)
     seeds = [SeedTuple(i + 1, i + 2, i + 3) for i in range(2)]
-    rep = corpus_metrics(corpus, seeds, OPTS, histogram_corpus=corpus[:1])
+    rep = corpus_metrics(corpus, seeds, OPTS)
     for p in rep.programs:
         assert p.schemes["shuffle"].payload_zero_rate == 1.0
         # ordering: packed delta < compressed opportunity log < symbol file
@@ -432,11 +433,27 @@ def test_corpus_metrics_shuffle_is_seeds_only():
 def test_corpus_metrics_histogram_direction_and_determinism():
     corpus = generate_corpus(67, 2)
     seeds = [SeedTuple(5, 6, 7)]
-    rep1 = corpus_metrics(corpus, seeds, OPTS, histogram_corpus=corpus[:1])
-    rep2 = corpus_metrics(corpus, seeds, OPTS, histogram_corpus=corpus[:1])
+    rep1 = corpus_metrics(corpus, seeds, OPTS)
+    rep2 = corpus_metrics(corpus, seeds, OPTS)
     assert rep1.text() == rep2.text()
     assert rep1.hist_defpad_on.zero_mass > rep1.hist_defpad_off.zero_mass
     assert rep1.hist_defpad_on.mean_abs < rep1.hist_defpad_off.mean_abs
+
+
+# The metrics report of three small programs, pinned: under the default
+# options with two seed tuples, and with the SP/FP access optimisation
+# and no default padding with one.
+@pytest.mark.parametrize("seeds,options,digest", [
+    ((SeedTuple(1, 2, 3), SeedTuple(4, 5, 6)), BuildOptions(),
+     "1d23bfc01d88321de6a083166810195de2df8b354c13ce6866bae8c26fca58a3"),
+    ((SeedTuple(1, 2, 3),), BuildOptions(sp_fp_opt=True,
+                                         default_padding=False),
+     "a56c0da4094520a1c81352d57de63f69e9f6b274ecdd2716799cefd8c1955f1a"),
+], ids=["default", "spfp-nodefpad"])
+def test_corpus_metrics_text_is_pinned(seeds, options, digest):
+    rep = corpus_metrics(generate_corpus(0x51, 3, "small"), list(seeds),
+                         options)
+    assert hashlib.sha256(rep.text().encode()).hexdigest() == digest
 
 
 def test_corpus_metrics_times_a_cold_reconstruction(monkeypatch):
@@ -465,7 +482,7 @@ def test_corpus_metrics_times_a_cold_reconstruction(monkeypatch):
     monkeypatch.setattr(diversify, "nop_masks", drawing)
     monkeypatch.setattr(collector, "replicate", counted)
     diversify.clear_gap_memo()
-    corpus_metrics([model], [SEEDS], OPTS, histogram_corpus=[])
+    corpus_metrics([model], [SEEDS], OPTS)
     diversify.clear_gap_memo()
     # replicate per scheme: padding, nops, shuffle, combined, then the
     # combined scheme's reconstruction

@@ -12,9 +12,9 @@ from divsym import _speed, diversify, image
 from divsym.diversify import (SeedTuple, build_default, build_diversified,
                               clear_gap_memo, desync_blocks,
                               emit_decision_log, emit_opportunity_log,
-                              gap_decisions, pad_amount,
-                              parse_opportunity_log, shuffle_permutation,
-                              span_counts)
+                              function_order, function_padding,
+                              gap_decisions, parse_opportunity_log,
+                              shuffle_permutation, span_counts)
 from divsym.errors import ModelError
 from divsym.prng import Prng, function_reseed
 from divsym.progmodel import (BlockModel, BuildOptions, FrameModel,
@@ -22,7 +22,7 @@ from divsym.progmodel import (BlockModel, BuildOptions, FrameModel,
                               generate_corpus, layout)
 from divsym.replicate import replicate
 from divsym.symfile import emit_symbol_file
-from modeltools import with_padding, with_phantoms
+from modeltools import pool_placements, seeds_desyncing_only, with_phantoms
 
 # chi-square critical value, df=31, significance 0.001
 CHI2_CRIT = 61.0983
@@ -63,14 +63,23 @@ def test_function_reseed_deterministic_and_distinct():
     assert function_reseed("f.o.text_f", 8) != a1
 
 
-def test_pad_amount_default_mode():
+def test_function_padding_of_the_default_build():
+    # no seeds, or the padding scheme off: the default build's padding,
+    # which is 0 without default padding
+    seeds = SeedTuple(123456, 0, 0)
     for ident in ("a", "f@x.o:.text.f", "zzz"):
-        assert pad_amount(ident, 123456, True) == 8
+        assert function_padding(ident, None, BuildOptions()) == 8
+        assert function_padding(ident, None, BuildOptions(
+            default_padding=False)) == 0
+        assert function_padding(ident, seeds, BuildOptions(
+            pad_scheme=False)) == 8
+        assert function_padding(ident, seeds, BuildOptions(
+            pad_scheme=False, default_padding=False)) == 0
 
 
 def test_pad_amount_range_and_alignment():
     for i in range(500):
-        p = pad_amount("fn%d" % i, 42, False)
+        p = function_padding("fn%d" % i, SeedTuple(42, 0, 0), BuildOptions())
         assert p % 8 == 0
         assert 8 <= p <= 256
 
@@ -78,8 +87,9 @@ def test_pad_amount_range_and_alignment():
 def test_pad_amount_uniform_chi_square():
     counts = [0] * 32
     n = 10000
+    seeds = SeedTuple(0xABCDEF, 0, 0)
     for i in range(n):
-        p = pad_amount("func_%d@o:s" % i, 0xABCDEF, False)
+        p = function_padding("func_%d@o:s" % i, seeds, BuildOptions())
         counts[(p // 8) - 1] += 1
     expected = n / 32
     stat = sum((c - expected) ** 2 / expected for c in counts)
@@ -158,7 +168,7 @@ def test_nops_inherit_preceding_line():
     f = FunctionModel("f", "f.o", ".text.f", 4, False, FrameModel(),
                       (BlockModel("code", 0, spans=spans, epilogue=True),))
     model = ProgramModel("m", ((1, "a.c"),), (f,))
-    lines = layout(model, [0], BuildOptions(), (((2, 1),),)).symfile \
+    lines = layout(model, [0], BuildOptions(), (0,), (((2, 1),),)).symfile \
         .funcs[0].lines
     assert [(r.line, r.size) for r in lines] == [(10, 16), (20, 16)]
 
@@ -224,26 +234,31 @@ def _grown_model(model, nop_seed, num, den):
     BuildOptions(nop_num=0, nop_den=5),
     BuildOptions(desync_num=1, desync_den=3)])
 def test_layout_of_the_grown_model_is_the_build(options):
-    # the build adds per-span NOP counts to the padded model's spans; the
-    # layout of a model whose spans were grown by the oracle is the same
+    # the build adds per-span NOP counts to the model's spans; the layout
+    # of a model whose spans were grown by the oracle, under the same
+    # paddings, is the same
     for model in generate_corpus(0x6A0, 3):
         res, dec = build_diversified(model, SEEDS, options)
-        padded = with_padding(
-            model, lambda f: pad_amount(f.identifier, SEEDS.pad_seed, False))
+        paddings = tuple(8 * (1 + function_reseed(f.identifier,
+                                                  SEEDS.pad_seed) % 32)
+                         for f in model.functions)
+        assert paddings == tuple(pad for _, pad in dec.paddings)
+        drawn = model
         if options.desync_num:
-            hits = desync_blocks(padded, SEEDS, options.desync_num,
+            hits = desync_blocks(model, SEEDS, options.desync_num,
                                  options.desync_den)
             assert hits == dec.desyncs
-            padded = with_phantoms(padded, hits)
-        grown = _grown_model(padded, SEEDS.nop_seed, options.nop_num,
+            drawn = with_phantoms(model, hits)
+        grown = _grown_model(drawn, SEEDS.nop_seed, options.nop_num,
                              options.nop_den)
         want = layout(grown, shuffle_permutation(len(model.functions),
-                                                 SEEDS.shuffle_seed), options)
+                                                 SEEDS.shuffle_seed),
+                      options, paddings)
         assert emit_symbol_file(res.symfile) == emit_symbol_file(want.symfile)
         assert res.symfile == want.symfile
         assert [fl.regions for fl in res.image] == \
             [fl.regions for fl in want.image]
-        assert res.pool_placements == want.pool_placements
+        assert pool_placements(res) == pool_placements(want)
 
 
 def test_build_diversified_draws_each_code_block_once(monkeypatch):
@@ -439,6 +454,14 @@ def test_replicate_is_the_same_from_a_cold_and_a_warm_memo():
             assert warm == cold
 
 
+def test_function_order_is_the_shuffle_when_it_is_on():
+    for n in (0, 1, 7, 40):
+        assert function_order(n, SEEDS, BuildOptions()) == \
+            shuffle_permutation(n, SEEDS.shuffle_seed)
+        assert function_order(n, SEEDS, BuildOptions(
+            shuffle_scheme=False)) == list(range(n))
+
+
 def test_shuffle_identity_for_single_function():
     assert shuffle_permutation(1, 999) == [0]
 
@@ -458,6 +481,18 @@ def test_shuffle_uniform_over_permutations():
     sigma = (n * (1 / 24) * (23 / 24)) ** 0.5
     for c in counts.values():
         assert abs(c - expected) <= 3 * sigma
+
+
+def test_builds_without_default_padding_pad_nothing():
+    # function_padding gives 0 to every function of the default build,
+    # and of a diversified build with the padding scheme off
+    model = _nop_model()
+    off = BuildOptions(default_padding=False)
+    res, _ = build_default(model, off)
+    assert {fl.padding for fl in res.image} == {0}
+    res, dec = build_diversified(model, SEEDS, replace(off, pad_scheme=False))
+    assert {fl.padding for fl in res.image} == {0}
+    assert {pad for _, pad in dec.paddings} == {0}
 
 
 def test_build_default_padding_toggle():
@@ -523,9 +558,10 @@ def test_shuffle_depends_only_on_seed_and_count():
 
 def test_desync_blocks_targets_and_rate():
     m = _nop_model()
-    hits = desync_blocks(m, SEEDS, 0, 100,
-                         targets=[m.functions[0].identifier])
-    assert [h[0] for h in hits] == [m.functions[0].identifier]
+    ident = m.functions[0].identifier
+    seeds = seeds_desyncing_only(m, ident, 1, len(m.functions))
+    hits = desync_blocks(m, seeds, 1, len(m.functions))
+    assert [h[0] for h in hits] == [ident]
     m2 = with_phantoms(m, hits)
     f0, f0b = m.functions[0], m2.functions[0]
     assert sum(b.instr_count for b in f0b.blocks if b.kind == "code") == \
@@ -538,7 +574,8 @@ def test_desync_blocks_targets_and_rate():
     assert [sum(map(sum, fc)) for fc in counts] == \
         [1] + [0] * (len(m.functions) - 1)
     assert counts[0][bi][-1] == 1
-    m3 = with_phantoms(m, desync_blocks(m, SEEDS, 0, 100, targets=[]))
+    assert desync_blocks(m, seeds, 0, 100) == ()
+    m3 = with_phantoms(m, desync_blocks(m, seeds, 0, 100))
     assert m3 == m
 
 

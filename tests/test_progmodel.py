@@ -6,10 +6,11 @@ from divsym._speed import arm_imm_encodable
 from divsym.errors import LayoutError, ModelError
 from divsym.progmodel import (BlockModel, BuildOptions, FrameModel,
                               FunctionModel, LineSpan, ProgramModel,
-                              StackAccess, emit_model, generate_corpus,
-                              layout, parse_model, stack_alloc_instrs)
+                              StackAccess, emit_model, function_size,
+                              generate_corpus, layout, parse_model,
+                              stack_alloc_instrs)
 from divsym.symfile import emit_symbol_file
-from modeltools import access_instrs, with_padding
+from modeltools import access_instrs, pool_placements, size_laid_out_alone
 
 OPTS = BuildOptions()
 
@@ -38,6 +39,11 @@ def simple_func(name="f", blocks=None, frame=None, has_fp=False, align=4,
 
 def one_func_model(func):
     return ProgramModel("mod", ((1, "src/mod_1.c"),), (func,))
+
+
+def unpadded(model):
+    """Stack padding 0 for every function of the model."""
+    return (0,) * len(model.functions)
 
 
 def test_imm_paper_values():
@@ -84,38 +90,34 @@ def test_stack_alloc_matches_greedy_oracle():
 
 
 def test_access_small_offset_one_instr():
-    frame = FrameModel(local_size=16, padding=0,
-                       accesses=(StackAccess(0, 1, 10),))
+    frame = FrameModel(local_size=16, accesses=(StackAccess(0, 1, 10),))
     assert access_instrs(frame, OPTS, has_fp=False) == 1
 
 
 def test_access_past_range_two_instrs():
-    frame = FrameModel(local_size=4096, padding=0,
-                       accesses=(StackAccess(0, 1, 10),))
+    frame = FrameModel(local_size=4096, accesses=(StackAccess(0, 1, 10),))
     # sp-relative offset 4096 is one past the LD/ST immediate range
     assert access_instrs(frame, OPTS, has_fp=False) == 2
 
 
 def test_access_fp_rescues_when_opt_enabled():
     # sp offset 4104 out of range; fp offset is small
-    frame = FrameModel(local_size=4096, padding=8,
-                       callee_saved=("r11", "lr"),
+    frame = FrameModel(local_size=4096, callee_saved=("r11", "lr"),
                        accesses=(StackAccess(0, 1, 10),))
     on = BuildOptions(sp_fp_opt=True)
     off = BuildOptions(sp_fp_opt=False)
-    assert access_instrs(frame, on, has_fp=True) == 1
-    assert access_instrs(frame, off, has_fp=True) == 1  # fp is default base
+    assert access_instrs(frame, on, has_fp=True, padding=8) == 1
+    # fp is default base
+    assert access_instrs(frame, off, has_fp=True, padding=8) == 1
     # without fp both modes stay sp-based and pay the extra instruction
-    frame2 = FrameModel(local_size=4096, padding=8,
-                        accesses=(StackAccess(0, 1, 10),))
-    assert access_instrs(frame2, on, has_fp=False) == 2
-    assert access_instrs(frame2, off, has_fp=False) == 2
+    frame2 = FrameModel(local_size=4096, accesses=(StackAccess(0, 1, 10),))
+    assert access_instrs(frame2, on, has_fp=False, padding=8) == 2
+    assert access_instrs(frame2, off, has_fp=False, padding=8) == 2
 
 
 def test_access_deep_offset_opt_changes_cost():
     # deep access: fp offset out of range, sp offset in range
-    frame = FrameModel(local_size=8192, padding=0,
-                       callee_saved=("r11", "lr"),
+    frame = FrameModel(local_size=8192, callee_saved=("r11", "lr"),
                        accesses=(StackAccess(4200, 1, 10),))
     on = BuildOptions(sp_fp_opt=True)
     off = BuildOptions(sp_fp_opt=False)
@@ -124,7 +126,7 @@ def test_access_deep_offset_opt_changes_cost():
 
 
 def test_layout_minimal_function():
-    res = layout(one_func_model(simple_func()), [0], OPTS)
+    res = layout(one_func_model(simple_func()), [0], OPTS, (0,))
     sf = res.symfile
     assert sf.funcs[0].address == 0
     assert sf.funcs[0].size == 0xC
@@ -140,7 +142,8 @@ def test_layout_paper_function2_shape():
     blocks = (BlockModel("code", 0,
                          spans=(LineSpan(5, 1, 10), LineSpan(9, 1, 20)),
                          epilogue=True),)
-    res = layout(one_func_model(simple_func(blocks=blocks, frame=frame)), [0], OPTS)
+    res = layout(one_func_model(simple_func(blocks=blocks, frame=frame)),
+                 [0], OPTS, (0,))
     c = res.symfile.cfi_regions[0]
     assert c.init_rules == {".cfa": ("sp", 0, "+"), ".ra": ("lr",)}
     push_delta = c.deltas[0]
@@ -156,7 +159,8 @@ def test_layout_paper_function2_shape():
 def test_layout_fp_function_rules():
     # push {fp, lr}; add fp, sp, #4; sub sp, sp, #16
     frame = FrameModel(local_size=16, callee_saved=("r11", "lr"))
-    res = layout(one_func_model(simple_func(frame=frame, has_fp=True)), [0], OPTS)
+    res = layout(one_func_model(simple_func(frame=frame, has_fp=True)),
+                 [0], OPTS, (0,))
     c = res.symfile.cfi_regions[0]
     assert c.deltas[0][1][".cfa"] == ("sp", 8, "+")
     assert c.deltas[1][1] == {".cfa": ("r11", 4, "+")}
@@ -188,25 +192,27 @@ def test_layout_pool_placement_and_nop_motion():
                 best = i
         return best
 
-    res = layout(build(145), [0], OPTS)
+    res = layout(build(145), [0], OPTS, (0,))
     pools = [r for fl in res.image for r in fl.regions if r.kind == "pool"]
     assert len(pools) == 1
-    assert res.pool_placements[0][2] == 4
-    assert res.pool_placements[0][1] == brute_latest_boundary([580] * 8)
+    placed = pool_placements(res)
+    assert placed[0][2] == 4
+    assert placed[0][1] == brute_latest_boundary([580] * 8)
     # entry stays within reach of the block-0 reference
     assert pools[0].address - res.image[0].base <= 4096
 
     # 20 extra instructions in block 0 move the pool one block earlier
-    res2 = layout(build(165), [0], OPTS)
+    res2 = layout(build(165), [0], OPTS, (0,))
     expected2 = brute_latest_boundary([660] + [580] * 7)
-    assert res2.pool_placements[0][1] == expected2
-    assert expected2 < res.pool_placements[0][1]
+    assert pool_placements(res2)[0][1] == expected2
+    assert expected2 < placed[0][1]
 
 
 def test_pool_constraint_holds_across_corpus():
     # every constant's pool entry is within reach of its block start
     for model in generate_corpus(71, 3):
-        res = layout(model, list(range(len(model.functions))), OPTS)
+        res = layout(model, list(range(len(model.functions))), OPTS,
+                     unpadded(model))
         for f, fl in zip(model.functions, res.image):
             regions = {r.block_index: r for r in fl.regions if r.kind == "code"}
             walk = list(fl.regions)
@@ -228,21 +234,22 @@ def test_layout_is_pure():
     corpus = generate_corpus(42, 2)
     for model in corpus:
         order = list(range(len(model.functions)))
-        a = layout(model, order, OPTS)
-        b = layout(model, order, OPTS)
+        a = layout(model, order, OPTS, unpadded(model))
+        b = layout(model, order, OPTS, unpadded(model))
         assert emit_symbol_file(a.symfile) == emit_symbol_file(b.symfile)
         assert a.image == b.image
 
 
 def test_layout_line_records_cover_exactly_code_bytes():
     model = generate_corpus(7, 1)[0]
-    res = layout(model, list(range(len(model.functions))), OPTS)
-    for fl in res.image:
+    res = layout(model, list(range(len(model.functions))), OPTS,
+                 unpadded(model))
+    for fl, func in zip(res.image, res.symfile.funcs):
         code_bytes = sum(r.size for r in fl.regions if r.kind == "code")
-        line_bytes = sum(ln.size for ln in fl.lines)
+        line_bytes = sum(ln.size for ln in func.lines)
         assert line_bytes == code_bytes
         # line records tile the code regions in order
-        it = iter(fl.lines)
+        it = iter(func.lines)
         for r in fl.regions:
             if r.kind != "code":
                 continue
@@ -259,7 +266,7 @@ def test_layout_line_records_cover_exactly_code_bytes():
 def test_layout_rejects_bad_order():
     model = one_func_model(simple_func())
     with pytest.raises(LayoutError):
-        layout(model, [0, 1], OPTS)
+        layout(model, [0, 1], OPTS, (0,))
 
 
 def test_corpus_deterministic_and_seed_sensitive():
@@ -283,7 +290,8 @@ def test_corpus_power_of_two_locals_present():
 
 def test_corpus_line_records_outnumber_cfi_records():
     for model in generate_corpus(21, 4):
-        res = layout(model, list(range(len(model.functions))), OPTS)
+        res = layout(model, list(range(len(model.functions))), OPTS,
+                     unpadded(model))
         sf = res.symfile
         n_lines = sum(len(f.lines) for f in sf.funcs)
         n_cfi = sum(1 + len(c.deltas) for c in sf.cfi_regions)
@@ -300,7 +308,8 @@ def test_model_text_round_trip():
 def test_validate_rejects_duplicate_identifier():
     f = simple_func()
     with pytest.raises(ModelError):
-        layout(ProgramModel("m", ((1, "a.c"),), (f, f)), [0, 1], OPTS)
+        layout(ProgramModel("m", ((1, "a.c"),), (f, f)), [0, 1], OPTS,
+               (0, 0))
 
 
 def test_invalid_model_raises_on_every_layout():
@@ -309,33 +318,30 @@ def test_invalid_model_raises_on_every_layout():
     model = ProgramModel("m", ((1, "a.c"),), (f, f))
     for _ in range(3):
         with pytest.raises(ModelError, match="duplicate identifier"):
-            layout(model, [0, 1], OPTS)
+            layout(model, [0, 1], OPTS, (0, 0))
 
 
 @pytest.mark.parametrize("options", [
     OPTS, BuildOptions(sp_fp_opt=True), BuildOptions(default_padding=False)])
-def test_layout_with_paddings_is_the_layout_of_the_padded_model(options):
-    # the paddings a build hands layout act as the padded copy would
-    rng = random.Random(0x9AD)
+def test_function_size_is_the_size_laid_out_alone(options):
+    # the direct size agrees with a whole layout of a one-function model
+    # at every padding amount
     for model in generate_corpus(0x9AD, 3) + generate_corpus(0xBE7C, 1,
                                                              "medium"):
-        n = len(model.functions)
-        pads = [8 * rng.randrange(0, 33) for _ in range(n)]
-        order = rng.sample(range(n), n)
-        got = layout(model, order, options, paddings=tuple(pads))
-        by_id = dict(zip((f.identifier for f in model.functions), pads))
-        want = layout(with_padding(model, lambda f: by_id[f.identifier]),
-                      order, options)
-        assert got == want
+        for f in model.functions:
+            for pad in range(0, 257, 8):
+                assert function_size(f, options, pad) == \
+                    size_laid_out_alone(f, options, pad), (f.name, pad)
 
 
-def test_layout_paddings_default_to_the_frames_own():
-    model = generate_corpus(0x9AD, 1)[0]
-    padded = with_padding(model, lambda f: 8 * (len(f.name) % 5))
-    n = len(model.functions)
-    assert layout(padded, list(range(n)), OPTS) == layout(
-        model, list(range(n)), OPTS,
-        paddings=tuple(f.frame.padding for f in padded.functions))
+def test_model_frame_with_pad_is_refused():
+    # padding is a build decision, not a model field
+    text = emit_model(generate_corpus(13, 1)[0])
+    lineno = text.split("\n").index(next(
+        ln for ln in text.split("\n") if ln.startswith("FRAME "))) + 1
+    bad = text.replace(" saved=", " pad=8 saved=", 1)
+    with pytest.raises(ModelError, match=r"^line %d: FRAME: " % lineno):
+        parse_model(bad)
 
 
 @pytest.mark.parametrize("paddings", [

@@ -163,6 +163,43 @@ def test_model_child_record_before_any_parent():
                     "section=s name=f\nCONST 5\n")
 
 
+_LOG_FUNCTION = re.compile(
+    r"^FUNCTION align=\d+ local=\d+ saved=\d+ fp=\d", re.M)
+
+
+def _log_with_function_fields(fields):
+    """The fuzz program's opportunity log with its first FUNCTION
+    record's numeric fields replaced, and that record's line number."""
+    text = fuzz_texts()["opplog"]
+    m = _LOG_FUNCTION.search(text)
+    head = "FUNCTION align=%d local=%d saved=%d fp=%d" % fields
+    return (text[:m.start()] + head + text[m.end():],
+            text.count("\n", 0, m.start()) + 1)
+
+
+@pytest.mark.parametrize("fields", [
+    (0, 16, 2, 0), (-4, 16, 2, 0), (32, 16, 2, 0),     # align
+    (4, -4, 2, 0), (4, 6, 2, 0),                       # local
+    (4, 16, -1, 0), (4, 16, 10, 0), (4, 16, 99, 0),    # saved
+    (4, 16, 2, 2), (4, 16, 1, 1), (4, 16, 0, 1),       # fp
+])
+def test_opportunity_log_function_fields_out_of_range(fields):
+    # the ranges validate_model holds a model's functions to
+    text, lineno = _log_with_function_fields(fields)
+    with pytest.raises(ModelError,
+                       match=r"^line %d: FUNCTION: ValueError " % lineno):
+        parse_opportunity_log(text)
+
+
+@pytest.mark.parametrize("fields", [
+    (4, 0, 0, 0), (8, 4, 9, 0), (16, 16, 2, 1)])
+def test_opportunity_log_function_fields_at_their_bounds(fields):
+    text, _ = _log_with_function_fields(fields)
+    f = parse_opportunity_log(text).functions[0]
+    assert (f.alignment, f.local_size, f.saved_count, f.has_fp) == \
+        (*fields[:3], bool(fields[3]))
+
+
 def test_image_bad_section_bytes_are_typed():
     blob = fuzz_texts()["image"]
     sections = dict(image.iter_sections(blob))

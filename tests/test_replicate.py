@@ -2,16 +2,15 @@ from dataclasses import replace
 
 import pytest
 
-from divsym.diversify import (SeedTuple, _nop_pass, build_default,
-                              build_diversified, desync_blocks, pad_amount,
-                              shuffle_permutation)
+from divsym.diversify import (SeedTuple, build_default, build_diversified,
+                              function_padding)
 from divsym.errors import ModelError, ReplicationInputError
 from divsym.progmodel import (BlockModel, BuildOptions, FrameModel,
                               FunctionModel, LineSpan, ProgramModel,
-                              generate_corpus, layout)
+                              generate_corpus)
 from divsym.replicate import replicate
 from divsym.symfile import emit_symbol_file
-from modeltools import access_instrs, with_padding, with_phantoms
+from modeltools import access_instrs, seeds_desyncing_only
 
 OPTS = BuildOptions()
 SEEDS = SeedTuple(0xA1A1, 0xB2B2, 0xC3C3)
@@ -32,7 +31,7 @@ def benign_model(n=4):
             alignment=(4, 8, 16)[i % 3], has_fp=(i % 2 == 0),
             frame=FrameModel(local_size=16 * (i + 1),
                              callee_saved=("r4", "r11", "lr") if i % 2 == 0 else ("r4", "lr"),
-                             accesses=(), padding=0),
+                             accesses=()),
             blocks=blocks))
     return ProgramModel("benign", ((1, "src/benign_1.c"),), tuple(funcs))
 
@@ -69,6 +68,30 @@ def test_benign_model_replicates_exactly():
         assert emit_symbol_file(approx) == emit_symbol_file(truth.symfile)
 
 
+@pytest.mark.parametrize("options", [
+    BuildOptions(default_padding=False),
+    BuildOptions(default_padding=False, pad_scheme=False)])
+def test_replay_without_default_padding_pads_nothing(options):
+    # the replay's default frames carry padding 0, as the default
+    # build's do, and with the padding scheme off so do its new ones
+    model = benign_model()
+    res, log = build_default(model, options)
+    for seed in range(5):
+        seeds = SeedTuple(seed * 17 + 1, seed * 23 + 2, seed * 31 + 3)
+        truth, _ = build_diversified(model, seeds, options)
+        approx = replicate(res.symfile, log, seeds, options)
+        assert emit_symbol_file(approx) == emit_symbol_file(truth.symfile)
+        if options.pad_scheme:
+            continue
+        frames = {f.name: f for f in model.functions}
+        for func, region in zip(approx.funcs, approx.cfi_regions):
+            f = frames[func.name]
+            if not f.has_fp:
+                unpadded = 4 * len(f.frame.callee_saved) + f.frame.local_size
+                assert ("sp", unpadded, "+") in [
+                    rules.get(".cfa") for _, rules in region.deltas]
+
+
 def test_frame_constant_shift_for_pow2_local():
     # local 4088: default total 4096 is a single encodable chunk
     name = "pow2fn"
@@ -86,9 +109,9 @@ def test_frame_constant_shift_for_pow2_local():
                for d in res.symfile.cfi_regions[0].deltas)
 
     # find a seed whose padding for this function is 16
-    seed = next(s for s in range(1000)
-                if pad_amount(f.identifier, s, False) == 16)
-    seeds = SeedTuple(seed, 0, 0)
+    seeds = next(SeedTuple(s, 0, 0) for s in range(1000)
+                 if function_padding(f.identifier, SeedTuple(s, 0, 0),
+                                     nonop) == 16)
     approx = replicate(res.symfile, log, seeds, nonop)
     truth, _ = build_diversified(model, seeds, nonop)
     want = ("sp", 8 + 4088 + 16, "+")
@@ -128,13 +151,9 @@ def test_direct_effect_functions_replicate_exactly():
 
     checked = 0
     for f in model.functions:
-        pad = pad_amount(f.identifier, SEEDS.pad_seed, False)
-        mat_def = access_instrs(
-            FrameModel(f.frame.local_size, f.frame.callee_saved,
-                       f.frame.accesses, 8), OPTS, f.has_fp)
-        mat_div = access_instrs(
-            FrameModel(f.frame.local_size, f.frame.callee_saved,
-                       f.frame.accesses, pad), OPTS, f.has_fp)
+        pad = function_padding(f.identifier, SEEDS, OPTS)
+        mat_def = access_instrs(f.frame, OPTS, f.has_fp, padding=8)
+        mat_div = access_instrs(f.frame, OPTS, f.has_fp, padding=pad)
         if mat_def != mat_div:
             continue
         if pool_def[f.identifier] != pool_div[f.identifier]:
@@ -150,17 +169,12 @@ def test_desync_contained_to_its_function():
     target = model.functions[2].identifier
 
     # diversified build with a phantom instruction in one function
-    padded = with_padding(
-        model, lambda f: pad_amount(f.identifier, SEEDS.pad_seed, False))
-    hits = desync_blocks(padded, SEEDS, 0, 100, targets=[target])
-    assert [h[0] for h in hits] == [target]
-    desynced = with_phantoms(padded, hits)
-    nop_counts, _ = _nop_pass(desynced, SEEDS.nop_seed, OPTS.nop_num,
-                              OPTS.nop_den)
-    order = shuffle_permutation(len(model.functions), SEEDS.shuffle_seed)
-    truth = layout(desynced, order, OPTS, nop_counts)
+    desync = replace(OPTS, desync_num=1, desync_den=6)
+    seeds = seeds_desyncing_only(model, target, 1, 6)
+    truth, dec = build_diversified(model, seeds, desync)
+    assert [h[0] for h in dec.desyncs] == [target]
 
-    approx = replicate(dres.symfile, log, SEEDS, OPTS)
+    approx = replicate(dres.symfile, log, seeds, OPTS)
     t_rec = function_records(truth.symfile)
     a_rec = function_records(approx)
     for f in model.functions:
