@@ -156,10 +156,10 @@ def cmd_report(args):
     default_sf = parse_symbol_file(Path(args.default_sym).read_text(encoding="utf-8"))
     log = parse_opportunity_log(Path(args.opplog).read_text(encoding="utf-8"))
     key = bytes.fromhex(args.key) if args.key else None
+    server = collector.SymbolServer(default_sf, log)
     for path in args.dump:
         dump = collector.parse_minidump(Path(path).read_text(encoding="utf-8"))
-        trace = collector.report(dump, dd_bytes, default_sf, log, key)
-        sys.stdout.write(trace.text())
+        sys.stdout.write(server.report(dump, dd_bytes, key).text())
     return EXIT_OK
 
 

@@ -12,14 +12,16 @@ symbol file, unwind, and map frame pcs to FUNC/line records.  Caller
 frames are mapped at return address minus one instruction so the call
 site's line is reported; the rendered trace text carries only
 source-level information and is therefore identical across seeds.
-Every crash of one shipped build carries the same delta blob, so the
-exact symbol file is memoised across reports (see REPORT_CACHE_SIZE).
+Every crash of one shipped build carries the same delta blob, so a
+SymbolServer keeps the exact symbol files it reconstructed, beside the
+seed-free replication plan of its default build.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
+import threading
 import time
 import zlib
 from collections import OrderedDict
@@ -35,7 +37,7 @@ from divsym.image import ImageInfo
 from divsym.progmodel import (INSTR_BYTES, BuildOptions, ProgramModel,
                               function_size)
 from divsym.records import read_records
-from divsym.replicate import replicate
+from divsym.replicate import plan_for
 from divsym.symfile import emit_symbol_file
 
 STACK_TOP = 0xBF000000
@@ -220,10 +222,9 @@ def _locate(sf, pc):
     if i >= 0:
         f = sf.funcs[i]
         if pc < f.address + f.size:
-            for ln in f.lines:
-                if ln.address <= pc < ln.address + ln.size:
-                    return f.name, ln.filenum, ln.line
-            return f.name, None, 0
+            ln = sf.line_at(i, pc)
+            return (f.name, None, 0) if ln is None else \
+                (f.name, ln.filenum, ln.line)
     return None, None, 0
 
 
@@ -241,45 +242,87 @@ def trace_from_dump(dump, sf):
                       frames=tuple(out), truncation=reason)
 
 
-# Exact symbol files that report() reconstructed, least recently used
-# first.  Key: (SHA-256 of the delta blob, HMAC key, id(default_sf),
-# id(log)); value: (default_sf, log, exact).  The value keeps default_sf
-# and log alive, so while the entry exists no other object can have their
-# ids, and a hit on the key means the very same objects.
-# The capacity is the number of builds in the one measured report workload
-# (triage-repeat crashes two builds of one program); one entry for its
-# 308-function program holds about 2.6 MB.  No workload with more builds
-# has been measured, so neither the hit rate nor the memory of a larger
-# cache is known.
+# The number of exact symbol files a SymbolServer keeps.  It is the
+# number of builds in the one measured report workload (triage-repeat
+# crashes two builds of one program); one entry for its 308-function
+# program holds about 2.6 MB.  No workload with more builds has been
+# measured, so neither the hit rate nor the memory of a larger cache is
+# known.
 REPORT_CACHE_SIZE = 2
-_report_cache = OrderedDict()
+
+
+class SymbolServer:
+    """A crash server for one default build.
+
+    It holds the default symbol file and opportunity log, the
+    replication plan built from them (one per default_padding value a
+    delta names), and the exact symbol files of the last `capacity`
+    delta blobs it reconstructed, least recently used first, keyed by
+    (SHA-256 of the blob, HMAC key).  Only a blob that unpacked under
+    that key, HMAC check included, and reconstructed without error is
+    kept, so a hit skips no check the blob has not passed; a plan whose
+    build failed is not kept either.  The dump's module id is checked on
+    every report.
+    """
+
+    def __init__(self, default_sf, log, capacity=REPORT_CACHE_SIZE):
+        self.default_sf = default_sf
+        self.log = log
+        self.capacity = capacity
+        self._plans = {}            # default_padding -> ReplicationPlan
+        self._exact = OrderedDict()
+        self._lock = threading.Lock()
+
+    def plan(self, options):
+        """The replication plan for options.default_padding, built on
+        first use."""
+        plan = self._plans.get(options.default_padding)
+        if plan is None:
+            plan = plan_for(self.default_sf, self.log, options)
+            self._plans[options.default_padding] = plan
+        return plan
+
+    def reconstruct(self, dd):
+        """The exact symbol file of unpacked delta data."""
+        options = dd.options()
+        return apply(self.plan(options).replicate(dd.seeds, options), dd.patch)
+
+    def report(self, dump, dd_bytes, key=None):
+        """Delta data + the dump -> stack trace."""
+        slot = (hashlib.sha256(dd_bytes).digest(), key)
+        with self._lock:
+            exact = self._exact.get(slot)
+            if exact is not None:
+                self._exact.move_to_end(slot)
+        dd = None if exact is not None else unpack(dd_bytes, key)
+        if dump.module_id != self.default_sf.module_id:
+            raise ReplicationInputError(
+                "dump module %r does not match symbol file" % dump.module_id)
+        if exact is None:
+            exact = self.reconstruct(dd)
+            with self._lock:
+                self._exact[slot] = exact
+                while len(self._exact) > self.capacity:
+                    self._exact.popitem(last=False)
+        return trace_from_dump(dump, exact)
+
+
+# The server of the last report() call, or None.  It holds its default
+# file and log strongly and is matched to them with `is`; a call with
+# other ones replaces it in one assignment.
+_server = None
 
 
 def report(dump, dd_bytes, default_sf, log, key=None):
-    """Full server path: delta data + default symbol file -> stack trace.
-
-    A cache hit needs the same blob bytes and key and the very same
-    default_sf and log objects.  Only a blob that unpacked under that key,
-    HMAC check included, and reconstructed without error is cached, so a
-    hit skips no check the blob has not passed.  The dump's module id is
-    checked on every call.
-    """
-    slot = (hashlib.sha256(dd_bytes).digest(), key, id(default_sf), id(log))
-    entry = _report_cache.get(slot)
-    hit = entry is not None
-    dd = None if hit else unpack(dd_bytes, key)
-    if dump.module_id != default_sf.module_id:
-        raise ReplicationInputError(
-            "dump module %r does not match symbol file" % dump.module_id)
-    if hit:
-        _report_cache.move_to_end(slot)
-    else:
-        approx = replicate(default_sf, log, dd.seeds, dd.options())
-        entry = (default_sf, log, apply(approx, dd.patch))
-        _report_cache[slot] = entry
-        while len(_report_cache) > REPORT_CACHE_SIZE:
-            _report_cache.popitem(last=False)
-    return trace_from_dump(dump, entry[2])
+    """Full server path: delta data + default symbol file -> stack trace,
+    through the SymbolServer of default_sf and log (see SymbolServer)."""
+    global _server
+    server = _server
+    if server is None or server.default_sf is not default_sf \
+            or server.log is not log:
+        server = SymbolServer(default_sf, log)
+        _server = server
+    return server.report(dump, dd_bytes, key)
 
 
 # ---------------------------------------------------------------------------
@@ -382,13 +425,23 @@ def size_variation_histograms(corpus, options):
 
 
 def corpus_metrics(corpus, seed_tuples, options=BuildOptions()):
-    """Sizes, delta-data statistics and size-variation histograms."""
-    timings = {"delta_generation": 0.0, "reconstruction": 0.0}
+    """Sizes, delta-data statistics and size-variation histograms.
+
+    The timings are summed over the corpus: `plan` is a crash server's
+    one-off cost of loading a default build (its replication plan),
+    `delta_generation` the writer's replicate, diff and pack, and
+    `reconstruction` the server's cold cost per crashing build: unpack,
+    replicate with that plan and draws not memoised, and apply."""
+    timings = {"plan": 0.0, "delta_generation": 0.0, "reconstruction": 0.0}
     programs = []
     for model in corpus:
         dres, log = build_default(model, options)
         default_bytes = len(emit_symbol_file(dres.symfile).encode())
         opp_z = len(zlib.compress(emit_opportunity_log(log).encode(), 6))
+        t0 = time.perf_counter()
+        server = SymbolServer(dres.symfile, log)
+        plan = server.plan(options)
+        timings["plan"] += time.perf_counter() - t0
         schemes = {}
         div_sizes = []
         for scheme in SCHEMES:
@@ -398,7 +451,7 @@ def corpus_metrics(corpus, seed_tuples, options=BuildOptions()):
             for seeds in seed_tuples:
                 truth, _ = build_diversified(model, seeds, sopts)
                 t0 = time.perf_counter()
-                approx = replicate(dres.symfile, log, seeds, sopts)
+                approx = plan.replicate(seeds, sopts)
                 patch = diff(approx, truth.symfile)
                 blob = pack(delta_from_options(seeds, sopts, patch))
                 timings["delta_generation"] += time.perf_counter() - t0
@@ -410,9 +463,7 @@ def corpus_metrics(corpus, seed_tuples, options=BuildOptions()):
                     # a crash server never ran the build: draw cold
                     clear_gap_memo()
                     t0 = time.perf_counter()
-                    dd = unpack(blob)
-                    approx2 = replicate(dres.symfile, log, dd.seeds, dd.options())
-                    apply(approx2, dd.patch)
+                    server.reconstruct(unpack(blob))
                     timings["reconstruction"] += time.perf_counter() - t0
             schemes[scheme] = SchemeSizes(sum(sizes) / len(sizes), max(sizes),
                                           zero / len(sizes))

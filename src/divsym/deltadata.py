@@ -160,15 +160,16 @@ def derive_growth(approx, truth):
         if j is None:
             continue
         g = truth.funcs[j]
-        if len(f.lines) != len(g.lines) or all(
-                a.size == b.size for a, b in zip(f.lines, g.lines)):
+        sizes = list(map(attrgetter("size"), f.lines))
+        grown = list(map(attrgetter("size"), g.lines))
+        if len(sizes) != len(grown) or sizes == grown:
             continue
         if any((a.line, a.filenum) != (b.line, b.filenum)
                for a, b in zip(f.lines, g.lines)) \
                 or _own_cfi(approx, i) is None or _own_cfi(truth, j) is None:
             continue
-        out.extend(Growth(i, a.address - f.address, b.size - a.size)
-                   for a, b in zip(f.lines, g.lines) if a.size != b.size)
+        out.extend(Growth(i, ln.address - f.address, b - a)
+                   for ln, a, b in zip(f.lines, sizes, grown) if a != b)
     return tuple(out)
 
 

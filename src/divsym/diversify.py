@@ -88,7 +88,9 @@ def function_padding(identifier, seeds, options):
     without default padding.  `seeds` None means the default build.
     Never depends on compilation order."""
     if seeds is not None and options.pad_scheme:
-        return 8 * (1 + function_reseed(identifier, seeds.pad_seed)
+        if not identifier:
+            raise ValueError("empty function identifier")
+        return 8 * (1 + _reseed(identifier, b"", seeds.pad_seed)
                     % PAD_CHOICES)
     return DEFAULT_PAD if options.default_padding else 0
 
@@ -99,26 +101,27 @@ def function_padding(identifier, seeds, options):
 # dict tagged with the wrong triple.
 _drawn = (None, {})
 
-# Identifiers whose '<identifier>#' hash is cached: four times the
-# functions of the largest generated program, about 240 KB besides the
-# identifiers themselves.
+# Identifiers whose hash is cached: four times the functions of the
+# largest generated program, about 240 KB besides the identifiers
+# themselves.
 BLOCK_HASH_CACHE = 2048
 
 
 @lru_cache(maxsize=BLOCK_HASH_CACHE)
-def _block_hash_prefix(identifier):
-    """FNV-1a-64 of '<identifier>#', the part of a block's reseed hash
-    that every block of the function shares."""
-    return fnv1a64(("%s#" % identifier).encode("utf-8"))
+def _identifier_hash(identifier):
+    """FNV-1a-64 of the identifier, hashed once per function: the
+    padding draw starts from it, and the reseed hashes of its blocks and
+    of its desync draw continue it (_reseed)."""
+    return fnv1a64(identifier.encode("utf-8"))
 
 
-def _block_seed(identifier, block_index, nop_seed):
-    """function_reseed('<identifier>#<block_index>', nop_seed), hashing
-    the identifier once and continuing FNV-1a over the index digits."""
-    h = _block_hash_prefix(identifier)
-    for b in b"%d" % block_index:
+def _reseed(identifier, suffix, scheme_seed):
+    """function_reseed(identifier + suffix, scheme_seed), continuing the
+    cached identifier hash over the suffix bytes."""
+    h = _identifier_hash(identifier)
+    for b in suffix:
         h = ((h ^ b) * FNV_PRIME) & MASK64
-    return mix64(h ^ (nop_seed & MASK64))
+    return mix64(h ^ (scheme_seed & MASK64))
 
 
 def gap_decisions(keys, nop_seed, num, den):
@@ -153,7 +156,8 @@ def gap_decisions(keys, nop_seed, num, den):
         missing = list(dict.fromkeys(key for key, mask in zip(keys, masks)
                                      if mask is None))
         drawn.update(zip(missing, nop_masks(
-            [_block_seed(ident, bi, nop_seed) for ident, bi, _ in missing],
+            [_reseed(ident, b"#%d" % bi, nop_seed)
+             for ident, bi, _ in missing],
             [n for _, _, n in missing], (num << 32) // den)))
         masks = [drawn[key] for key in keys]
     return masks
@@ -257,7 +261,7 @@ def desync_blocks(model, seeds, num, den):
     threshold = (num << 32) // den
     hits = []
     for f in model.functions:
-        v = function_reseed(f.identifier + "#desync", dseed)
+        v = _reseed(f.identifier, b"#desync", dseed)
         if (v & 0xFFFFFFFF) < threshold:
             code = [b.index for b in f.blocks if b.kind == "code"]
             hits.append((f.identifier, code[Prng(v).next() % len(code)]))

@@ -28,9 +28,13 @@ deltadata patches symbol files as entry lists.
 from __future__ import annotations
 
 import re
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from types import SimpleNamespace
+from typing import NamedTuple
 
 from divsym.errors import SymbolFormatError, SymbolParseError
 from divsym.records import RECORD_FAULTS, read_records
@@ -45,8 +49,10 @@ PostfixExpr = tuple
 RuleMap = dict
 
 
-@dataclass(frozen=True)
-class LineRecord:
+class LineRecord(NamedTuple):
+    """One line record.  A tuple: the layout and the replay build tens
+    of thousands per symbol file, at about half the cost of a frozen
+    dataclass."""
     address: int
     size: int
     line: int
@@ -91,6 +97,28 @@ class SymbolFile:
     def cfi_starts(self):
         """Start address of each STACK CFI INIT region, in order."""
         return tuple(c.address for c in self.cfi_regions)
+
+    @cached_property
+    def _line_reach(self):
+        """FUNC index -> the running maximum of its line records' ends,
+        packed, filled on the first lookup in each FUNC."""
+        return {}
+
+    def line_at(self, i, pc):
+        """The first line record of FUNC i, in order, that holds pc, or
+        None.  Line records are sorted by address (validate()) but may
+        overlap: the first that holds pc is the first whose running
+        maximum end passes pc, if it starts at or before pc."""
+        lines = self.funcs[i].lines
+        reach = self._line_reach.get(i)
+        if reach is None:
+            reach = array("q", accumulate((ln[0] + ln[1] for ln in lines),
+                                          max))
+            self._line_reach[i] = reach
+        j = bisect_right(reach, pc)
+        if j < len(lines) and lines[j][0] <= pc:
+            return lines[j]
+        return None
 
 
 def _rule_sort_key(reg):
@@ -146,20 +174,21 @@ def validate(sf: SymbolFile) -> None:
             raise SymbolFormatError(
                 "FUNC %s overlaps or precedes the previous function" % f.name)
         prev_end = f.address + f.size
-        last = None
-        for ln in f.lines:
-            if ln.size <= 0:
-                raise SymbolFormatError("line record with size %d" % ln.size)
-            if ln.address < f.address or ln.address + ln.size > f.address + f.size:
+        last = f.address
+        end = f.address + f.size
+        for addr, size, _, filenum in f.lines:
+            if size <= 0:
+                raise SymbolFormatError("line record with size %d" % size)
+            if addr < f.address or addr + size > end:
                 raise SymbolFormatError(
-                    "line record %x outside FUNC %s" % (ln.address, f.name))
-            if last is not None and ln.address < last:
+                    "line record %x outside FUNC %s" % (addr, f.name))
+            if addr < last:
                 raise SymbolFormatError(
                     "line records of FUNC %s not sorted" % f.name)
-            if filenums and ln.filenum not in filenums:
+            if filenums and filenum not in filenums:
                 raise SymbolFormatError(
-                    "line record references unknown filenum %d" % ln.filenum)
-            last = ln.address
+                    "line record references unknown filenum %d" % filenum)
+            last = addr
     prev_end = 0
     for c in sf.cfi_regions:
         _check_address("STACK CFI INIT", c.address, c.address + c.size)
@@ -235,7 +264,7 @@ def symbol_file_entries(sf: SymbolFile):
     for f in sf.funcs:
         yield ("FUNC", f.address, (f.size, f.param_size, f.name))
         for ln in f.lines:
-            yield ("LINE", ln.address, (ln.size, ln.line, ln.filenum))
+            yield ("LINE", ln[0], ln[1:])
     for addr, name in sf.publics:
         yield ("PUBLIC", addr, (name,))
     for c in sf.cfi_regions:

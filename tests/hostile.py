@@ -1,8 +1,10 @@
-"""Hostile inputs shared by the tests: delta containers, and the line
-mutations the property tests apply to emitted texts."""
+"""Hostile inputs shared by the tests: delta containers, opportunity
+logs that do not fit their default file, and the line mutations the
+property tests apply to emitted texts."""
 
 import struct
 import zlib
+from dataclasses import replace
 
 from hypothesis import strategies as st
 
@@ -17,6 +19,27 @@ def _plain_container(payload_text):
     payload = comp.compress(payload_text) + comp.flush()
     return deltadata.MAGIC + bytes([deltadata.VERSION, 0]) \
         + struct.pack("<I", len(payload)) + payload
+
+
+def hostile_logs(log):
+    """Logs that do not fit the default file of `log`, each with the
+    message replication refuses it with: one function short, a code
+    block of no instructions, and a block whose body is longer than the
+    block."""
+    lf = log.functions[1]
+    code = next(k for k, b in enumerate(lf.blocks) if b.kind == "code")
+    blocks = list(lf.blocks)
+    empty = blocks[:code] + [replace(blocks[code], size=0, model_instrs=0)] \
+        + blocks[code:]
+    blocks[code] = replace(blocks[code], model_instrs=blocks[code].size + 1)
+
+    def with_blocks(new):
+        return replace(log, functions=(
+            log.functions[0], replace(lf, blocks=tuple(new)),
+            *log.functions[2:]))
+    return [(replace(log, functions=log.functions[:-1]), "log has"),
+            (with_blocks(empty), "is empty"),
+            (with_blocks(blocks), "record/extras")]
 
 
 def inflation_bomb():

@@ -121,11 +121,11 @@ def _mutate(sf, rng):
         f = sf.funcs[-1]
         delta = 8 * rng.randrange(1, 5)
         nf = replace(f, address=f.address + delta, lines=tuple(
-            replace(l, address=l.address + delta) for l in f.lines))
+            l._replace(address=l.address + delta) for l in f.lines))
         return replace(sf, funcs=sf.funcs[:-1] + (nf,))
     if f.lines:
         j = rng.randrange(len(f.lines))
-        nl = replace(f.lines[j], line=f.lines[j].line + 1)
+        nl = f.lines[j]._replace(line=f.lines[j].line + 1)
         nf = replace(f, lines=f.lines[:j] + (nl,) + f.lines[j + 1:])
         return replace(sf, funcs=sf.funcs[:i] + (nf,) + sf.funcs[i + 1:])
     return sf

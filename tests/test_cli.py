@@ -184,6 +184,31 @@ def test_report_several_dumps_in_order(tmp_path, capsys):
     assert capsys.readouterr().out == singles[1] + singles[0]
 
 
+def test_hostile_opportunity_log_exits_2(tmp_path, capsys):
+    # the log does not fit the default file: the server's plan build
+    # refuses it once, for all the dumps, or the log parser does
+    common, dumps = _build_and_crash(tmp_path, 2)
+    opplog = Path(common[5])
+    text = opplog.read_text()
+    short = text[:text.rindex("\nFUNCTION ") + 1]
+    long_body = re.sub(r"n=(\d+) model=\d+",
+                       lambda m: "n=%s model=%d" % (m[1], int(m[1]) + 1),
+                       text, count=1)
+    empty = text.replace("\nBLOCK code ",
+                         "\nBLOCK code 99 n=0 model=0\nBLOCK code ", 1)
+    capsys.readouterr()
+    for bad, message in ((short, "log has"), (long_body, "record/extras"),
+                         (empty, "code block needs n >= 1")):
+        opplog.write_text(bad)
+        assert run("report", "--dump", *dumps, *common) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert "Traceback" not in captured.err
+    opplog.write_text(text)
+    assert run("report", "--dump", *dumps, *common) == 0
+
+
 def test_hostile_delta_exit_code(tmp_path, capsys):
     common, dumps = _build_and_crash(tmp_path, 1)
     delta = Path(common[1])

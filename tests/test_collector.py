@@ -1,12 +1,14 @@
 import hashlib
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
 
 from divsym import _speed, cfi, collector, diversify
-from divsym.collector import (MinidumpLite, corpus_metrics, emit_minidump,
-                              parse_minidump, report, simulate_crash,
-                              trace_from_dump)
+from divsym.collector import (MinidumpLite, SymbolServer, corpus_metrics,
+                              emit_minidump, parse_minidump, report,
+                              simulate_crash, trace_from_dump)
 from divsym.deltadata import (DeltaData, Patch, PatchOp, apply,
                               delta_from_options, diff, pack, unpack)
 from divsym.diversify import SeedTuple, build_default, build_diversified
@@ -15,10 +17,12 @@ from divsym.errors import (AuthenticationError, DeltaFormatError,
                            ReplicationInputError)
 from divsym.image import crash_info
 from divsym.progmodel import BuildOptions, generate_corpus
-from divsym.replicate import replicate
-from divsym.symfile import emit_symbol_file
+from divsym.replicate import ReplicationPlan, replicate
+from divsym.symfile import (FuncRecord, LineRecord, SymbolFile,
+                            emit_symbol_file, validate)
 from hostile import (HEADER_FAULTS, PATCH_FAULTS, bad_nop_container,
-                     edited_container, growth_faults, inflation_bomb)
+                     edited_container, growth_faults, hostile_logs,
+                     inflation_bomb)
 from modeltools import sample_call_chains
 
 OPTS = BuildOptions()
@@ -242,21 +246,47 @@ def test_locate_matches_linear_scan():
             assert collector._locate(sf, pc) == _locate_linear(sf, pc), hex(pc)
 
 
+def test_locate_takes_the_first_of_overlapping_line_records():
+    # validate() keeps line records sorted but lets them overlap; the
+    # first record in order that holds the pc names its line
+    lines = (LineRecord(0x10, 0x10, 1, 1), LineRecord(0x14, 4, 2, 1),
+             LineRecord(0x18, 0x10, 3, 1), LineRecord(0x1C, 4, 4, 1),
+             LineRecord(0x2C, 4, 5, 1))
+    sf = SymbolFile(funcs=(FuncRecord(0x10, 0x30, 0, "f", lines),))
+    validate(sf)
+    for pc in range(0x0C, 0x44):
+        assert collector._locate(sf, pc) == _locate_linear(sf, pc), hex(pc)
+    assert collector._locate(sf, 0x1C) == ("f", 1, 1)
+    assert collector._locate(sf, 0x24) == ("f", 1, 3)
+    assert collector._locate(sf, 0x28) == ("f", None, 0)
+    assert collector._locate(sf, 0x2C) == ("f", 1, 5)
+
+
 @pytest.fixture
 def replications(monkeypatch):
-    """Start from an empty report cache and count the reconstructions
-    report() runs: one replicate call per cache miss."""
-    collector._report_cache.clear()
+    """Count the reconstructions a server runs, one plan replicate call
+    per cache miss, from an empty report() slot."""
+    monkeypatch.setattr(collector, "_server", None)
     calls = []
-    real = collector.replicate
+    real = ReplicationPlan.replicate
 
-    def counted(*args):
+    def counted(plan, *args):
         calls.append(args)
-        return real(*args)
+        return real(plan, *args)
 
-    monkeypatch.setattr(collector, "replicate", counted)
-    yield calls
-    collector._report_cache.clear()
+    monkeypatch.setattr(ReplicationPlan, "replicate", counted)
+    return calls
+
+
+def _server_blob(model, seeds=SEEDS, key=None):
+    """A server for the model's default build, and one delta blob of it
+    with its truth and decisions."""
+    dres, log = build_default(model, OPTS)
+    server = SymbolServer(dres.symfile, log)
+    truth, dec = build_diversified(model, seeds, OPTS)
+    patch = diff(replicate(dres.symfile, log, seeds, OPTS), truth.symfile)
+    return server, pack(delta_from_options(seeds, OPTS, patch), key), \
+        truth, dec
 
 
 def _frames(trace):
@@ -266,8 +296,10 @@ def _frames(trace):
 def test_cached_traces_equal_uncached(replications):
     model = _model()
     chains = sample_call_chains(model, 4, 8)
+    server = None
     for seeds in (SEEDS, SeedTuple(0xE1, 0xE2, 0xE3)):
         blob, dres, log, truth, dec = _delta_blob(model, seeds)
+        server = server or SymbolServer(dres.symfile, log)
         info = crash_info(truth, dec, model.module_name)
         dd = unpack(blob)
         exact = apply(replicate(dres.symfile, log, dd.seeds, dd.options()),
@@ -275,37 +307,58 @@ def test_cached_traces_equal_uncached(replications):
         before = len(replications)
         for chain in chains + chains:
             dump = simulate_crash(info, model, chain)
-            assert _frames(report(dump, blob, dres.symfile, log)) == \
+            assert _frames(server.report(dump, blob)) == \
                 _frames(trace_from_dump(dump, exact))
         assert len(replications) == before + 1
-    assert len(collector._report_cache) == 2
+    assert len(server._exact) == 2
+
+
+def test_report_keeps_one_server_per_default_build(replications):
+    # report() reuses the server of the very same default file and log
+    model = _model()
+    blob, dres, log, truth, dec = _delta_blob(model, SEEDS)
+    info = crash_info(truth, dec, model.module_name)
+    chains = sample_call_chains(model, 3, 8)
+    before = len(replications)
+    for chain in chains:
+        report(simulate_crash(info, model, chain), blob, dres.symfile, log)
+    assert len(replications) == before + 1
+    server = collector._server
+    assert server.default_sf is dres.symfile and server.log is log
+    # an equal but distinct log is another server, with its own entries
+    report(simulate_crash(info, model, chains[0]), blob, dres.symfile,
+           replace(log))
+    assert collector._server is not server
+    assert len(replications) == before + 2
 
 
 def test_cached_success_does_not_skip_authentication(replications):
     model = _model()
     key = b"k" * 16
-    blob, dres, log, truth, dec = _delta_blob(model, SEEDS, key=key)
+    server, blob, truth, dec = _server_blob(model, key=key)
     info = crash_info(truth, dec, model.module_name)
     dump = simulate_crash(info, model, _chain(model, 2))
-    assert report(dump, blob, dres.symfile, log, key).frames
+    replications.clear()
+    assert server.report(dump, blob, key).frames
     with pytest.raises(AuthenticationError):
-        report(dump, blob, dres.symfile, log, b"wrong")
+        server.report(dump, blob, b"wrong")
     with pytest.raises(AuthenticationError):
-        report(dump, blob, dres.symfile, log)
-    assert report(dump, blob, dres.symfile, log, key).frames
+        server.report(dump, blob)
+    assert server.report(dump, blob, key).frames
     assert len(replications) == 1
 
 
 def test_module_mismatch_on_cache_hit(replications):
     model = _model()
-    blob, dres, log, truth, dec = _delta_blob(model, SEEDS)
+    server, blob, truth, dec = _server_blob(model)
     info = crash_info(truth, dec, model.module_name)
     dump = simulate_crash(info, model, _chain(model, 2))
-    report(dump, blob, dres.symfile, log)
+    replications.clear()
+    server.report(dump, blob)
     wrong = MinidumpLite("Linux arm 0 other", dump.crash_reason,
                          dump.crash_address, dump.registers, dump.stack)
     with pytest.raises(ReplicationInputError):
-        report(wrong, blob, dres.symfile, log)
+        server.report(wrong, blob)
     assert len(replications) == 1
 
 
@@ -315,6 +368,8 @@ def test_report_cache_is_bounded_lru(replications):
     truth, dec = build_diversified(model, SEEDS, OPTS)
     patch = diff(replicate(dres.symfile, log, SEEDS, OPTS), truth.symfile)
     dd = delta_from_options(SEEDS, OPTS, patch)
+    server = SymbolServer(dres.symfile, log)
+    assert server.capacity == collector.REPORT_CACHE_SIZE
     # One build packed under distinct keys: distinct blobs, distinct entries.
     keys = [b"key%d" % i for i in range(collector.REPORT_CACHE_SIZE + 1)]
     blobs = [pack(dd, k) for k in keys]
@@ -323,32 +378,106 @@ def test_report_cache_is_bounded_lru(replications):
 
     def misses(i):
         before = len(replications)
-        report(dump, blobs[i], dres.symfile, log, keys[i])
-        assert len(collector._report_cache) <= collector.REPORT_CACHE_SIZE
+        server.report(dump, blobs[i], keys[i])
+        assert len(server._exact) <= collector.REPORT_CACHE_SIZE
         return len(replications) - before
 
     assert [misses(i) for i in range(len(keys) - 1)] == [1] * (len(keys) - 1)
     assert misses(0) == 0          # hit: entry 0 becomes most recent
     assert misses(len(keys) - 1) == 1   # evicts entry 1, the least recent
-    assert len(collector._report_cache) == collector.REPORT_CACHE_SIZE
+    assert len(server._exact) == collector.REPORT_CACHE_SIZE
     assert misses(0) == 0
     assert misses(1) == 1
 
 
+def test_server_capacity_bounds_its_entries(replications):
+    model = _model()
+    dres, log = build_default(model, OPTS)
+    truth, dec = build_diversified(model, SEEDS, OPTS)
+    patch = diff(replicate(dres.symfile, log, SEEDS, OPTS), truth.symfile)
+    dd = delta_from_options(SEEDS, OPTS, patch)
+    dump = simulate_crash(crash_info(truth, dec, model.module_name), model,
+                          _chain(model, 2))
+    for capacity in (0, 1, 3):
+        server = SymbolServer(dres.symfile, log, capacity)
+        for i in range(4):
+            server.report(dump, pack(dd, b"key%d" % i), b"key%d" % i)
+            assert len(server._exact) == min(i + 1, capacity)
+
+
 def test_failed_reconstruction_is_not_cached(replications):
     model = _model()
-    blob, dres, log, truth, dec = _delta_blob(model, SEEDS)
+    server, blob, truth, dec = _server_blob(model)
     info = crash_info(truth, dec, model.module_name)
     dump = simulate_crash(info, model, _chain(model, 2))
+    replications.clear()
     # Unpacks and replicates, but the patch does not fit the approximation.
     bad = pack(DeltaData(seeds=SEEDS, patch=Patch((PatchOp("K", 3),))))
     for _ in range(2):
         with pytest.raises(PatchCorruptError):
-            report(dump, bad, dres.symfile, log)
+            server.report(dump, bad)
         with pytest.raises(DeltaFormatError):
-            report(dump, blob[:-1], dres.symfile, log)
+            server.report(dump, blob[:-1])
     assert len(replications) == 2
-    assert not collector._report_cache
+    assert not server._exact
+
+
+def test_hostile_log_fails_report_and_no_plan_is_kept(replications):
+    model = _model()
+    blob, dres, log, truth, dec = _delta_blob(model, SEEDS)
+    dump = simulate_crash(crash_info(truth, dec, model.module_name), model,
+                          _chain(model, 2))
+    for bad, message in hostile_logs(log):
+        server = SymbolServer(dres.symfile, bad)
+        for _ in range(2):
+            with pytest.raises(ReplicationInputError, match=message):
+                server.report(dump, blob)
+            with pytest.raises(ReplicationInputError, match=message):
+                report(dump, blob, dres.symfile, bad)
+        assert not server._plans and not server._exact, message
+        assert not collector._server._plans, message
+    assert report(dump, blob, dres.symfile, log).frames
+
+
+def test_four_threads_share_the_report_slot():
+    # three builds' blobs through report() from four threads, so the
+    # two-entry cache evicts under the others; every trace stays exact
+    model = _model()
+    dres, log = build_default(model, OPTS)
+    chain = _chain(model, 2)
+    cases = []
+    for seeds in (SEEDS, SeedTuple(0xE1, 0xE2, 0xE3), SeedTuple(1, 2, 3)):
+        truth, dec = build_diversified(model, seeds, OPTS)
+        patch = diff(replicate(dres.symfile, log, seeds, OPTS),
+                     truth.symfile)
+        dump = simulate_crash(crash_info(truth, dec, model.module_name),
+                              model, chain)
+        cases.append((dump, pack(delta_from_options(seeds, OPTS, patch)),
+                      _frames(trace_from_dump(dump, truth.symfile))))
+    errors = []
+
+    def work(t):
+        try:
+            for r in range(9):
+                dump, blob, want = cases[(t + r) % len(cases)]
+                if _frames(report(dump, blob, dres.symfile, log)) != want:
+                    errors.append((t, r))
+        except Exception as e:   # reported below
+            errors.append(e)
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    assert len(collector._server._exact) <= collector.REPORT_CACHE_SIZE
 
 
 def test_report_rejects_decompression_bomb():
@@ -466,13 +595,19 @@ def test_corpus_metrics_times_a_cold_reconstruction(monkeypatch):
                  if b.kind == "code" and b.model_instrs > 1)
     draws = []
     per_replicate = []
-    real = collector.replicate
+    builds = []
+    real = ReplicationPlan.replicate
+    real_build = ReplicationPlan.__init__
 
-    def counted(*args):
+    def counted(plan, *args):
         before = len(draws)
-        out = real(*args)
+        out = real(plan, *args)
         per_replicate.append(len(draws) - before)
         return out
+
+    def building(plan, *args):
+        builds.append(len(per_replicate))
+        real_build(plan, *args)
 
     def drawing(seeds, counts, threshold):
         # a block with no gap draws nothing
@@ -480,10 +615,16 @@ def test_corpus_metrics_times_a_cold_reconstruction(monkeypatch):
         return _speed.nop_masks(seeds, counts, threshold)
 
     monkeypatch.setattr(diversify, "nop_masks", drawing)
-    monkeypatch.setattr(collector, "replicate", counted)
+    monkeypatch.setattr(ReplicationPlan, "replicate", counted)
+    monkeypatch.setattr(ReplicationPlan, "__init__", building)
     diversify.clear_gap_memo()
-    corpus_metrics([model], [SEEDS], OPTS)
+    rep = corpus_metrics([model], [SEEDS], OPTS)
     diversify.clear_gap_memo()
     # replicate per scheme: padding, nops, shuffle, combined, then the
     # combined scheme's reconstruction
     assert per_replicate == [0, 0, 0, 0, blocks]
+    # with the one plan the server built before any of them, and timed
+    # apart from them
+    assert builds == [0]
+    assert set(rep.timings) == {"plan", "delta_generation", "reconstruction"}
+    assert all(t > 0 for t in rep.timings.values())

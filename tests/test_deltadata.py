@@ -107,8 +107,8 @@ def grow_line(sf, fi, li, n):
     def moved(a):
         return a + n if a >= end else a
     nf = dataclasses.replace(f, size=f.size + n, lines=f.lines[:li] + (
-        dataclasses.replace(ln, size=ln.size + n),) + tuple(
-        dataclasses.replace(x, address=x.address + n) for x in f.lines[li + 1:]))
+        ln._replace(size=ln.size + n),) + tuple(
+        x._replace(address=x.address + n) for x in f.lines[li + 1:]))
     nc = dataclasses.replace(c, size=c.size + n, deltas=tuple(
         (moved(a), r) for a, r in c.deltas))
     later = [shift_function(sf, k, n) for k in range(fi + 1, len(sf.funcs))]

@@ -306,7 +306,7 @@ def test_block_seed_is_the_function_reseed_of_the_block_key(monkeypatch):
 
 
 def test_block_hash_cache_stays_within_its_bound():
-    prefix = diversify._block_hash_prefix
+    prefix = diversify._identifier_hash
     bound = diversify.BLOCK_HASH_CACHE
     assert prefix.cache_info().maxsize == bound
     idents = ["fn%04d_beef@fn%04d_beef.o:.text.fn%04d_beef" % (i, i, i)

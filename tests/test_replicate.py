@@ -1,3 +1,6 @@
+import hashlib
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
@@ -8,8 +11,10 @@ from divsym.errors import ModelError, ReplicationInputError
 from divsym.progmodel import (BlockModel, BuildOptions, FrameModel,
                               FunctionModel, LineSpan, ProgramModel,
                               generate_corpus)
-from divsym.replicate import replicate
-from divsym.symfile import emit_symbol_file
+from divsym import replicate as replicate_module
+from divsym.replicate import ReplicationPlan, plan_for, replicate
+from divsym.symfile import LineRecord, emit_symbol_file
+from hostile import hostile_logs
 from modeltools import access_instrs, seeds_desyncing_only
 
 OPTS = BuildOptions()
@@ -299,3 +304,168 @@ def test_cfi_deltas_off_the_layout_take_the_fallback():
     got = {a - func.address: r for a, r in approx.cfi_regions[i].deltas}
     assert got[new_start + 4] == inside_rules
     assert got[outside + 4] == outside_rules
+
+
+# The replicate() outputs of prog000 and three small programs under
+# four seed tuples, one digest per option set, pinned: a change to the
+# replay shows here.  Desync is the build's alone, so its digest is the
+# default options'.
+PLAN_OPTIONS = {
+    "default": BuildOptions(),
+    "no-default-padding": BuildOptions(default_padding=False),
+    "spfp-nop-2/3": BuildOptions(sp_fp_opt=True, nop_num=2, nop_den=3),
+    "desync-1/4": BuildOptions(desync_num=1, desync_den=4),
+    "pad-shuffle-off": BuildOptions(pad_scheme=False, shuffle_scheme=False),
+}
+PLAN_SEEDS = (SeedTuple(11, 22, 33), SeedTuple(44, 55, 66),
+              SeedTuple(0xA1A1, 0xB2B2, 0xC3C3),
+              SeedTuple((1 << 64) - 1, 0, 1 << 63))
+
+
+@pytest.fixture(scope="module")
+def plan_programs():
+    return generate_corpus(0xBE7C, 1, "medium") + \
+        generate_corpus(0x51, 3, "small")
+
+
+@pytest.mark.parametrize("name,digest", [
+    ("default",
+     "9f5e4f05e71c4d18a47ea4b2fe72703255228ec476429ed77e47052b79e11f9b"),
+    ("no-default-padding",
+     "53f460351717290acddc04273341d615ac7132b7af66d4593ea3f0c16c9c1b2d"),
+    ("spfp-nop-2/3",
+     "fd8ecfa9360782ee16f21a81c9677e1c6ac2be896f02965fea55444c6ddcea2e"),
+    ("desync-1/4",
+     "9f5e4f05e71c4d18a47ea4b2fe72703255228ec476429ed77e47052b79e11f9b"),
+    ("pad-shuffle-off",
+     "040c2c7a38fe116fd40e16c0158081f16c3be33b6a9c821ad7e730564de243a5"),
+])
+def test_plan_replicates_as_a_fresh_plan_and_as_pinned(plan_programs, name,
+                                                       digest):
+    options = PLAN_OPTIONS[name]
+    h = hashlib.sha256()
+    for model in plan_programs:
+        res, log = build_default(model, options)
+        plan = ReplicationPlan(res.symfile, log, options)
+        for seeds in PLAN_SEEDS:
+            text = emit_symbol_file(plan.replicate(seeds, options))
+            fresh = ReplicationPlan(res.symfile, log, options)
+            assert emit_symbol_file(fresh.replicate(seeds, options)) == text
+            assert emit_symbol_file(replicate(res.symfile, log, seeds,
+                                              options)) == text
+            h.update(text.encode())
+    assert h.hexdigest() == digest
+
+
+def test_one_plan_serves_fifty_seed_tuples():
+    model = generate_corpus(0x51, 1, "small")[0]
+    res, log = build_default(model, OPTS)
+    plan = ReplicationPlan(res.symfile, log, OPTS)
+    functions = plan.functions
+    for k in range(50):
+        seeds = SeedTuple(k * 0x9E37 + 1, k * 0x79B9 + 2, k * 0x7F4A + 3)
+        fresh = ReplicationPlan(res.symfile, log, OPTS)
+        approx = plan.replicate(seeds, OPTS)
+        assert approx == fresh.replicate(seeds, OPTS)
+        assert emit_symbol_file(approx) == emit_symbol_file(
+            replicate(res.symfile, log, seeds, OPTS))
+    assert plan.functions is functions
+
+
+def test_plan_reads_the_default_records_and_shares_equal_facts():
+    model = generate_corpus(0x51, 1, "small")[0]
+    res, log = build_default(model, OPTS)
+    plan = ReplicationPlan(res.symfile, log, OPTS)
+    assert plan.default_sf is res.symfile and plan.log is log
+    assert all(fp.func is f and fp.cfi is c and fp.lf is lf
+               for fp, f, c, lf in zip(plan.functions, res.symfile.funcs,
+                                       res.symfile.cfi_regions,
+                                       log.functions))
+    # one planned entry per line record, none of them a record
+    for fp in plan.functions:
+        items = [it for _, block in fp.blocks for it in block]
+        assert len(items) == len(fp.func.lines)
+        assert not any(isinstance(x, LineRecord) for it in items for x in it)
+    items = [it for fp in plan.functions for _, block in fp.blocks
+             for it in block]
+    assert len({id(it) for it in items}) == len(set(items)) < len(items)
+
+
+@pytest.mark.parametrize("options", [OPTS, BuildOptions(default_padding=False)])
+def test_hostile_logs_fail_at_plan_build_and_no_plan_is_kept(options):
+    model = benign_model()
+    res, log = build_default(model, options)
+    good = plan_for(res.symfile, log, options)
+    for bad, message in hostile_logs(log):
+        for _ in range(2):
+            with pytest.raises(ReplicationInputError, match=message):
+                ReplicationPlan(res.symfile, bad, options)
+            with pytest.raises(ReplicationInputError, match=message):
+                replicate(res.symfile, bad, SEEDS, options)
+            assert replicate_module._last_plan is good
+    assert plan_for(res.symfile, log, options) is good
+
+
+def test_plan_refuses_another_default_padding():
+    model = benign_model()
+    res, log = build_default(model, OPTS)
+    plan = ReplicationPlan(res.symfile, log, OPTS)
+    with pytest.raises(ReplicationInputError, match="default_padding"):
+        plan.replicate(SEEDS, BuildOptions(default_padding=False))
+
+
+def test_the_slot_matches_its_inputs_by_identity():
+    model = benign_model()
+    res, log = build_default(model, OPTS)
+    plan = plan_for(res.symfile, log, OPTS)
+    assert plan_for(res.symfile, log, replace(OPTS, nop_num=0)) is plan
+    # an equal but distinct log, or file, builds a new plan
+    twin = replace(log)
+    assert twin == log and twin is not log
+    other = plan_for(res.symfile, twin, OPTS)
+    assert other is not plan and other.log is twin
+    assert plan_for(replace(res.symfile), twin, OPTS) is not other
+    # so does another default_padding
+    off = BuildOptions(default_padding=False)
+    res_off, log_off = build_default(model, off)
+    assert plan_for(res_off.symfile, log_off, off).default_padding is False
+
+
+def test_four_threads_share_the_slot():
+    # each thread alternates between two default builds, so the slot is
+    # replaced under the others; every approximation stays exact
+    builds = []
+    for model in generate_corpus(0x51, 2, "small"):
+        res, log = build_default(model, OPTS)
+        builds.append((res.symfile, log))
+    tuples = [SeedTuple(k + 1, 2 * k + 3, 3 * k + 5) for k in range(6)]
+    want = {(b, k): emit_symbol_file(
+                ReplicationPlan(sf, log, OPTS).replicate(seeds, OPTS))
+            for b, (sf, log) in enumerate(builds)
+            for k, seeds in enumerate(tuples)}
+    errors = []
+
+    def work(t):
+        try:
+            for r in range(12):
+                b = (t + r) % 2
+                k = (t * 5 + r) % len(tuples)
+                sf, log = builds[b]
+                got = replicate(sf, log, tuples[k], OPTS)
+                if emit_symbol_file(got) != want[b, k]:
+                    errors.append((t, r))
+        except Exception as e:   # reported below
+            errors.append(e)
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
