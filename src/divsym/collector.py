@@ -278,8 +278,10 @@ class SymbolServer:
         first use."""
         plan = self._plans.get(options.default_padding)
         if plan is None:
-            plan = plan_for(self.default_sf, self.log, options)
-            self._plans[options.default_padding] = plan
+            # threads that raced to build it all take the first stored
+            plan = self._plans.setdefault(
+                options.default_padding,
+                plan_for(self.default_sf, self.log, options))
         return plan
 
     def reconstruct(self, dd):

@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from divsym import _speed, cfi, collector, diversify
+from divsym import replicate as replicate_module
 from divsym.collector import (MinidumpLite, SymbolServer, corpus_metrics,
                               emit_minidump, parse_minidump, report,
                               simulate_crash, trace_from_dump)
@@ -437,6 +438,36 @@ def test_hostile_log_fails_report_and_no_plan_is_kept(replications):
         assert not server._plans and not server._exact, message
         assert not collector._server._plans, message
     assert report(dump, blob, dres.symfile, log).frames
+
+
+def test_threads_racing_for_a_plan_keep_one(monkeypatch):
+    # four threads ask a new server for its plan at once, each clearing
+    # the replicate() slot so that several build one; the server keeps
+    # the first stored and hands that one to all of them
+    dres, log = build_default(_model(), OPTS)
+    server = SymbolServer(dres.symfile, log)
+    monkeypatch.setattr(replicate_module, "_last_plan", None)
+    barrier = threading.Barrier(4)
+    got = []
+
+    def work():
+        barrier.wait(timeout=60)
+        replicate_module._last_plan = None
+        got.append(server.plan(OPTS))
+
+    threads = [threading.Thread(target=work) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert len(got) == 4
+    assert all(plan is server._plans[OPTS.default_padding] for plan in got)
 
 
 def test_four_threads_share_the_report_slot():
