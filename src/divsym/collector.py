@@ -222,9 +222,10 @@ def _locate(sf, pc):
     if i >= 0:
         f = sf.funcs[i]
         if pc < f.address + f.size:
-            ln = sf.line_at(i, pc)
-            return (f.name, None, 0) if ln is None else \
-                (f.name, ln.filenum, ln.line)
+            for addr, size, line, filenum in f.lines:
+                if addr <= pc < addr + size:
+                    return f.name, filenum, line
+            return f.name, None, 0
     return None, None, 0
 
 
@@ -256,19 +257,18 @@ class SymbolServer:
 
     It holds the default symbol file and opportunity log, the
     replication plan built from them (one per default_padding value a
-    delta names), and the exact symbol files of the last `capacity`
-    delta blobs it reconstructed, least recently used first, keyed by
-    (SHA-256 of the blob, HMAC key).  Only a blob that unpacked under
-    that key, HMAC check included, and reconstructed without error is
-    kept, so a hit skips no check the blob has not passed; a plan whose
-    build failed is not kept either.  The dump's module id is checked on
-    every report.
+    delta names), and the exact symbol files of the last
+    REPORT_CACHE_SIZE delta blobs it reconstructed, least recently used
+    first, keyed by (SHA-256 of the blob, HMAC key).  Only a blob that
+    unpacked under that key, HMAC check included, and reconstructed
+    without error is kept, so a hit skips no check the blob has not
+    passed; a plan whose build failed is not kept either.  The dump's
+    module id is checked on every report.
     """
 
-    def __init__(self, default_sf, log, capacity=REPORT_CACHE_SIZE):
+    def __init__(self, default_sf, log):
         self.default_sf = default_sf
         self.log = log
-        self.capacity = capacity
         self._plans = {}            # default_padding -> ReplicationPlan
         self._exact = OrderedDict()
         self._lock = threading.Lock()
@@ -304,7 +304,7 @@ class SymbolServer:
             exact = self.reconstruct(dd)
             with self._lock:
                 self._exact[slot] = exact
-                while len(self._exact) > self.capacity:
+                while len(self._exact) > REPORT_CACHE_SIZE:
                     self._exact.popitem(last=False)
         return trace_from_dump(dump, exact)
 

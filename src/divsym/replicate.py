@@ -32,6 +32,7 @@ file and log build it once.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import NamedTuple
 
 from divsym.diversify import (LogFunction, function_order, function_padding,
@@ -74,6 +75,7 @@ def _pair_records(default_sf, log):
 def _block_records(func, lf):
     """Partition a function's line records by log block, in order."""
     out = []
+    lines = func.lines
     li = 0
     for b in lf.blocks:
         if b.kind != "code":
@@ -81,22 +83,18 @@ def _block_records(func, lf):
             continue
         want = INSTR_BYTES * b.size
         got = 0
-        recs = []
-        while got < want:
-            if li >= len(func.lines):
-                raise ReplicationInputError(
-                    "line records do not tile blocks of %s" % func.name)
-            recs.append(func.lines[li])
-            got += func.lines[li].size
+        start = li
+        while got < want and li < len(lines):
+            got += lines[li][1]
             li += 1
         if got != want:
             raise ReplicationInputError(
                 "line records do not tile blocks of %s" % func.name)
-        if not recs:
+        if li == start:
             raise ReplicationInputError(
                 "code block %d of %s is empty" % (b.index, func.name))
-        out.append((b, tuple(recs)))
-    if li != len(func.lines):
+        out.append((b, lines[start:li]))
+    if li != len(lines):
         raise ReplicationInputError("trailing line records in %s" % func.name)
     return out
 
@@ -143,36 +141,38 @@ def _plan_function(func, cfi, lf, options, share):
                 "record/extras mismatch in %s block %d" % (func.name, b.index))
         pre_def = (push + fps + alloc_def) if not blocks else 0
         post_def = (dealloc_def + pop) if b.epilogue else 0
-        bodies = []
-        for j, r in enumerate(recs):
-            if j < len(recs) - 1:
-                body = r.size // INSTR_BYTES - (pre_def if j == 0 else 0)
-            else:
-                body = b.model_instrs - sum(bodies)
+        first = 0 if spans else 1     # the prologue's extras go here
+        last = len(recs) - 1
+        items = []
+        lo = 0
+        for j in range(last):
+            body = recs[j][1] // INSTR_BYTES - (pre_def if j == 0 else 0)
             if body < 0:
                 raise ReplicationInputError(
                     "record/extras mismatch in %s block %d" % (func.name, b.index))
-            bodies.append(body)
-        mat_bytes = recs[-1].size - INSTR_BYTES * (
-            bodies[-1] + post_def + (pre_def if len(recs) == 1 else 0))
+            item = (lo, lo + body, INSTR_BYTES * body, first if j == 0 else 0)
+            items.append(share(item, item))
+            lo += body
+        body = b.model_instrs - lo
+        if body < 0:
+            raise ReplicationInputError(
+                "record/extras mismatch in %s block %d" % (func.name, b.index))
+        mat_bytes = recs[-1][1] - INSTR_BYTES * (
+            body + post_def + (pre_def if last == 0 else 0))
         if mat_bytes < 0:
             raise ReplicationInputError(
                 "record/extras mismatch in %s block %d" % (func.name, b.index))
-        items = []
-        lo = 0
-        for j, body in enumerate(bodies):
-            last = j == len(recs) - 1
-            items.append(share((lo, lo + body,
-                                INSTR_BYTES * body + (mat_bytes if last else 0),
-                                (j == 0 and not spans)
-                                | 2 * (last and b.epilogue))))
-            lo += body
+        item = (lo, lo + body, INSTR_BYTES * body + mat_bytes,
+                (first if last == 0 else 0) | 2 * b.epilogue)
+        items.append(share(item, item))
         if b.epilogue:
             epilogues.append(len(spans))
         spans.append((recs[0].address - base,
                        recs[-1].address + recs[-1].size - base))
         keys.append((lf.identifier, b.index, b.model_instrs - 1))
-        blocks.append(share((gap, share(tuple(items)))))
+        items = tuple(items)
+        block = (gap, share(items, items))
+        blocks.append(share(block, block))
         gap = 0
 
     # A CFI delta keeps its offset from its code block's start, or its
@@ -187,14 +187,15 @@ def _plan_function(func, cfi, lf, options, share):
             moved[spans[k][1] - INSTR_BYTES * pop] = \
                 (_BEFORE_END, k, INSTR_BYTES * pop)
     frame_cfa = ("sp", 4 * lf.saved_count + total_def, "+")
+    starts = [start for start, _ in spans]    # sorted, spans disjoint
     deltas = []
     for addr, rules in cfi.deltas:
         off = addr - base
         where = moved.get(off)
         if where is None:
-            where = next(((_FROM_START, k, off - start)
-                          for k, (start, end) in enumerate(spans)
-                          if start <= off < end), (_KEPT, 0, off))
+            k = bisect_right(starts, off) - 1
+            where = (_FROM_START, k, off - starts[k]) \
+                if k >= 0 and off < spans[k][1] else (_KEPT, 0, off)
         deltas.append((*where, rules,
                        bool(total_def) and rules.get(".cfa") == frame_cfa))
     return _FunctionPlan(func, cfi, lf, tuple(keys), tuple(blocks), gap,
@@ -218,10 +219,7 @@ class ReplicationPlan:
         self.default_sf = default_sf
         self.log = log
         self.default_padding = options.default_padding
-        shared = {}
-
-        def share(value):
-            return shared.setdefault(value, value)
+        share = {}.setdefault       # share(v, v): the first value equal to v
         self.functions = tuple(_plan_function(func, cfi, lf, options, share)
                                for func, cfi, lf in
                                _pair_records(default_sf, log))

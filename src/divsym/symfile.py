@@ -28,11 +28,8 @@ deltadata patches symbol files as entry lists.
 from __future__ import annotations
 
 import re
-from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -97,28 +94,6 @@ class SymbolFile:
     def cfi_starts(self):
         """Start address of each STACK CFI INIT region, in order."""
         return tuple(c.address for c in self.cfi_regions)
-
-    @cached_property
-    def _line_reach(self):
-        """FUNC index -> the running maximum of its line records' ends,
-        packed, filled on the first lookup in each FUNC."""
-        return {}
-
-    def line_at(self, i, pc):
-        """The first line record of FUNC i, in order, that holds pc, or
-        None.  Line records are sorted by address (validate()) but may
-        overlap: the first that holds pc is the first whose running
-        maximum end passes pc, if it starts at or before pc."""
-        lines = self.funcs[i].lines
-        reach = self._line_reach.get(i)
-        if reach is None:
-            reach = array("q", accumulate((ln[0] + ln[1] for ln in lines),
-                                          max))
-            self._line_reach[i] = reach
-        j = bisect_right(reach, pc)
-        if j < len(lines) and lines[j][0] <= pc:
-            return lines[j]
-        return None
 
 
 def _rule_sort_key(reg):

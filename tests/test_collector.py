@@ -370,7 +370,6 @@ def test_report_cache_is_bounded_lru(replications):
     patch = diff(replicate(dres.symfile, log, SEEDS, OPTS), truth.symfile)
     dd = delta_from_options(SEEDS, OPTS, patch)
     server = SymbolServer(dres.symfile, log)
-    assert server.capacity == collector.REPORT_CACHE_SIZE
     # One build packed under distinct keys: distinct blobs, distinct entries.
     keys = [b"key%d" % i for i in range(collector.REPORT_CACHE_SIZE + 1)]
     blobs = [pack(dd, k) for k in keys]
@@ -389,21 +388,6 @@ def test_report_cache_is_bounded_lru(replications):
     assert len(server._exact) == collector.REPORT_CACHE_SIZE
     assert misses(0) == 0
     assert misses(1) == 1
-
-
-def test_server_capacity_bounds_its_entries(replications):
-    model = _model()
-    dres, log = build_default(model, OPTS)
-    truth, dec = build_diversified(model, SEEDS, OPTS)
-    patch = diff(replicate(dres.symfile, log, SEEDS, OPTS), truth.symfile)
-    dd = delta_from_options(SEEDS, OPTS, patch)
-    dump = simulate_crash(crash_info(truth, dec, model.module_name), model,
-                          _chain(model, 2))
-    for capacity in (0, 1, 3):
-        server = SymbolServer(dres.symfile, log, capacity)
-        for i in range(4):
-            server.report(dump, pack(dd, b"key%d" % i), b"key%d" % i)
-            assert len(server._exact) == min(i + 1, capacity)
 
 
 def test_failed_reconstruction_is_not_cached(replications):
