@@ -141,7 +141,7 @@ def _plan_function(func, cfi, lf, options, share):
                 "record/extras mismatch in %s block %d" % (func.name, b.index))
         pre_def = (push + fps + alloc_def) if not blocks else 0
         post_def = (dealloc_def + pop) if b.epilogue else 0
-        first = 0 if spans else 1     # the prologue's extras go here
+        first = 0 if spans else 1   # the first code block carries the prologue
         last = len(recs) - 1
         items = []
         lo = 0
