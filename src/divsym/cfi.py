@@ -25,8 +25,6 @@ MAX_FRAMES = "max_frames"
 MEMORY_OUT_OF_RANGE = "memory_out_of_range"
 MALFORMED_EXPRESSION = "malformed_expression"
 
-UNWIND_REGS = ("r4", "r5", "r6", "r7", "r8", "r9", "r10", "r11", "sp", "lr")
-
 
 @dataclass(frozen=True)
 class StackSnapshot:
@@ -77,7 +75,8 @@ def eval_postfix(expr, regs, cfa, mem):
 
 
 def rules_at(sf, pc):
-    """Effective RuleMap at pc: INIT rules overlaid with deltas at <= pc."""
+    """The rules in effect at pc, {register: postfix expression}: the INIT
+    rules overlaid with the deltas at <= pc."""
     i = bisect.bisect_right(sf.cfi_starts, pc) - 1
     if i < 0:
         raise NoUnwindInfo("pc %#x before any CFI region" % pc)
@@ -92,7 +91,7 @@ def rules_at(sf, pc):
     return rules
 
 
-def unwind(dump, sf, max_frames=DEFAULT_MAX_FRAMES):
+def unwind(dump, sf):
     """Walk the stack of a MinidumpLite-shaped dump.
 
     Returns (frames, reason).  Frame 0 comes from the crash registers;
@@ -112,7 +111,7 @@ def unwind(dump, sf, max_frames=DEFAULT_MAX_FRAMES):
     pc = regs["pc"]
     prev_cfa = None
     while True:
-        if len(frames) >= max_frames:
+        if len(frames) >= DEFAULT_MAX_FRAMES:
             return frames, MAX_FRAMES
         lookup = pc if not frames else (pc - 4) & MASK32
         try:

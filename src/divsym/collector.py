@@ -13,8 +13,9 @@ frames are mapped at return address minus one instruction so the call
 site's line is reported; the rendered trace text carries only
 source-level information and is therefore identical across seeds.
 Every crash of one shipped build carries the same delta blob, so a
-SymbolServer keeps the exact symbol files it reconstructed, beside the
-seed-free replication plan of its default build.
+SymbolServer keeps the exact symbol files it reconstructed; it
+replicates through replicate(), whose one slot holds the seed-free
+replication plan of the default build.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from divsym.image import ImageInfo
 from divsym.progmodel import (INSTR_BYTES, BuildOptions, ProgramModel,
                               function_size)
 from divsym.records import read_records
-from divsym.replicate import plan_for
+from divsym.replicate import plan_for, replicate
 from divsym.symfile import emit_symbol_file
 
 STACK_TOP = 0xBF000000
@@ -255,39 +256,27 @@ REPORT_CACHE_SIZE = 2
 class SymbolServer:
     """A crash server for one default build.
 
-    It holds the default symbol file and opportunity log, the
-    replication plan built from them (one per default_padding value a
-    delta names), and the exact symbol files of the last
-    REPORT_CACHE_SIZE delta blobs it reconstructed, least recently used
-    first, keyed by (SHA-256 of the blob, HMAC key).  Only a blob that
-    unpacked under that key, HMAC check included, and reconstructed
-    without error is kept, so a hit skips no check the blob has not
-    passed; a plan whose build failed is not kept either.  The dump's
-    module id is checked on every report.
+    It holds the default symbol file and opportunity log and the exact
+    symbol files of the last REPORT_CACHE_SIZE delta blobs it
+    reconstructed, least recently used first, keyed by (SHA-256 of the
+    blob, HMAC key).  Only a blob that unpacked under that key, HMAC
+    check included, and reconstructed without error is kept, so a hit
+    skips no check the blob has not passed.  It replicates through
+    replicate(), so it shares the replication plan with the delta
+    writer and with any server loaded with the same file and log
+    objects.  The dump's module id is checked on every report.
     """
 
     def __init__(self, default_sf, log):
         self.default_sf = default_sf
         self.log = log
-        self._plans = {}            # default_padding -> ReplicationPlan
         self._exact = OrderedDict()
         self._lock = threading.Lock()
 
-    def plan(self, options):
-        """The replication plan for options.default_padding, built on
-        first use."""
-        plan = self._plans.get(options.default_padding)
-        if plan is None:
-            # threads that raced to build it all take the first stored
-            plan = self._plans.setdefault(
-                options.default_padding,
-                plan_for(self.default_sf, self.log, options))
-        return plan
-
     def reconstruct(self, dd):
         """The exact symbol file of unpacked delta data."""
-        options = dd.options()
-        return apply(self.plan(options).replicate(dd.seeds, options), dd.patch)
+        return apply(replicate(self.default_sf, self.log, dd.seeds,
+                               dd.options()), dd.patch)
 
     def report(self, dump, dd_bytes, key=None):
         """Delta data + the dump -> stack trace."""
@@ -430,8 +419,8 @@ def corpus_metrics(corpus, seed_tuples, options=BuildOptions()):
     """Sizes, delta-data statistics and size-variation histograms.
 
     The timings are summed over the corpus: `plan` is a crash server's
-    one-off cost of loading a default build (its replication plan),
-    `delta_generation` the writer's replicate, diff and pack, and
+    one-off cost of loading a default build (plan_for, its replication
+    plan), `delta_generation` the writer's replicate, diff and pack, and
     `reconstruction` the server's cold cost per crashing build: unpack,
     replicate with that plan and draws not memoised, and apply."""
     timings = {"plan": 0.0, "delta_generation": 0.0, "reconstruction": 0.0}
@@ -441,9 +430,9 @@ def corpus_metrics(corpus, seed_tuples, options=BuildOptions()):
         default_bytes = len(emit_symbol_file(dres.symfile).encode())
         opp_z = len(zlib.compress(emit_opportunity_log(log).encode(), 6))
         t0 = time.perf_counter()
-        server = SymbolServer(dres.symfile, log)
-        plan = server.plan(options)
+        plan_for(dres.symfile, log, options)
         timings["plan"] += time.perf_counter() - t0
+        server = SymbolServer(dres.symfile, log)
         schemes = {}
         div_sizes = []
         for scheme in SCHEMES:
@@ -453,7 +442,7 @@ def corpus_metrics(corpus, seed_tuples, options=BuildOptions()):
             for seeds in seed_tuples:
                 truth, _ = build_diversified(model, seeds, sopts)
                 t0 = time.perf_counter()
-                approx = plan.replicate(seeds, sopts)
+                approx = replicate(dres.symfile, log, seeds, sopts)
                 patch = diff(approx, truth.symfile)
                 blob = pack(delta_from_options(seeds, sopts, patch))
                 timings["delta_generation"] += time.perf_counter() - t0

@@ -403,15 +403,12 @@ def apply(approx, patch):
 def _patched(sf, ops):
     """The entries the ops make of sf's, one at a time."""
     entries = symbol_file_entries(sf)
-    total = sum(_segments(sf)[1])
-    done = 0
     for op in ops:
         if op.op not in _OPS:
             raise PatchCorruptError("unknown op %r" % op.op)
-        if done + op.n > total:
-            raise PatchCorruptError("%s past end of input" % _OPS[op.op])
         run = _take(entries, op.n)
-        done += op.n
+        if len(run) < op.n:
+            raise PatchCorruptError("%s past end of input" % _OPS[op.op])
         if op.op == "K":
             yield from run
         elif op.op == "S":
@@ -421,9 +418,8 @@ def _patched(sf, ops):
                 yield (kind, addr + op.delta, fields)
         elif op.op != "D":
             yield from map(parse_entry, op.lines)
-    if done != total:
-        raise PatchCorruptError("patch consumed %d of %d lines"
-                                % (done, total))
+    if next(entries, None) is not None:
+        raise PatchCorruptError("patch leaves input lines unconsumed")
 
 
 # ---------------------------------------------------------------------------

@@ -19,13 +19,13 @@ from types import SimpleNamespace
 
 from divsym._speed import FNV_PRIME, MASK64, fnv1a64, mix64, nop_masks
 from divsym.errors import ModelError
-from divsym.prng import Prng, function_reseed
+from divsym.prng import Prng
 from divsym.progmodel import ALIGNMENTS, SAVEABLE, BuildOptions, layout
 from divsym.records import fields, read_records
 
-# re-exported: the PRNG and reseeding live in divsym.prng
+# re-exported: the PRNG lives in divsym.prng
 __all__ = [
-    "SeedTuple", "Prng", "function_reseed", "function_padding",
+    "SeedTuple", "Prng", "function_padding",
     "function_order", "gap_decisions", "clear_gap_memo",
     "shuffle_permutation", "desync_blocks", "build_default",
     "build_diversified", "OpportunityLog", "LogFunction", "LogBlock",
@@ -352,6 +352,8 @@ def _log_function(st, toks, line):
                                                        len(SAVEABLE)))
     if fp not in (0, 1) or fp and saved < 2:
         raise ValueError("fp must be 0, or 1 with r11 and lr saved")
+    if not ident:
+        raise ValueError("empty function identifier")
     st.functions.append((ident, align, local, saved, bool(fp), []))
 
 

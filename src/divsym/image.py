@@ -96,8 +96,9 @@ def find_section(blob, name):
     return found
 
 
-def crash_info(result, decisions=None, module_name=""):
-    """ImageInfo straight from a layout result (library-side shortcut)."""
+def crash_info(result, decisions, module_name):
+    """ImageInfo straight from a layout result (library-side shortcut);
+    decisions is None for the default build."""
     nop_map = {}
     if decisions is not None:
         for ident, bi, mask in decisions.nops:
@@ -133,7 +134,7 @@ def _text_bytes(result):
     return bytes(buf)
 
 
-def write_image(result, decisions=None, module_name=""):
+def write_image(result, decisions, module_name):
     return pack_image(crash_info(result, decisions, module_name))
 
 

@@ -26,8 +26,10 @@ default file, the log and options.default_padding, and every check of
 the inputs runs here.  plan.replicate(seeds, options) does the seeded
 part: the paddings, the link order, one gap_decisions call, the
 per-span NOP counts, the line records, the base addresses and the CFI
-moves.  replicate() keeps the last plan, so calls with the same default
-file and log build it once.
+moves.  replicate() keeps the last plan in one slot, the only place a
+plan is kept; the delta writer, report() and every SymbolServer
+replicate through it, so calls with the same default file and log
+objects build it once.
 """
 
 from __future__ import annotations
@@ -59,6 +61,9 @@ def _pair_records(default_sf, log):
     pairs = []
     for func, cfi, lf in zip(default_sf.funcs, default_sf.cfi_regions,
                              log.functions):
+        if not lf.identifier:
+            raise ReplicationInputError(
+                "log function for FUNC %s has no identifier" % func.name)
         if cfi.address != func.address or cfi.size != func.size:
             raise ReplicationInputError(
                 "FUNC/CFI mismatch at %x" % func.address)

@@ -41,10 +41,6 @@ _DEC_RE = re.compile(r"^-?[0-9]+$")
 # Addresses and ends stay below this: the model is 32-bit ARM.
 ADDRESS_LIMIT = 1 << 32
 
-# Expression tokens are register names (str) or signed integers (int).
-PostfixExpr = tuple
-RuleMap = dict
-
 
 class LineRecord(NamedTuple):
     """One line record.  A tuple: the layout and the replay build tens

@@ -24,8 +24,8 @@ def _plain_container(payload_text):
 def hostile_logs(log):
     """Logs that do not fit the default file of `log`, each with the
     message replication refuses it with: one function short, a code
-    block of no instructions, and a block whose body is longer than the
-    block."""
+    block of no instructions, a block whose body is longer than the
+    block, and a function without an identifier."""
     lf = log.functions[1]
     code = next(k for k, b in enumerate(lf.blocks) if b.kind == "code")
     blocks = list(lf.blocks)
@@ -33,13 +33,13 @@ def hostile_logs(log):
         + blocks[code:]
     blocks[code] = replace(blocks[code], model_instrs=blocks[code].size + 1)
 
-    def with_blocks(new):
+    def with_function(**changes):
         return replace(log, functions=(
-            log.functions[0], replace(lf, blocks=tuple(new)),
-            *log.functions[2:]))
+            log.functions[0], replace(lf, **changes), *log.functions[2:]))
     return [(replace(log, functions=log.functions[:-1]), "log has"),
-            (with_blocks(empty), "is empty"),
-            (with_blocks(blocks), "record/extras")]
+            (with_function(blocks=tuple(empty)), "is empty"),
+            (with_function(blocks=tuple(blocks)), "record/extras"),
+            (with_function(identifier=""), "no identifier")]
 
 
 def inflation_bomb():

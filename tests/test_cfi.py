@@ -158,9 +158,10 @@ def test_unwind_monotone_cfa_terminates():
 def test_unwind_max_frames():
     text = "STACK CFI INIT 100 40 .cfa: sp 8 + .ra: .cfa -4 + ^\n"
     sf = parse_symbol_file(text)
-    words = [0x110] * 64  # ra at cfa-4 always 0x110, keeps walking
+    # ra at cfa-4 always 0x110, keeps walking; each frame takes 2 words
+    words = [0x110] * (2 * cfi.DEFAULT_MAX_FRAMES + 8)
     dump = DumpStub(regs(pc=0x110, sp=0xBEFF0000),
                     snapshot(0xBEFF0000, words))
-    frames, reason = unwind(dump, sf, max_frames=5)
-    assert len(frames) == 5
+    frames, reason = unwind(dump, sf)
+    assert len(frames) == cfi.DEFAULT_MAX_FRAMES
     assert reason == cfi.MAX_FRAMES

@@ -196,9 +196,11 @@ def test_hostile_opportunity_log_exits_2(tmp_path, capsys):
                        text, count=1)
     empty = text.replace("\nBLOCK code ",
                          "\nBLOCK code 99 n=0 model=0\nBLOCK code ", 1)
+    no_id = re.sub(r" id=[^\n]*", " id=", text, count=1)
     capsys.readouterr()
     for bad, message in ((short, "log has"), (long_body, "record/extras"),
-                         (empty, "code block needs n >= 1")):
+                         (empty, "code block needs n >= 1"),
+                         (no_id, "empty function identifier")):
         opplog.write_text(bad)
         assert run("report", "--dump", *dumps, *common) == 2
         captured = capsys.readouterr()

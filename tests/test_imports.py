@@ -52,10 +52,27 @@ def test_package_holds_only_python_sources():
     assert files and [p.name for p in files if p.suffix != ".py"] == []
 
 
+def _defined_names(node):
+    """The names a module-level statement defines: a def's or class's
+    name, or each name an assignment binds (tuple targets unpacked)."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [t.id for target in targets for t in ast.walk(target)
+            if isinstance(t, ast.Name)]
+
+
 def unread_definitions(modules, readers):
-    """(module, name) of each module-level def or class in `modules`
-    ({name: source}) that no Name or Attribute node in `readers`
-    (sources) loads; strings such as __all__ entries do not count."""
+    """(module, name) of each module-level def, class or assigned name
+    in `modules` ({name: source}) that no Name or Attribute node in
+    `readers` (sources) loads; strings such as __all__ entries do not
+    count, and dunder names such as __all__ are exempt."""
     read = set()
     for source in readers:
         for node in ast.walk(ast.parse(source)):
@@ -64,21 +81,21 @@ def unread_definitions(modules, readers):
             elif isinstance(node, ast.Attribute) and \
                     isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
-    return sorted((module, node.name)
+    return sorted((module, name)
                   for module, source in modules.items()
                   for node in ast.parse(source).body
-                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                       ast.ClassDef))
-                  and node.name not in read)
+                  for name in _defined_names(node)
+                  if name not in read
+                  and not (name.startswith("__") and name.endswith("__")))
 
 
 def test_unread_definition_checker():
     modules = {"m": "__all__ = ['f', 'g']\n"
                     "def f(): pass\ndef g(): pass\nclass C: pass\n"
-                    "def h(): pass\n"}
+                    "def h(): pass\nK = 1\n"}
     readers = [modules["m"], "import m\nm.g()\nm.C = h = 1\n"]
     assert unread_definitions(modules, readers) == \
-        [("m", "C"), ("m", "f"), ("m", "h")]
+        [("m", "C"), ("m", "K"), ("m", "f"), ("m", "h")]
 
 
 def test_every_definition_is_read_outside_the_tests():

@@ -200,6 +200,16 @@ def test_opportunity_log_function_fields_at_their_bounds(fields):
         (*fields[:3], bool(fields[3]))
 
 
+def test_opportunity_log_function_without_identifier():
+    text = fuzz_texts()["opplog"]
+    start = text.index(" id=") + len(" id=")
+    end = text.index("\n", start)
+    lineno = text.count("\n", 0, start) + 1
+    with pytest.raises(ModelError, match=r"^line %d: FUNCTION: ValueError"
+                       r".*empty function identifier" % lineno):
+        parse_opportunity_log(text[:start] + text[end:])
+
+
 def test_image_bad_section_bytes_are_typed():
     blob = fuzz_texts()["image"]
     sections = dict(image.iter_sections(blob))
