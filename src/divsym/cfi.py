@@ -10,7 +10,7 @@ zero is the clean end-of-stack sentinel.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from divsym.errors import MalformedExpression, MemoryOutOfRange, NoUnwindInfo
 
@@ -24,6 +24,10 @@ CFA_NOT_INCREASING = "cfa_not_increasing"
 MAX_FRAMES = "max_frames"
 MEMORY_OUT_OF_RANGE = "memory_out_of_range"
 MALFORMED_EXPRESSION = "malformed_expression"
+
+# The reason a walk stops on each error it does not raise.
+_STOPS = {NoUnwindInfo: NO_UNWIND_INFO, MemoryOutOfRange: MEMORY_OUT_OF_RANGE,
+          MalformedExpression: MALFORMED_EXPRESSION}
 
 
 @dataclass(frozen=True)
@@ -42,7 +46,6 @@ class StackSnapshot:
 class Frame:
     pc: int
     cfa: int
-    recovered: dict = field(default_factory=dict)
 
 
 def eval_postfix(expr, regs, cfa, mem):
@@ -106,7 +109,7 @@ def unwind(dump, sf):
     frames = []
     sp = regs.get("sp", 0)
     if not (mem.base_address <= sp <= mem.base_address + len(mem.data)):
-        frames.append(Frame(pc=regs.get("pc", 0), cfa=0, recovered=regs))
+        frames.append(Frame(pc=regs.get("pc", 0), cfa=0))
         return frames, MEMORY_OUT_OF_RANGE
     pc = regs["pc"]
     prev_cfa = None
@@ -116,10 +119,6 @@ def unwind(dump, sf):
         lookup = pc if not frames else (pc - 4) & MASK32
         try:
             rules = rules_at(sf, lookup)
-        except NoUnwindInfo:
-            frames.append(Frame(pc=pc, cfa=prev_cfa or 0, recovered=dict(regs)))
-            return frames, NO_UNWIND_INFO
-        try:
             cfa = eval_postfix(rules[".cfa"], regs, None, mem)
             if prev_cfa is not None and cfa <= prev_cfa:
                 # The computed cfa is not sane; drop the frame so the
@@ -131,13 +130,10 @@ def unwind(dump, sf):
                 if reg in (".cfa", ".ra"):
                     continue
                 new_regs[reg] = eval_postfix(expr, regs, cfa, mem)
-        except MemoryOutOfRange:
-            frames.append(Frame(pc=pc, cfa=prev_cfa or 0, recovered=dict(regs)))
-            return frames, MEMORY_OUT_OF_RANGE
-        except MalformedExpression:
-            frames.append(Frame(pc=pc, cfa=prev_cfa or 0, recovered=dict(regs)))
-            return frames, MALFORMED_EXPRESSION
-        frames.append(Frame(pc=pc, cfa=cfa, recovered=dict(regs)))
+        except tuple(_STOPS) as e:
+            frames.append(Frame(pc=pc, cfa=prev_cfa or 0))
+            return frames, _STOPS[type(e)]
+        frames.append(Frame(pc=pc, cfa=cfa))
         if ra == 0:
             return frames, END_OF_STACK
         new_regs["sp"] = cfa

@@ -56,12 +56,11 @@ def _parse_chain(s):
 
 
 def _options(args):
-    kw = {}
-    if hasattr(args, "no_default_padding"):
-        kw["default_padding"] = not args.no_default_padding
-    if hasattr(args, "sp_fp_opt"):
-        kw["sp_fp_opt"] = args.sp_fp_opt
-    if getattr(args, "nop_prob", None):
+    """BuildOptions from the flags _add_build_flags registers; only
+    diversify has --desync."""
+    kw = {"default_padding": not args.no_default_padding,
+          "sp_fp_opt": args.sp_fp_opt}
+    if args.nop_prob:
         kw["nop_num"], kw["nop_den"] = _parse_ratio(args.nop_prob, "nop")
     if getattr(args, "desync", None):
         kw["desync_num"], kw["desync_den"] = _parse_ratio(args.desync,

@@ -30,7 +30,7 @@ __all__ = [
     "shuffle_permutation", "desync_blocks", "build_default",
     "build_diversified", "OpportunityLog", "LogFunction", "LogBlock",
     "DecisionLog", "log_from_layout", "emit_opportunity_log",
-    "parse_opportunity_log", "emit_decision_log", "span_counts", "mask_gaps",
+    "parse_opportunity_log", "emit_decision_log", "mask_gaps",
 ]
 
 PAD_CHOICES = 32          # padding in {8, 16, ..., 256}
@@ -170,63 +170,40 @@ def clear_gap_memo():
     _drawn = (None, {})
 
 
-def span_counts(mask, sizes):
-    """NOPs landing in each span of the given instruction sizes.
-
-    Gap g (after instruction g, 1-based) lands in the span holding
-    instruction g: a span holding instructions lo+1..hi takes
-    mask.count(1, lo, hi).  A span of size 0 takes no gap, and gaps
-    past the last span are dropped.
-    """
-    counts = []
-    lo = 0
-    for size in sizes:
-        hi = lo + size
-        counts.append(mask.count(1, lo, hi))
-        lo = hi
-    return tuple(counts)
-
-
 def mask_gaps(mask):
     """The gaps a NOP mask fires, 1-based, in order."""
     return tuple(g for g, fired in enumerate(mask, 1) if fired)
 
 
 def _nop_pass(model, nop_seed, num, den, desyncs=()):
-    """(NOP counts, decision-log nops) from one gap_decisions call for
-    the whole program.  The counts hold, per function and per block,
-    the span_counts of a code block, or () for a data block.
+    """(NOP masks, decision-log nops) from one gap_decisions call for
+    the whole program.  The masks hold, per function and per block,
+    (mask, phantom) for a code block, or None for a data block.
 
     A block in `desyncs` (desync_blocks) is drawn one instruction
-    longer, and its phantom instruction is one more count on its last
-    span.
+    longer, and its phantom is 1 (else 0): one more instruction, which
+    the layout adds to the block's last span.
     """
     hit = set(desyncs)
     keys = [(f.identifier, b.index, b.instr_count - 1
              + ((f.identifier, b.index) in hit))
             for f in model.functions for b in f.blocks if b.kind == "code"]
     masks = iter(gap_decisions(keys, nop_seed, num, den))
-    counts = []
+    per_function = []
     nops = []
     for f in model.functions:
         ident = f.identifier
         blocks = []
         for b in f.blocks:
             if b.kind != "code":
-                blocks.append(())
+                blocks.append(None)
                 continue
             mask = next(masks)
-            sizes = [s.instrs for s in b.spans]
-            phantom = (ident, b.index) in hit
-            sizes[-1] += phantom
-            grown = span_counts(mask, sizes)
             if 1 in mask:
                 nops.append((ident, b.index, mask))
-            if phantom:
-                grown = (*grown[:-1], grown[-1] + 1)
-            blocks.append(grown)
-        counts.append(tuple(blocks))
-    return tuple(counts), tuple(nops)
+            blocks.append((mask, int((ident, b.index) in hit)))
+        per_function.append(tuple(blocks))
+    return tuple(per_function), tuple(nops)
 
 
 def shuffle_permutation(n, shuffle_seed):
@@ -300,19 +277,19 @@ def build_default(model, options=BuildOptions()):
 def build_diversified(model, seeds, options=BuildOptions()):
     """Diversified build: padding, then NOPs, then shuffling.
 
-    The paddings, and the NOPs and each desynced block's phantom
-    instruction as per-span counts, go to the layout beside the model,
-    which it lays out without copying; the decision log's nops come from
-    the same pass, so every code block's gaps are drawn exactly once.
+    The paddings, and each code block's NOP mask with its desync
+    phantom, go to the layout beside the model, which it lays out
+    without copying; the decision log's nops come from the same pass,
+    so every code block's gaps are drawn exactly once.
     """
     paddings = tuple(function_padding(f.identifier, seeds, options)
                      for f in model.functions)
     desyncs = desync_blocks(model, seeds, options.desync_num,
                             options.desync_den)
-    nop_counts, nops = _nop_pass(model, seeds.nop_seed, options.nop_num,
-                                 options.nop_den, desyncs)
+    masks, nops = _nop_pass(model, seeds.nop_seed, options.nop_num,
+                            options.nop_den, desyncs)
     order = function_order(len(model.functions), seeds, options)
-    result = layout(model, order, options, paddings, nop_counts)
+    result = layout(model, order, options, paddings, masks)
     dec = DecisionLog(
         module_name=model.module_name,
         paddings=tuple((f.identifier, pad)

@@ -314,7 +314,10 @@ def _place_function(func, options, base, forced, nops, padding):
     threshold = POOL_REACH - 8
     for pos, b in enumerate(func.blocks):
         if b.kind == "code":
-            body = b.instr_count + (sum(nops[pos]) if nops else 0)
+            body = b.instr_count
+            if nops:
+                mask, phantom = nops[pos]
+                body += mask.count(1) + phantom
             pre = (push + fps + alloc) if pos == 0 else 0
             epi = (dealloc + pop) if b.epilogue else 0
             n = pre + body + mat.get(b.index, 0) + epi
@@ -374,14 +377,16 @@ def _function_lines(func, regions, nops):
             continue
         region = by_index[b.index]
         post = region.n_instrs - region.pre_extras - region.model_instrs
-        grown = nops[b.index] if nops else (0,) * len(b.spans)
+        mask, phantom = nops[b.index] if nops else (b"", 0)
         addr = region.address
-        for si, (span, k) in enumerate(zip(b.spans, grown)):
-            size = INSTR_BYTES * (span.instrs + k)
+        hi = 0
+        for si, span in enumerate(b.spans):
+            lo, hi = hi, hi + span.instrs
+            size = INSTR_BYTES * (hi - lo + mask.count(1, lo, hi))
             if si == 0:
                 size += INSTR_BYTES * region.pre_extras
             if si == len(b.spans) - 1:
-                size += INSTR_BYTES * post
+                size += INSTR_BYTES * (post + phantom)
             lines.append(LineRecord(addr, size, span.line, span.filenum))
             addr += size
     return tuple(lines)
@@ -442,14 +447,17 @@ def _module_id(module_name):
     return "Linux arm %016x%016x0 %s" % (h, mix64(h), module_name)
 
 
-def layout(model, order, options, paddings, nop_counts=None):
+def layout(model, order, options, paddings, nops=None):
     """Place functions in `order`; derive the image and its symbol file.
 
     Deterministic: identical inputs give identical results.  paddings
     holds each function's stack padding in model order
-    (diversify.function_padding), and nop_counts (diversify._nop_pass),
-    per function and per block, the NOPs added to each span; the model
-    is laid out as if it carried both, without being copied.
+    (diversify.function_padding), and nops (diversify._nop_pass), per
+    function and per block, a code block's (NOP mask, phantom): a span
+    holding instructions lo+1..hi grows by mask.count(1, lo, hi), as a
+    line record does in replicate, and the block's last span by the
+    phantom, a desync's one extra instruction.  The model is laid out
+    as if it carried both, without being copied.
     """
     model.valid                 # raises ModelError on a malformed model
     n = len(model.functions)
@@ -464,10 +472,10 @@ def layout(model, order, options, paddings, nop_counts=None):
     cursor = 0
     for idx in order:
         f = model.functions[idx]
-        nops = nop_counts[idx] if nop_counts else None
+        fnops = nops[idx] if nops else None
         padding = paddings[idx]
         fbase = align_up(cursor, f.alignment)
-        regions = _layout_function(f, options, fbase, nops, padding)
+        regions = _layout_function(f, options, fbase, fnops, padding)
         size = regions[-1].address + regions[-1].size - fbase
         image.append(FunctionLayout(
             identifier=f.identifier, name=f.name, alignment=f.alignment,
@@ -476,7 +484,7 @@ def layout(model, order, options, paddings, nop_counts=None):
             saved_count=len(f.frame.callee_saved), has_fp=f.has_fp,
             padding=padding))
         funcs.append(FuncRecord(fbase, size, f.param_size, f.name,
-                                _function_lines(f, regions, nops)))
+                                _function_lines(f, regions, fnops)))
         cfi.append(_function_cfi(f, fbase, size, regions, padding))
         cursor = fbase + size
     sf = SymbolFile(module_id=_module_id(model.module_name),

@@ -124,10 +124,10 @@ def growth_faults(sf):
         "replayed file fails validate": (
             (Growth(i, last.address - h.address,
                     at - last.address - last.size),),
-            "replayed growth records: CFI delta .* outside region"),
+            "patched symbol file invalid: CFI delta .* outside region"),
         "growth past 2^32": (
             (Growth(0, first, 10 ** 30),),
-            "replayed growth records: FUNC .* 32-bit address space"),
+            "patched symbol file invalid: FUNC .* 32-bit address space"),
     }
 
 

@@ -14,7 +14,7 @@ from divsym.diversify import (SeedTuple, build_default, build_diversified,
                               emit_decision_log, emit_opportunity_log,
                               function_order, function_padding,
                               gap_decisions, parse_opportunity_log,
-                              shuffle_permutation, span_counts)
+                              shuffle_permutation)
 from divsym.errors import ModelError
 from divsym.prng import Prng, function_reseed
 from divsym.progmodel import (BlockModel, BuildOptions, FrameModel,
@@ -110,26 +110,44 @@ def _mask(gaps, n):
     return bytes(g in gaps for g in range(1, n + 1))
 
 
+def _span_growth(sizes, mask, phantom=0):
+    """The instructions layout adds to each span of a one-block,
+    frameless function with spans of the given sizes, from the block's
+    NOP mask and phantom: each line record's size less its span's."""
+    spans = tuple(LineSpan(10 * (i + 1), 1, n) for i, n in enumerate(sizes))
+    f = FunctionModel("f", "f.o", ".text.f", 4, False, FrameModel(),
+                      (BlockModel("code", 0, spans=spans, epilogue=True),))
+    model = ProgramModel("m", ((1, "a.c"),), (f,))
+    lines = layout(model, [0], BuildOptions(), (0,),
+                   (((mask, phantom),),)).symfile.funcs[0].lines
+    return [r.size // 4 - n for r, n in zip(lines, sizes)]
+
+
 def test_insert_nops_zero_probability():
     m = _nop_model()
-    counts, nops = diversify._nop_pass(m, 99, 0, 5)
+    masks, nops = diversify._nop_pass(m, 99, 0, 5)
     assert nops == ()
-    assert counts == tuple(
-        tuple((0,) * len(b.spans) if b.kind == "code" else ()
+    assert masks == tuple(
+        tuple((bytes(b.instr_count - 1), 0) if b.kind == "code" else None
               for b in f.blocks) for f in m.functions)
 
 
 def test_insert_nops_probability_one_doubles_gaps():
     m = _nop_model()
-    counts, _ = diversify._nop_pass(m, 99, 1, 1)
-    for f, fc in zip(m.functions, counts):
-        for b, bc in zip(f.blocks, fc):
+    masks, _ = diversify._nop_pass(m, 99, 1, 1)
+    n = len(m.functions)
+    res = layout(m, list(range(n)), BuildOptions(), (0,) * n, masks)
+    for f, fl, fm in zip(m.functions, res.image, masks):
+        code = {r.block_index: r for r in fl.regions if r.kind == "code"}
+        for b, bm in zip(f.blocks, fm):
             if b.kind == "code":
                 # every gap fires; the last instruction has none after it
-                assert b.instr_count + sum(bc) == 2 * b.instr_count - 1
-                assert bc[-1] == b.spans[-1].instrs - 1
+                assert bm == (b"\x01" * (b.instr_count - 1), 0)
+                assert code[b.index].model_instrs == 2 * b.instr_count - 1
+                growth = _span_growth([s.instrs for s in b.spans], bm[0])
+                assert growth[-1] == b.spans[-1].instrs - 1
             else:
-                assert bc == ()
+                assert bm is None
 
 
 def test_insert_nops_rate_twenty_percent():
@@ -163,13 +181,13 @@ def test_nops_inherit_preceding_line():
     # gaps 1 and 2 follow instructions 1 and 2 (2 is the last of span 0);
     # gap 4 follows instruction 4, inside span 1
     spans = (LineSpan(10, 1, 2), LineSpan(20, 1, 3))
-    assert span_counts(_mask((1, 2, 4), 4), [s.instrs for s in spans]) \
-        == (2, 1)
+    mask = _mask((1, 2, 4), 4)
+    assert _span_growth([s.instrs for s in spans], mask) == [2, 1]
     f = FunctionModel("f", "f.o", ".text.f", 4, False, FrameModel(),
                       (BlockModel("code", 0, spans=spans, epilogue=True),))
     model = ProgramModel("m", ((1, "a.c"),), (f,))
-    lines = layout(model, [0], BuildOptions(), (0,), (((2, 1),),)).symfile \
-        .funcs[0].lines
+    lines = layout(model, [0], BuildOptions(), (0,), (((mask, 0),),)) \
+        .symfile.funcs[0].lines
     assert [(r.line, r.size) for r in lines] == [(10, 16), (20, 16)]
 
 
@@ -186,27 +204,39 @@ def _linear_gap_counts(gaps, sizes):
     return counts
 
 
+# Spans are positive and a block of n instructions has n - 1 gaps
+# (validate_model, gap_decisions), so no span is empty and no gap lies
+# past the last span.
 @pytest.mark.parametrize("gaps,sizes", [
-    ((2, 5, 9), (2, 3, 4)),             # every gap on a span boundary
-    ((1, 2, 3, 4), (2, 0, 2)),          # zero-size span after a boundary
-    ((1, 2), (0, 0, 2, 1)),             # leading zero-size spans
-    ((3,), (1, 2, 0, 0)),               # trailing zero-size spans
+    ((2, 5), (2, 3, 4)),                # every gap on an inner boundary
+    ((1, 2, 3), (1, 1, 1, 1)),          # one-instruction spans
+    ((1, 3), (2, 2)),                   # first instruction of each span
+    ((4,), (1, 2, 2)),                  # one gap, in the last span
     ((), (3, 4)),                       # no gaps
-    ((), ()),                           # no spans
-    ((1, 4, 7, 8, 9), (3, 3, 2)),       # gap past the last span
-    (tuple(range(1, 30)), (1, 0, 5, 7, 0, 3, 11)),
+    ((), (1,)),                         # one instruction: no gap at all
+    ((1, 4, 7), (3, 3, 2)),             # the last gap
+    (tuple(range(1, 30)), (1, 5, 7, 3, 11, 3)),
 ])
 def test_bucket_gaps_matches_linear_scan(gaps, sizes):
-    # the gaps bucketed into spans by counting their mask per span
-    mask = _mask(gaps, max(gaps + (sum(sizes),)))
-    assert span_counts(mask, sizes) == tuple(_linear_gap_counts(gaps, sizes))
+    # the layout counts each span's NOPs on the block's mask
+    mask = _mask(gaps, sum(sizes) - 1)
+    assert _span_growth(sizes, mask) == _linear_gap_counts(gaps, sizes)
 
 
-@given(sizes=st.lists(st.integers(0, 12), max_size=8),
-       mask=st.binary(max_size=80).map(lambda b: bytes(x & 1 for x in b)))
-def test_span_counts_match_the_linear_scan_on_any_mask(sizes, mask):
-    assert span_counts(mask, sizes) == \
-        tuple(_linear_gap_counts(_gaps(mask), sizes))
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=8).flatmap(
+    lambda sizes: st.tuples(
+        st.just(sizes), st.integers(0, 1).flatmap(lambda phantom: st.tuples(
+            st.just(phantom),
+            st.binary(min_size=sum(sizes) - 1 + phantom,
+                      max_size=sum(sizes) - 1 + phantom).map(
+                lambda b: bytes(x & 1 for x in b)))))))
+def test_span_counts_match_the_linear_scan_on_any_mask(drawn):
+    # a desynced block is drawn one gap longer, and its phantom is one
+    # more instruction on the last span
+    sizes, (phantom, mask) = drawn
+    want = _linear_gap_counts(_gaps(mask), sizes)
+    want[-1] += phantom
+    assert _span_growth(sizes, mask, phantom) == want
 
 
 def _grown_model(model, nop_seed, num, den):
@@ -234,8 +264,8 @@ def _grown_model(model, nop_seed, num, den):
     BuildOptions(nop_num=0, nop_den=5),
     BuildOptions(desync_num=1, desync_den=3)])
 def test_layout_of_the_grown_model_is_the_build(options):
-    # the build adds per-span NOP counts to the model's spans; the layout
-    # of a model whose spans were grown by the oracle, under the same
+    # the build hands the layout each block's NOP mask; the layout of a
+    # model whose spans were grown by the oracle, under the same
     # paddings, is the same
     for model in generate_corpus(0x6A0, 3):
         res, dec = build_diversified(model, SEEDS, options)
@@ -566,14 +596,23 @@ def test_desync_blocks_targets_and_rate():
     f0, f0b = m.functions[0], m2.functions[0]
     assert sum(b.instr_count for b in f0b.blocks if b.kind == "code") == \
         sum(b.instr_count for b in f0.blocks if b.kind == "code") + 1
-    # with no NOPs drawn, the phantom is the one count of the NOP pass,
-    # on the last span of the hit block
-    counts, nops = diversify._nop_pass(m, 99, 0, 5, hits)
+    # with no NOPs drawn, the hit block's mask is one gap longer and its
+    # phantom is the one instruction the layout adds: on its last span
+    masks, nops = diversify._nop_pass(m, 99, 0, 5, hits)
     (_, bi), = hits
     assert nops == ()
-    assert [sum(map(sum, fc)) for fc in counts] == \
-        [1] + [0] * (len(m.functions) - 1)
-    assert counts[0][bi][-1] == 1
+    assert masks[0][bi] == (bytes(f0.blocks[bi].instr_count), 1)
+    assert [(fi, b) for fi, fm in enumerate(masks)
+            for b, entry in enumerate(fm) if entry and entry[1]] == [(0, bi)]
+    n = len(m.functions)
+    plain, grown = (
+        [[r.size for r in fr.lines] for fr in
+         layout(m, list(range(n)), BuildOptions(), (0,) * n, nops).symfile.funcs]
+        for nops in (None, masks))
+    last = sum(len(b.spans) for b in f0.blocks[:bi + 1] if b.kind == "code") - 1
+    assert grown[0] == [size + 4 * (i == last)
+                        for i, size in enumerate(plain[0])]
+    assert grown[1:] == plain[1:]
     assert desync_blocks(m, seeds, 0, 100) == ()
     m3 = with_phantoms(m, desync_blocks(m, seeds, 0, 100))
     assert m3 == m

@@ -1,7 +1,8 @@
 """Every name a divsym module imports is used in that module or listed
-in its __all__ (re-exports), and every module-level definition is read
-outside the tests.  ast only: no linter is needed.  The package holds
-Python sources only: no generated C or compiled extension."""
+in its __all__ (re-exports), every module-level definition is read
+outside the tests, and every dataclass field is read somewhere.  ast
+only: no linter is needed.  The package holds Python sources only: no
+generated C or compiled extension."""
 
 import ast
 from pathlib import Path
@@ -106,3 +107,62 @@ def test_every_definition_is_read_outside_the_tests():
     sources = {p: p.read_text(encoding="utf-8") for p in paths}
     modules = {p.stem: s for p, s in sources.items() if p.parent == SRC}
     assert unread_definitions(modules, sources.values()) == []
+
+
+
+def _loaded_attributes(readers):
+    """The names every Attribute node in `readers` (sources) loads."""
+    return {node.attr for source in readers
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def _is_dataclass(node):
+    """True when a class statement is decorated @dataclass, with or
+    without arguments."""
+    for d in node.decorator_list:
+        if isinstance(d, ast.Call):
+            d = d.func
+        if getattr(d, "id", getattr(d, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def unread_fields(modules, readers):
+    """(module, class, field) of each field of a module-level @dataclass
+    in `modules` ({name: source}) that no Attribute node in `readers`
+    (sources) loads.  NamedTuples are exempt: they are read by
+    unpacking."""
+    read = _loaded_attributes(readers)
+    return sorted((module, node.name, stmt.target.id)
+                  for module, source in modules.items()
+                  for node in ast.parse(source).body
+                  if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+                  for stmt in node.body
+                  if isinstance(stmt, ast.AnnAssign)
+                  and isinstance(stmt.target, ast.Name)
+                  and stmt.target.id not in read)
+
+
+def test_unread_field_checker():
+    modules = {"m": "from dataclasses import dataclass\n"
+                    "from typing import NamedTuple\n"
+                    "@dataclass(frozen=True)\n"
+                    "class A:\n    x: int\n    y: int = 0\n"
+                    "@dataclass\nclass B:\n    z: int\n"
+                    "class T(NamedTuple):\n    w: int\n"}
+    readers = [modules["m"], "import m\nprint(m.A(1).x, m.B(z=2))\n"]
+    assert unread_fields(modules, readers) == \
+        [("m", "A", "y"), ("m", "B", "z")]
+
+
+def test_every_dataclass_field_is_read():
+    # a field nothing loads is carried, and copied, for no reader
+    root = SRC.parents[1]
+    modules = {p.stem: p.read_text(encoding="utf-8")
+               for p in sorted(SRC.glob("*.py"))}
+    readers = [p.read_text(encoding="utf-8") for d in ("src", "perfbench",
+                                                       "tests")
+               for p in sorted((root / d).rglob("*.py"))]
+    assert unread_fields(modules, readers) == []
