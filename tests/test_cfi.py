@@ -122,6 +122,21 @@ def test_unwind_sp_below_snapshot():
     assert reason == cfi.MEMORY_OUT_OF_RANGE
 
 
+@pytest.mark.parametrize("ra_rule,reason", [
+    (".ra: .cfa 64 + ^", cfi.MEMORY_OUT_OF_RANGE),   # past the snapshot
+    (".ra: r12", cfi.MALFORMED_EXPRESSION),          # no such register
+])
+def test_unwind_stops_on_a_rule_it_cannot_evaluate(ra_rule, reason):
+    # the walk keeps the frame whose rules failed, at the last good cfa
+    sf = parse_symbol_file("STACK CFI INIT 100 40 .cfa: sp 0 + %s\n"
+                           % ra_rule)
+    dump = DumpStub(regs(pc=0x110, sp=0xBEFF0000, lr=1),
+                    snapshot(0xBEFF0000, [0] * 8))
+    frames, got = unwind(dump, sf)
+    assert got == reason
+    assert [(f.pc, f.cfa) for f in frames] == [(0x110, 0)]
+
+
 def test_unwind_two_frames_via_stack():
     # callee [100,140) and caller [200,240) both push lr at cfa-4
     text = ("STACK CFI INIT 100 40 .cfa: sp 0 + .ra: lr\n"

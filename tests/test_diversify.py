@@ -182,7 +182,6 @@ def test_nops_inherit_preceding_line():
     # gap 4 follows instruction 4, inside span 1
     spans = (LineSpan(10, 1, 2), LineSpan(20, 1, 3))
     mask = _mask((1, 2, 4), 4)
-    assert _span_growth([s.instrs for s in spans], mask) == [2, 1]
     f = FunctionModel("f", "f.o", ".text.f", 4, False, FrameModel(),
                       (BlockModel("code", 0, spans=spans, epilogue=True),))
     model = ProgramModel("m", ((1, "a.c"),), (f,))
@@ -223,17 +222,13 @@ def test_bucket_gaps_matches_linear_scan(gaps, sizes):
     assert _span_growth(sizes, mask) == _linear_gap_counts(gaps, sizes)
 
 
-@given(st.lists(st.integers(1, 12), min_size=1, max_size=8).flatmap(
-    lambda sizes: st.tuples(
-        st.just(sizes), st.integers(0, 1).flatmap(lambda phantom: st.tuples(
-            st.just(phantom),
-            st.binary(min_size=sum(sizes) - 1 + phantom,
-                      max_size=sum(sizes) - 1 + phantom).map(
-                lambda b: bytes(x & 1 for x in b)))))))
-def test_span_counts_match_the_linear_scan_on_any_mask(drawn):
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=8),
+       st.integers(0, 1), st.data())
+def test_span_counts_match_the_linear_scan_on_any_mask(sizes, phantom, data):
     # a desynced block is drawn one gap longer, and its phantom is one
     # more instruction on the last span
-    sizes, (phantom, mask) = drawn
+    n = sum(sizes) - 1 + phantom
+    mask = bytes(x & 1 for x in data.draw(st.binary(min_size=n, max_size=n)))
     want = _linear_gap_counts(_gaps(mask), sizes)
     want[-1] += phantom
     assert _span_growth(sizes, mask, phantom) == want
@@ -605,10 +600,13 @@ def test_desync_blocks_targets_and_rate():
     assert [(fi, b) for fi, fm in enumerate(masks)
             for b, entry in enumerate(fm) if entry and entry[1]] == [(0, bi)]
     n = len(m.functions)
-    plain, grown = (
-        [[r.size for r in fr.lines] for fr in
-         layout(m, list(range(n)), BuildOptions(), (0,) * n, nops).symfile.funcs]
-        for nops in (None, masks))
+
+    def line_sizes(block_nops):
+        sf = layout(m, list(range(n)), BuildOptions(), (0,) * n,
+                    block_nops).symfile
+        return [[r.size for r in fr.lines] for fr in sf.funcs]
+
+    plain, grown = line_sizes(None), line_sizes(masks)
     last = sum(len(b.spans) for b in f0.blocks[:bi + 1] if b.kind == "code") - 1
     assert grown[0] == [size + 4 * (i == last)
                         for i, size in enumerate(plain[0])]

@@ -110,14 +110,6 @@ def test_every_definition_is_read_outside_the_tests():
 
 
 
-def _loaded_attributes(readers):
-    """The names every Attribute node in `readers` (sources) loads."""
-    return {node.attr for source in readers
-            for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Attribute)
-            and isinstance(node.ctx, ast.Load)}
-
-
 def _is_dataclass(node):
     """True when a class statement is decorated @dataclass, with or
     without arguments."""
@@ -134,7 +126,10 @@ def unread_fields(modules, readers):
     in `modules` ({name: source}) that no Attribute node in `readers`
     (sources) loads.  NamedTuples are exempt: they are read by
     unpacking."""
-    read = _loaded_attributes(readers)
+    read = {node.attr for source in readers
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
     return sorted((module, node.name, stmt.target.id)
                   for module, source in modules.items()
                   for node in ast.parse(source).body
