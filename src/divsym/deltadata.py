@@ -7,9 +7,10 @@ one desynced function shifts a run of otherwise identical records), and
 SHIFT encodes a whole run in O(1) bytes where REPLACE would copy every
 line.  Only REPLACE and INSERT carry text; symfile reads and writes it.
 
-Diffing aligns record segments per function (FUNC block by name, CFI
-block by position), exploiting the per-function containment of
-desynchronization; inside a segment, runs of entries equal but for
+Diffing pairs record segments by position: function i of the
+approximation with function i of the exact file, since replicate
+reproduces the link order.  That exploits the per-function containment
+of desynchronization; inside a segment, runs of entries equal but for
 their leading address become SHIFT ops.
 
 Before the ops, the patch carries growth records: "line record k of
@@ -140,33 +141,23 @@ def _own_cfi(sf, i):
     return c if (c.address, c.size) == (f.address, f.size) else None
 
 
-def _name_keys(funcs):
-    """(name, k) for each function, the k-th of its name."""
-    seen = {}
-    for f in funcs:
-        k = seen.get(f.name, 0)
-        seen[f.name] = k + 1
-        yield f.name, k
-
-
 def derive_growth(approx, truth):
-    """One Growth per line record whose size differs between same-named
-    functions (the k-th of a name with the k-th) that have the same
-    (line, filenum) sequence and each their own CFI region."""
-    where = {key: j for j, key in enumerate(_name_keys(truth.funcs))}
+    """One Growth per line record whose size differs between function i
+    of the approximation and function i of the truth, where the two have
+    the same name, the same (line, filenum) sequence and each their own
+    CFI region, and the approximation's line records are disjoint (so
+    each record grows the line record it was derived from)."""
     out = []
-    for i, (f, key) in enumerate(zip(approx.funcs, _name_keys(approx.funcs))):
-        j = where.get(key)
-        if j is None:
-            continue
-        g = truth.funcs[j]
+    for i, (f, g) in enumerate(zip(approx.funcs, truth.funcs)):
         sizes = list(map(attrgetter("size"), f.lines))
         grown = list(map(attrgetter("size"), g.lines))
-        if len(sizes) != len(grown) or sizes == grown:
+        if f.name != g.name or len(sizes) != len(grown) or sizes == grown:
             continue
         if any((a.line, a.filenum) != (b.line, b.filenum)
                for a, b in zip(f.lines, g.lines)) \
-                or _own_cfi(approx, i) is None or _own_cfi(truth, j) is None:
+                or any(a.address + a.size > b.address
+                       for a, b in zip(f.lines, f.lines[1:])) \
+                or _own_cfi(approx, i) is None or _own_cfi(truth, i) is None:
             continue
         out.extend(Growth(i, ln.address - f.address, b - a)
                    for ln, a, b in zip(f.lines, sizes, grown) if a != b)
@@ -272,19 +263,13 @@ def replay(sf, growth):
 # ---------------------------------------------------------------------------
 # diff
 
-def _segments(sf):
-    """(keys, sizes): the key and entry count of each of sf's segments,
-    which are its header, each FUNC block keyed by its name and k (the
-    k-th of its name), its PUBLICs if any and each CFI block keyed by its
-    position."""
-    segs = [(("H",), bool(sf.module_id) + len(sf.files))]
-    segs += [(("F",) + key, 1 + len(f.lines))
-             for f, key in zip(sf.funcs, _name_keys(sf.funcs))]
-    if sf.publics:
-        segs.append((("P",), len(sf.publics)))
-    segs += [(("C", ci), 1 + len(c.deltas))
-             for ci, c in enumerate(sf.cfi_regions)]
-    return tuple(zip(*segs))
+def _sections(sf):
+    """The entry count of each of sf's segments, by section: its header,
+    each FUNC block, its PUBLICs if any, and each CFI block."""
+    return ([bool(sf.module_id) + len(sf.files)],
+            [1 + len(f.lines) for f in sf.funcs],
+            [len(sf.publics)] if sf.publics else [],
+            [1 + len(c.deltas) for c in sf.cfi_regions])
 
 
 def _take(entries, n):
@@ -353,31 +338,23 @@ def diff(approx, truth):
     """Growth records plus the edit script that turns the approximation,
     with the records replayed, into the exact symbol file.
 
-    Segments are aligned per function so a desync in one function never
-    degrades the encoding of its neighbours.  A truth that fails
-    validate() raises SymbolFormatError.
+    Each section's segments pair by position, segment i of the
+    approximation with segment i of the truth, so a desync in one
+    function never degrades the encoding of its neighbours; a surplus
+    segment on either side is deleted or inserted whole.  A truth that
+    fails validate() raises SymbolFormatError.
     """
     validate(truth)
     growth = derive_growth(approx, truth)
-    try:
-        approx = replay(approx, growth)
-    except PatchCorruptError:
-        growth = ()
+    approx = replay(approx, growth)
     # entries are made segment by segment and die with it: held for the
     # whole diff, they would reach the collector's oldest generation
     a = symbol_file_entries(approx)
     b = symbol_file_entries(truth)
-    keys_a, sizes_a = _segments(approx)
-    keys_b, sizes_b = _segments(truth)
-    sm = difflib.SequenceMatcher(None, keys_a, keys_b, autojunk=False)
     ops = []
-    for tag, i1, i2, j1, j2 in sm.get_opcodes():
-        if tag in ("equal", "replace") and i2 - i1 == j2 - j1:
-            for n, m in zip(sizes_a[i1:i2], sizes_b[j1:j2]):
-                ops.extend(_diff_entries(_take(a, n), _take(b, m)))
-        else:
-            ops.extend(_diff_entries(_take(a, sum(sizes_a[i1:i2])),
-                                     _take(b, sum(sizes_b[j1:j2]))))
+    for sizes_a, sizes_b in zip(_sections(approx), _sections(truth)):
+        for n, m in itertools.zip_longest(sizes_a, sizes_b, fillvalue=0):
+            ops.extend(_diff_entries(_take(a, n), _take(b, m)))
     return Patch(tuple(_coalesce(ops)), growth)
 
 
@@ -441,26 +418,32 @@ def _emit_patch(patch):
     return "\n".join(out) + "\n"
 
 
-def _int(tok, error, what, base=10):
-    """int(tok, base), raising error (a DivsymError) if tok is no number."""
-    try:
-        return int(tok, base)
-    except ValueError:
-        raise error("bad number %r in %s" % (tok, what)) from None
+# numbers as the writer writes them: digits 0-9 with no leading zero,
+# "+" or "_"; a signed field may start with "-"
+_COUNT = re.compile(r"0|[1-9][0-9]*")
+_SIGNED = re.compile(r"0|-?[1-9][0-9]*")
+
+
+def _int(tok, error, what, form=_COUNT):
+    """tok as a number, raising error (a DivsymError) unless tok matches
+    form and int() reads it (at most 4300 digits)."""
+    if form.fullmatch(tok):
+        try:
+            return int(tok)
+        except ValueError:
+            pass
+    raise error("bad number %r in %s" % (tok, what))
 
 
 def _count(tok, line):
-    n = _int(tok, PatchCorruptError, "patch op %r" % line)
-    if n < 0:
-        raise PatchCorruptError("negative count in patch op %r" % line)
-    return n
+    return _int(tok, PatchCorruptError, "patch op %r" % line)
 
 
 # tokens on each op line, op letter included
 _OP_TOKENS = {"K": 2, "S": 3, "D": 2, "R": 3, "I": 2}
 # G <index> <offset> <bytes>, as Growth.text() writes it
-_GROWTH_RE = re.compile(r"G (0|[1-9][0-9]*) (0|[1-9a-f][0-9a-f]*) "
-                        r"(0|-?[1-9][0-9]*)")
+_GROWTH_RE = re.compile(r"G (%s) (0|[1-9a-f][0-9a-f]*) (%s)"
+                        % (_COUNT.pattern, _SIGNED.pattern))
 
 
 def _parse_patch(lines, pos):
@@ -482,8 +465,8 @@ def _parse_patch(lines, pos):
             raise PatchCorruptError("bad growth record %r" % line)
         what = "growth record"
         growth.append(Growth(_int(m[1], PatchCorruptError, what),
-                             _int(m[2], PatchCorruptError, what, 16),
-                             _int(m[3], PatchCorruptError, what)))
+                             int(m[2], 16),
+                             _int(m[3], PatchCorruptError, what, _SIGNED)))
     pos += n_growth
     ops = []
     for _ in range(n_ops):
@@ -501,7 +484,8 @@ def _parse_patch(lines, pos):
         n = _count(toks[1], line)
         if kind == "S":
             ops.append(PatchOp("S", n, delta=_int(toks[2], PatchCorruptError,
-                                                  "patch op %r" % line)))
+                                                  "patch op %r" % line,
+                                                  _SIGNED)))
         elif kind in ("K", "D"):
             ops.append(PatchOp(kind, n))
         else:
@@ -561,7 +545,7 @@ def _parse_payload(text):
     frac = nop[1].split("/") if len(nop) == 2 and nop[0] == "nop" else ()
     if len(frac) != 2:
         raise DeltaFormatError("bad nop record %r" % lines[2])
-    num, den = (_int(v, DeltaFormatError, "nop record") for v in frac)
+    num, den = (_int(v, DeltaFormatError, "nop fraction") for v in frac)
     check_fraction(num, den, "nop")
     flags = lines[3].split()
     kv = dict(t.partition("=")[::2] for t in flags[1:])

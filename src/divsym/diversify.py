@@ -23,9 +23,8 @@ from divsym.prng import Prng
 from divsym.progmodel import ALIGNMENTS, SAVEABLE, BuildOptions, layout
 from divsym.records import fields, read_records
 
-# re-exported: the PRNG lives in divsym.prng
 __all__ = [
-    "SeedTuple", "Prng", "function_padding",
+    "SeedTuple", "function_padding",
     "function_order", "gap_decisions", "clear_gap_memo",
     "shuffle_permutation", "desync_blocks", "build_default",
     "build_diversified", "OpportunityLog", "LogFunction", "LogBlock",

@@ -76,8 +76,15 @@ PATCH_FAULTS = {
     # int() refuses a decimal string of more than 4300 digits
     "growth index of 5000 digits": {4: b"PATCH v2 1 0\nG " + b"1" * 5000
                                     + b" 0 4"},
+    # each count and shift is a number as the writer writes it
+    "op count with an underscore": {4: b"PATCH v2 0 1\nK 0_3"},
+    "op count in Arabic-Indic digits": {4: "PATCH v2 0 1\nK \u0663".encode()},
+    "op count with a plus": {4: b"PATCH v2 0 1\nK +3"},
+    "shift with a leading zero": {4: b"PATCH v2 0 1\nS 1 -04"},
+    "patch op count with a leading zero": {4: b"PATCH v2 0 01\nK 1"},
 }
-# Malformed header records; the reader raises DeltaFormatError.
+# Malformed header records, and a line past the patch; the reader
+# raises DeltaFormatError.
 HEADER_FAULTS = {
     "empty seeds line": {1: b""},
     "empty nop line": {2: b""},
@@ -90,6 +97,11 @@ HEADER_FAULTS = {
     "uppercase seed": {1: b"seeds 000000000000000A 0000000000000002 "
                           b"0000000000000003"},
     "flag 7": {3: b"flags default_padding=7 sp_fp_opt=0 pad=1 shuffle=1"},
+    # each nop number is decimal digits without a sign, "_" or leading zero
+    "nop with underscores": {2: b"nop 0_1/0_5"},
+    "nop with a plus and a leading zero": {2: b"nop +1/05"},
+    # a line after the last op
+    "trailing data": {4: b"PATCH v2 0 0\nK 1"},
 }
 
 
@@ -135,7 +147,8 @@ def op_faults(sf):
     """Patches over the symbol file sf that apply must refuse with
     PatchCorruptError, by case, each with a pattern its message matches
     from the start: R/I lines that do not read as symbol-file records in
-    their place, and a shift past 2^32.  sf has a MODULE line."""
+    their place, a shift past 2^32 and a shift of the MODULE line, which
+    has no address.  sf has a MODULE line."""
     n = len(list(symbol_file_entries(sf)))
     head = 1 + len(sf.files)
     keep = PatchOp("K", n)
@@ -160,6 +173,8 @@ def op_faults(sf):
         "shift past 2^32": (
             Patch((PatchOp("K", head), PatchOp("S", n - head, delta=1 << 40))),
             "patched symbol file invalid: FUNC .* 32-bit address space"),
+        "shift over the MODULE line": (
+            Patch((PatchOp("S", n, delta=4),)), "unshiftable MODULE line"),
     }
 
 

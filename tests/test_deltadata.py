@@ -17,7 +17,8 @@ from divsym.progmodel import BuildOptions, generate_corpus
 from divsym.replicate import replicate
 from divsym.symfile import (CfiInitRecord, FuncRecord, LineRecord, SymbolFile,
                             emit_symbol_file)
-from hostile import growth_faults, op_faults
+from hostile import (HEADER_FAULTS, PATCH_FAULTS, edited_container,
+                     growth_faults, op_faults)
 from sfgen import random_symbol_file
 
 OPTS = BuildOptions()
@@ -144,6 +145,43 @@ def test_diff_apply_round_trip_on_grown_line_records(seed, data):
         == want
 
 
+def _one_line_file(funcs):
+    """A symbol file of one-line functions, (address, size, name) each,
+    every one with its own CFI region."""
+    rules = {".cfa": ("sp", 0, "+"), ".ra": ("lr",)}
+    return SymbolFile(
+        "Linux arm 0 m", ((1, "a.c"),),
+        tuple(FuncRecord(a, n, 0, name, (LineRecord(a, n, 7, 1),))
+              for a, n, name in funcs),
+        tuple(CfiInitRecord(a, n, rules, ()) for a, n, _ in funcs), ())
+
+
+def test_growth_pairs_function_i_with_function_i():
+    # function 0 of the truth is the approximation's function 1, and
+    # function 1 its function 0, shrunk: paired by name, "a" would get a
+    # growth record; paired by position, neither pair is one function
+    approx = _one_line_file([(0x10, 8, "a"), (0x20, 4, "b")])
+    truth = _one_line_file([(0x10, 8, "b"), (0x20, 4, "a")])
+    p = diff(approx, truth)
+    assert p.growth == ()
+    assert apply(approx, p) == truth
+    assert apply(approx, unpack(pack(small_dd(p))).patch) == truth
+
+
+def test_overlapping_line_records_get_no_growth():
+    # line record 1 starts inside line record 0, so a growth record at
+    # its offset would replay on record 0 and empty it
+    approx = _one_line_file([(0x10, 12, "a")])
+    f = approx.funcs[0]
+    approx = dataclasses.replace(approx, funcs=(dataclasses.replace(
+        f, lines=(LineRecord(0x10, 4, 7, 1), LineRecord(0x12, 8, 8, 1))),))
+    truth = dataclasses.replace(approx, funcs=(dataclasses.replace(
+        f, lines=(LineRecord(0x10, 4, 7, 1), LineRecord(0x12, 4, 8, 1))),))
+    p = diff(approx, truth)
+    assert p.growth == ()
+    assert apply(approx, p) == truth
+
+
 def test_replay_pushes_later_functions_and_reuses_records():
     sf = random_symbol_file(2, n_funcs=8)
     f = sf.funcs[3]
@@ -195,18 +233,18 @@ def test_hostile_patch_ops_raise_patch_corrupt():
 
 @pytest.fixture(scope="module")
 def prog000():
-    """The benchmark program's model, default build and opportunity log."""
-    model = generate_corpus(0xBE7C, 1, "medium")[0]
-    return (model,) + build_default(model, OPTS)
+    """The benchmark program's model."""
+    return generate_corpus(0xBE7C, 1, "medium")[0]
 
 
-def prog000_delta(prog000, seeds):
-    """The truth, the approximation and the delta of one build of prog000."""
-    model, dres, log = prog000
-    truth, _ = build_diversified(model, seeds, OPTS)
-    approx = replicate(dres.symfile, log, seeds, OPTS)
+def prog000_delta(model, seeds, options=OPTS):
+    """The truth, the approximation and the delta of one build of prog000
+    under options, against its default build under the same options."""
+    dres, log = build_default(model, options)
+    truth, _ = build_diversified(model, seeds, options)
+    approx = replicate(dres.symfile, log, seeds, options)
     return truth.symfile, approx, \
-        delta_from_options(seeds, OPTS, diff(approx, truth.symfile))
+        delta_from_options(seeds, options, diff(approx, truth.symfile))
 
 
 def test_prog000_delta_stays_small(prog000):
@@ -217,15 +255,25 @@ def test_prog000_delta_stays_small(prog000):
 
 # The writer's uncompressed payload for prog000, pinned: a change to the
 # diff or to the payload grammar shows here.  DEFLATE output depends on
-# the zlib build, so the packed bytes are not pinned.
-@pytest.mark.parametrize("seeds,digest", [
-    (SeedTuple(11, 22, 33),
+# the zlib build, so the packed bytes are not pinned.  Besides the
+# default: desync 1/4 (85 growth records), no default padding (R and I
+# ops) and sp/fp-opt with NOP probability 2/3.
+@pytest.mark.parametrize("seeds,options,digest", [
+    (SeedTuple(11, 22, 33), OPTS,
      "604856dd4ebfbc2036bc5bf5b954b16fa7a1aa36e41501543e2509b5429552a7"),
-    (SeedTuple(44, 55, 66),
+    (SeedTuple(44, 55, 66), OPTS,
      "a87f4eae3a4020b4e1960c0fd706c903e9fe754ea0effe5edecb90d05115d264"),
-])
-def test_prog000_payload_is_pinned(prog000, seeds, digest):
-    _, _, dd = prog000_delta(prog000, seeds)
+    (SeedTuple(11, 22, 33), BuildOptions(desync_num=1, desync_den=4),
+     "e8c4fe725ba776a04b9a5a67805c38a105af0541f59cdc343819a2f8cdbb20d2"),
+    (SeedTuple(11, 22, 33), BuildOptions(default_padding=False),
+     "ce46f4298fccee2d1f1774758295e0e8ae4995260429d771539cf90a388d48ff"),
+    (SeedTuple(11, 22, 33), BuildOptions(sp_fp_opt=True, nop_num=2,
+                                         nop_den=3),
+     "30abc882ed20d32e81cf9a19e1c6cea7393af370c7c98eeb89e9e2d53264aa4b"),
+], ids=["default-11-22-33", "default-44-55-66", "desync-1-4",
+        "no-default-padding", "sp-fp-opt-nop-2-3"])
+def test_prog000_payload_is_pinned(prog000, seeds, options, digest):
+    _, _, dd = prog000_delta(prog000, seeds, options)
     payload = deltadata._emit_payload(dd).encode()
     assert hashlib.sha256(payload).hexdigest() == digest
 
@@ -300,6 +348,10 @@ def test_truncated_and_corrupt_containers():
         bad[5] = flags
         with pytest.raises(DeltaFormatError, match="unknown container flags"):
             unpack(bytes(bad))
+    # the DEFLATE stream cut short, the length field saying so
+    cut = blob[deltadata.HEADER_LEN:-1]
+    with pytest.raises(DeltaFormatError, match="truncated stream"):
+        unpack(blob[:6] + struct.pack("<I", len(cut)) + cut)
 
 
 def test_version_1_container_is_refused():
@@ -313,6 +365,16 @@ def test_version_1_container_is_refused():
     # a v1 payload in a v2 container is refused as well
     with pytest.raises(DeltaFormatError, match="payload header"):
         unpack(b"DBPD" + bytes([2]) + blob[5:])
+
+
+@pytest.mark.parametrize("error,edits", [
+    *((PatchCorruptError, e) for e in PATCH_FAULTS.values()),
+    *((DeltaFormatError, e) for e in HEADER_FAULTS.values())],
+    ids=[*PATCH_FAULTS, *HEADER_FAULTS])
+def test_unpack_rejects_malformed_payload_records(error, edits):
+    # the reader itself refuses each case, not only the apply after it
+    with pytest.raises(error):
+        unpack(edited_container(edits))
 
 
 @pytest.mark.parametrize("patch_text", [

@@ -1,7 +1,8 @@
 """Every name a divsym module imports is used in that module or listed
 in its __all__ (re-exports), every module-level definition is read
-outside the tests, and every dataclass field is read somewhere.  ast
-only: no linter is needed.  The package holds Python sources only: no
+outside the tests, every dataclass field is read somewhere, and the
+state a process keeps across calls is a known list.  ast only: no
+linter is needed.  The package holds Python sources only: no
 generated C or compiled extension."""
 
 import ast
@@ -110,15 +111,17 @@ def test_every_definition_is_read_outside_the_tests():
 
 
 
+def _decorator_names(node):
+    """The name of each decorator of a def or class statement, with or
+    without arguments and with or without its module prefix."""
+    return [getattr(d, "id", getattr(d, "attr", None))
+            for d in (d.func if isinstance(d, ast.Call) else d
+                      for d in node.decorator_list)]
+
+
 def _is_dataclass(node):
-    """True when a class statement is decorated @dataclass, with or
-    without arguments."""
-    for d in node.decorator_list:
-        if isinstance(d, ast.Call):
-            d = d.func
-        if getattr(d, "id", getattr(d, "attr", None)) == "dataclass":
-            return True
-    return False
+    """True when a class statement is decorated @dataclass."""
+    return "dataclass" in _decorator_names(node)
 
 
 def unread_fields(modules, readers):
@@ -161,3 +164,43 @@ def test_every_dataclass_field_is_read():
                                                        "tests")
                for p in sorted((root / d).rglob("*.py"))]
     assert unread_fields(modules, readers) == []
+
+
+def process_state(modules):
+    """(module, name) of each name a `global` statement in `modules`
+    ({name: source}) declares, and of each module-level function
+    decorated with functools' lru_cache or cache: the state one process
+    keeps across calls."""
+    found = set()
+    for module, source in modules.items():
+        tree = ast.parse(source)
+        found.update((module, name) for node in ast.walk(tree)
+                     if isinstance(node, ast.Global) for name in node.names)
+        found.update((module, node.name) for node in tree.body
+                     if isinstance(node, ast.FunctionDef)
+                     and {"lru_cache", "cache"} & set(_decorator_names(node)))
+    return sorted(found)
+
+
+def test_process_state_checker():
+    modules = {"m": "import functools\n"
+                    "from functools import cache, cached_property, lru_cache\n"
+                    "_a = None\n"
+                    "@lru_cache(maxsize=4)\ndef f(x): return x\n"
+                    "@functools.cache\ndef g(): pass\n"
+                    "@cache\ndef h(): pass\n"
+                    "def k():\n    global _a, _b\n    _a = _b = 1\n"
+                    "class C:\n    @functools.lru_cache\n    def m(self): pass\n"
+                    "    @cached_property\n    def p(self): pass\n"}
+    assert process_state(modules) == \
+        [("m", "_a"), ("m", "_b"), ("m", "f"), ("m", "g"), ("m", "h")]
+
+
+def test_process_state_is_the_known_list():
+    # state that outlives a call is shared by every caller in the
+    # process, so each entry here is a deliberate one
+    modules = {p.stem: p.read_text(encoding="utf-8")
+               for p in sorted(SRC.glob("*.py"))}
+    assert process_state(modules) == [
+        ("collector", "_server"), ("diversify", "_drawn"),
+        ("diversify", "_identifier_hash"), ("replicate", "_last_plan")]

@@ -221,6 +221,12 @@ def test_image_bad_section_bytes_are_typed():
     renamed = image.pack_sections([("mXta", b"")]).replace(b"X", b"\xff")
     with pytest.raises(DeltaFormatError, match="no meta section"):
         image.read_image(renamed)
+    # cut inside the first section's length field, and inside the last
+    # section's payload
+    with pytest.raises(DeltaFormatError, match="truncated image section header"):
+        image.read_image(blob[:len(image.MAGIC) + 1 + 1 + len("meta") + 2])
+    with pytest.raises(DeltaFormatError, match="truncated image section text"):
+        image.read_image(blob[:-1])
 
 
 def _stack_dump(n_bytes):
