@@ -20,8 +20,9 @@ and SHIFT ops for everything placed after it.  Apply replays the records
 on the approximation (see replay), runs the ops over the entries of the
 result, parses only the REPLACE and INSERT lines, and validates the
 outcome once.  Every address and end of the result lies below 2^32.
-A patch that does not apply raises PatchCorruptError (CLI exit 4); a
-malformed container or header record raises DeltaFormatError (exit 2).
+A patch that does not apply or does not parse raises PatchCorruptError
+(CLI exit 4); a malformed container or body header raises
+DeltaFormatError (exit 2).
 
 Container layout (packed):
 
@@ -30,7 +31,11 @@ Container layout (packed):
 
 flags bit 0 marks an authenticated container; the tag covers everything
 before it.  No other flag bit is defined, and unpack refuses one.  The
-payload is deterministic ASCII, compressed raw DEFLATE.
+payload is a deterministic binary body, compressed raw DEFLATE: the
+header fields, then the patch in columns (growth records, op kinds, op
+numbers as LEB128 varints, signed ones zigzagged, then the R/I lines as
+text), which DEFLATE codes better than interleaved records.  The body
+grammar is in docs/formats.md.
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ import difflib
 import hashlib
 import hmac
 import itertools
-import re
 import struct
 import zlib
 from dataclasses import astuple, dataclass, field
@@ -56,7 +60,7 @@ from divsym.symfile import (CfiInitRecord, FuncRecord, LineRecord,
                             validate)
 
 MAGIC = b"DBPD"
-VERSION = 2
+VERSION = 3
 FLAG_AUTH = 0x01
 TAG_LEN = 32
 HEADER_LEN = 10
@@ -399,104 +403,112 @@ def _patched(sf, ops):
 # ---------------------------------------------------------------------------
 # serialization
 
-def _emit_patch(patch):
-    out = ["PATCH v2 %d %d" % (len(patch.growth), len(patch.ops))]
-    out.extend(g.text() for g in patch.growth)
+# DeltaData's flag fields, by their bit in the body's flags byte
+_FLAG_FIELDS = ("default_padding", "sp_fp_opt", "pad_scheme", "shuffle_scheme")
+# Longest varint the reader takes: 140 bits, room for a growth record of
+# 10^30 bytes, which replay then refuses
+MAX_VARINT_BYTES = 20
+
+
+def _varint(n, out):
+    """Append n, a number >= 0, to out as a LEB128 varint."""
+    if n < 0:
+        raise DeltaFormatError("cannot pack negative number %d" % n)
+    while n > 0x7F:
+        out.append(n & 0x7F | 0x80)
+        n >>= 7
+    out.append(n)
+
+
+def _zigzag(n):
+    """n >= 0 as 2n, n < 0 as -2n - 1: small magnitudes, short varints."""
+    return 2 * n if n >= 0 else -2 * n - 1
+
+
+def _body_sections(dd):
+    """The payload's sections by name, in body order: the header (seeds,
+    nop, flags), then the patch (counts, growth, kinds, numbers, text)."""
+    patch = dd.patch
+    nop = bytearray()
+    _varint(dd.nop_num, nop)
+    _varint(dd.nop_den, nop)
+    counts = bytearray()
+    _varint(len(patch.growth), counts)
+    _varint(len(patch.ops), counts)
+    growth = bytearray()
+    index = 0
+    for g in patch.growth:
+        _varint(_zigzag(g.index - index), growth)
+        _varint(g.offset, growth)
+        _varint(_zigzag(g.nbytes), growth)
+        index = g.index
+    numbers = bytearray()
+    lines = []
+    delta = 0
     for op in patch.ops:
-        if op.op == "K":
-            out.append("K %d" % op.n)
-        elif op.op == "S":
-            out.append("S %d %d" % (op.n, op.delta))
-        elif op.op == "D":
-            out.append("D %d" % op.n)
-        elif op.op == "R":
-            out.append("R %d %d" % (op.n, len(op.lines)))
-            out.extend(op.lines)
-        else:
-            out.append("I %d" % len(op.lines))
-            out.extend(op.lines)
-    return "\n".join(out) + "\n"
+        if op.op in "KSDR":
+            _varint(op.n, numbers)
+        if op.op == "S":
+            _varint(_zigzag(op.delta - delta), numbers)
+            delta = op.delta
+        elif op.op in "RI":
+            _varint(len(op.lines), numbers)
+            lines.extend(op.lines)
+    return {
+        "seeds": struct.pack("<3Q", *astuple(dd.seeds)),
+        "nop": bytes(nop),
+        "flags": bytes([sum(getattr(dd, f) << bit
+                            for bit, f in enumerate(_FLAG_FIELDS))]),
+        "counts": bytes(counts),
+        "growth": bytes(growth),
+        "kinds": "".join(op.op for op in patch.ops).encode(),
+        "numbers": bytes(numbers),
+        "text": "".join(ln + "\n" for ln in lines).encode(),
+    }
 
 
-# numbers as the writer writes them: digits 0-9 with no leading zero,
-# "+" or "_"; a signed field may start with "-"
-_COUNT = re.compile(r"0|[1-9][0-9]*")
-_SIGNED = re.compile(r"0|-?[1-9][0-9]*")
+class _Body:
+    """A cursor over an inflated body.  Faults raise `error`: the header's
+    DeltaFormatError, then, from the patch section on, PatchCorruptError."""
 
+    def __init__(self, data):
+        self.data = data
+        self.pos = 0
+        self.error = DeltaFormatError
 
-def _int(tok, error, what, form=_COUNT):
-    """tok as a number, raising error (a DivsymError) unless tok matches
-    form and int() reads it (at most 4300 digits)."""
-    if form.fullmatch(tok):
-        try:
-            return int(tok)
-        except ValueError:
-            pass
-    raise error("bad number %r in %s" % (tok, what))
+    def take(self, n, what):
+        if n > len(self.data) - self.pos:
+            raise self.error("delta payload ends inside %s" % what)
+        self.pos += n
+        return self.data[self.pos - n:self.pos]
 
+    def varint(self, what):
+        n = 0
+        for i, byte in enumerate(self.data[self.pos:
+                                           self.pos + MAX_VARINT_BYTES]):
+            n |= (byte & 0x7F) << 7 * i
+            if byte < 0x80:
+                if i and not byte:
+                    raise self.error("non-minimal varint in %s" % what)
+                self.pos += i + 1
+                return n
+        if len(self.data) - self.pos > MAX_VARINT_BYTES:
+            raise self.error("varint longer than %d bytes in %s"
+                             % (MAX_VARINT_BYTES, what))
+        raise self.error("delta payload ends inside %s" % what)
 
-def _count(tok, line):
-    return _int(tok, PatchCorruptError, "patch op %r" % line)
+    def signed(self, what):
+        z = self.varint(what)
+        return (z >> 1) ^ -(z & 1)
 
-
-# tokens on each op line, op letter included
-_OP_TOKENS = {"K": 2, "S": 3, "D": 2, "R": 3, "I": 2}
-# G <index> <offset> <bytes>, as Growth.text() writes it
-_GROWTH_RE = re.compile(r"G (%s) (0|[1-9a-f][0-9a-f]*) (%s)"
-                        % (_COUNT.pattern, _SIGNED.pattern))
-
-
-def _parse_patch(lines, pos):
-    if pos >= len(lines):
-        raise PatchCorruptError("missing patch header")
-    head = lines[pos].split()
-    if len(head) != 4 or head[0] != "PATCH" or head[1] != "v2":
-        raise PatchCorruptError("bad patch header %r" % lines[pos])
-    n_growth = _count(head[2], lines[pos])
-    n_ops = _count(head[3], lines[pos])
-    pos += 1
-    if n_growth > len(lines) - pos:
-        raise PatchCorruptError("patch wants %d growth records, %d lines left"
-                                % (n_growth, len(lines) - pos))
-    growth = []
-    for line in lines[pos:pos + n_growth]:
-        m = _GROWTH_RE.fullmatch(line)
-        if m is None:
-            raise PatchCorruptError("bad growth record %r" % line)
-        what = "growth record"
-        growth.append(Growth(_int(m[1], PatchCorruptError, what),
-                             int(m[2], 16),
-                             _int(m[3], PatchCorruptError, what, _SIGNED)))
-    pos += n_growth
-    ops = []
-    for _ in range(n_ops):
-        if pos >= len(lines):
-            raise PatchCorruptError("patch ends after %d of %d ops"
-                                    % (len(ops), n_ops))
-        line = lines[pos]
-        toks = line.split()
-        pos += 1
-        kind = toks[0] if toks else ""
-        if kind not in _OP_TOKENS:
-            raise PatchCorruptError("unknown patch op %r" % kind)
-        if len(toks) != _OP_TOKENS[kind]:
-            raise PatchCorruptError("bad patch op %r" % line)
-        n = _count(toks[1], line)
-        if kind == "S":
-            ops.append(PatchOp("S", n, delta=_int(toks[2], PatchCorruptError,
-                                                  "patch op %r" % line,
-                                                  _SIGNED)))
-        elif kind in ("K", "D"):
-            ops.append(PatchOp(kind, n))
-        else:
-            k = _count(toks[-1], line)
-            if k > len(lines) - pos:
-                raise PatchCorruptError("%s op wants %d lines, %d left"
-                                        % (kind, k, len(lines) - pos))
-            ops.append(PatchOp(kind, n if kind == "R" else 0,
-                               lines=tuple(lines[pos:pos + k])))
-            pos += k
-    return Patch(tuple(ops), tuple(growth)), pos
+    def count(self, what, width):
+        """A count of items `width` or more bytes each, the rest of the
+        body being enough for them."""
+        n = self.varint(what)
+        if n * width > len(self.data) - self.pos:
+            raise self.error("%s %d exceeds the %d bytes left"
+                             % (what, n, len(self.data) - self.pos))
+        return n
 
 
 def check_fraction(num, den, what):
@@ -516,51 +528,62 @@ def check_seeds(seeds):
         raise DeltaFormatError("seed outside [0, 2^64) in %r" % (seeds,))
 
 
-def _emit_payload(dd):
-    out = ["DDATA v2",
-           "seeds %016x %016x %016x" % (dd.seeds.pad_seed, dd.seeds.nop_seed,
-                                        dd.seeds.shuffle_seed),
-           "nop %d/%d" % (dd.nop_num, dd.nop_den),
-           "flags default_padding=%d sp_fp_opt=%d pad=%d shuffle=%d"
-           % (dd.default_padding, dd.sp_fp_opt, dd.pad_scheme, dd.shuffle_scheme)]
-    return "\n".join(out) + "\n" + _emit_patch(dd.patch)
-
-
-_FLAG_KEYS = ("default_padding", "sp_fp_opt", "pad", "shuffle")
-_SEED_RE = re.compile(r"[0-9a-f]{16}")
-
-
-def _parse_payload(text):
-    # "\n" only, as _emit_payload joins: an R/I line may hold any other
-    # line break character
-    lines = text.removesuffix("\n").split("\n")
-    if len(lines) < 4 or lines[0] != "DDATA v2":
-        raise DeltaFormatError("bad delta payload header")
-    s = lines[1].split()
-    if len(s) != 4 or s[0] != "seeds" \
-            or not all(_SEED_RE.fullmatch(v) for v in s[1:]):
-        raise DeltaFormatError("bad seeds record %r" % lines[1])
-    seeds = SeedTuple(*(int(v, 16) for v in s[1:]))
-    nop = lines[2].split()
-    frac = nop[1].split("/") if len(nop) == 2 and nop[0] == "nop" else ()
-    if len(frac) != 2:
-        raise DeltaFormatError("bad nop record %r" % lines[2])
-    num, den = (_int(v, DeltaFormatError, "nop fraction") for v in frac)
-    check_fraction(num, den, "nop")
-    flags = lines[3].split()
-    kv = dict(t.partition("=")[::2] for t in flags[1:])
-    if flags[:1] != ["flags"] or len(flags) != 5 \
-            or kv.keys() != set(_FLAG_KEYS) \
-            or not set(kv.values()) <= {"0", "1"}:
-        raise DeltaFormatError("bad flags record %r" % lines[3])
-    flag = {k: kv[k] == "1" for k in _FLAG_KEYS}
-    patch, pos = _parse_patch(lines, 4)
-    if pos != len(lines):
+def _parse_patch(body):
+    n_growth = body.count("growth record count", 3)
+    n_ops = body.count("op count", 1)
+    growth = []
+    index = 0
+    for _ in range(n_growth):
+        index += body.signed("growth record")
+        if index < 0:
+            raise PatchCorruptError("growth record index %d" % index)
+        growth.append(Growth(index, body.varint("growth record"),
+                             body.signed("growth record")))
+    specs = []          # (kind, n, delta, line count) per op
+    delta = 0
+    for kind in body.take(n_ops, "op kinds").decode("latin-1"):
+        if kind not in _OPS:
+            raise PatchCorruptError("unknown patch op %r" % kind)
+        what = "%s op %d" % (_OPS[kind], len(specs))
+        n = body.varint(what) if kind != "I" else 0
+        if kind == "S":
+            delta += body.signed(what)
+        k = body.count(what + " line count", 1) if kind in "RI" else 0
+        specs.append((kind, n, delta if kind == "S" else 0, k))
+    # lines end at "\n" only, as _body_sections writes them: an R/I line
+    # may hold any other line break character
+    text = body.data[body.pos:].split(b"\n")
+    want = sum(spec[3] for spec in specs)
+    if len(text) - 1 < want:
+        raise PatchCorruptError("patch text holds %d of %d lines"
+                                % (len(text) - 1, want))
+    if len(text) - 1 > want or text[-1]:
         raise DeltaFormatError("trailing data in delta payload")
-    return DeltaData(seeds=seeds, nop_num=num, nop_den=den,
-                     default_padding=flag["default_padding"],
-                     sp_fp_opt=flag["sp_fp_opt"], pad_scheme=flag["pad"],
-                     shuffle_scheme=flag["shuffle"], patch=patch)
+    try:
+        text = [ln.decode() for ln in text]
+    except UnicodeDecodeError as e:
+        raise PatchCorruptError("patch text: %s" % e) from e
+    ops = []
+    at = 0
+    for kind, n, delta, k in specs:
+        ops.append(PatchOp(kind, n, delta, tuple(text[at:at + k])))
+        at += k
+    return Patch(tuple(ops), tuple(growth))
+
+
+def _parse_body(data):
+    body = _Body(data)
+    seeds = SeedTuple(*struct.unpack("<3Q", body.take(24, "seeds")))
+    num = body.varint("nop fraction")
+    den = body.varint("nop fraction")
+    check_fraction(num, den, "nop")
+    flags = body.take(1, "flags")[0]
+    if flags >> len(_FLAG_FIELDS):
+        raise DeltaFormatError("unknown payload flags 0x%02x" % flags)
+    body.error = PatchCorruptError
+    return DeltaData(seeds, num, den, patch=_parse_patch(body),
+                     **{f: bool(flags >> bit & 1)
+                        for bit, f in enumerate(_FLAG_FIELDS)})
 
 
 def pack(dd, key=None):
@@ -568,7 +591,8 @@ def pack(dd, key=None):
     check_fraction(dd.nop_num, dd.nop_den, "nop")
     check_seeds(dd.seeds)
     comp = zlib.compressobj(6, zlib.DEFLATED, -15)
-    payload = comp.compress(_emit_payload(dd).encode()) + comp.flush()
+    payload = comp.compress(b"".join(_body_sections(dd).values())) \
+        + comp.flush()
     flags = FLAG_AUTH if key is not None else 0
     blob = MAGIC + bytes([VERSION, flags]) + struct.pack("<I", len(payload)) \
         + payload
@@ -604,14 +628,16 @@ def unpack(blob, key=None):
         raise AuthenticationError("key supplied but container is unauthenticated")
     inflater = zlib.decompressobj(-15)
     try:
-        raw = inflater.decompress(blob[HEADER_LEN:HEADER_LEN + plen],
-                                  MAX_PAYLOAD_BYTES + 1)
-        if len(raw) > MAX_PAYLOAD_BYTES:
-            raise DeltaFormatError("payload inflates past %d bytes"
-                                   % MAX_PAYLOAD_BYTES)
-        if not inflater.eof:
-            raise DeltaFormatError("corrupt payload: truncated stream")
-        text = raw.decode()
-    except (zlib.error, UnicodeDecodeError) as e:
+        body = inflater.decompress(blob[HEADER_LEN:HEADER_LEN + plen],
+                                   MAX_PAYLOAD_BYTES + 1)
+    except zlib.error as e:
         raise DeltaFormatError("corrupt payload: %s" % e) from e
-    return _parse_payload(text)
+    if len(body) > MAX_PAYLOAD_BYTES:
+        raise DeltaFormatError("payload inflates past %d bytes"
+                               % MAX_PAYLOAD_BYTES)
+    if not inflater.eof:
+        raise DeltaFormatError("corrupt payload: truncated stream")
+    if inflater.unused_data:
+        raise DeltaFormatError("%d bytes after the end of the DEFLATE stream"
+                               % len(inflater.unused_data))
+    return _parse_body(body)

@@ -1,6 +1,6 @@
 """Hostile inputs shared by the tests: delta containers, opportunity
-logs that do not fit their default file, and the line mutations the
-property tests apply to emitted texts."""
+logs that do not fit their default file, and the line and byte
+mutations the property tests apply to emitted texts and delta bodies."""
 
 import struct
 import zlib
@@ -14,11 +14,19 @@ from divsym.diversify import SeedTuple
 from divsym.symfile import symbol_file_entries
 
 
-def _plain_container(payload_text):
+def _plain_container(body):
     comp = zlib.compressobj(9, zlib.DEFLATED, -15)
-    payload = comp.compress(payload_text) + comp.flush()
+    payload = comp.compress(body) + comp.flush()
     return deltadata.MAGIC + bytes([deltadata.VERSION, 0]) \
         + struct.pack("<I", len(payload)) + payload
+
+
+def varints(*numbers):
+    """The numbers, each >= 0, as the body's varints."""
+    out = bytearray()
+    for n in numbers:
+        deltadata._varint(n, out)
+    return bytes(out)
 
 
 def hostile_logs(log):
@@ -49,59 +57,97 @@ def inflation_bomb():
 
 
 def edited_container(edits, seeds=SeedTuple(1, 2, 3), patch=Patch()):
-    """A plain container of a packed payload (by default with an empty
-    patch) with line i replaced by edits[i]; a replacement may span
-    several lines."""
-    blob = deltadata.pack(DeltaData(seeds=seeds, patch=patch))
-    lines = zlib.decompress(blob[deltadata.HEADER_LEN:], -15).split(b"\n")
-    for i, new in edits.items():
-        lines[i] = new
-    return _plain_container(b"\n".join(lines))
+    """A plain container of a packed body (by default with an empty
+    patch) with each section named in edits replaced by its bytes; the
+    names are deltadata._body_sections's."""
+    sections = deltadata._body_sections(DeltaData(seeds=seeds, patch=patch))
+    assert edits.keys() <= sections.keys()
+    sections.update(edits)
+    return _plain_container(b"".join(sections.values()))
 
 
 def bad_nop_container(num, den, seeds=SeedTuple(1, 2, 3)):
-    """A plain container whose payload carries the nop fraction num/den,
-    which pack() refuses to write."""
-    return edited_container({2: b"nop %d/%d" % (num, den)}, seeds)
+    """A plain container whose body carries the nop fraction num/den,
+    which pack() refuses to write.  A negative number goes in as its
+    64-bit two's complement, the way a protobuf int64 field writes it."""
+    return edited_container({"nop": varints(num % (1 << 64), den % (1 << 64))},
+                            seeds)
 
 
-# Payload lines: 0 DDATA, 1 seeds, 2 nop, 3 flags, 4 the patch header.
-# Malformed patch ops; the reader raises PatchCorruptError.
+_SEEDS = struct.pack("<3Q", 1, 2, 3)     # the default body's seeds
+
+
+def _cut_after(n):
+    """Edits that end the default body after its first n bytes."""
+    return {"seeds": _SEEDS[:n], "nop": b"", "flags": b"", "counts": b""}
+
+
+# Malformed bodies, as section edits of the default body (whose patch is
+# empty).  Each case keeps the name of the case it replaced in the text
+# payload of container version 2; the comment gives the binary fault.
+# Faults in the patch section; the reader raises PatchCorruptError.
 PATCH_FAULTS = {
-    "op list shorter than its count": {4: b"PATCH v2 0 2\nK 1"},
-    "empty op line": {4: b"PATCH v2 0 1\n"},
-    "keep without count": {4: b"PATCH v2 0 1\nK"},
-    "growth record without bytes": {4: b"PATCH v2 1 0\nG 0 0"},
-    "growth records past the end": {4: b"PATCH v2 2 0\nG 0 0 4"},
-    # int() refuses a decimal string of more than 4300 digits
-    "growth index of 5000 digits": {4: b"PATCH v2 1 0\nG " + b"1" * 5000
-                                    + b" 0 4"},
-    # each count and shift is a number as the writer writes it
-    "op count with an underscore": {4: b"PATCH v2 0 1\nK 0_3"},
-    "op count in Arabic-Indic digits": {4: "PATCH v2 0 1\nK \u0663".encode()},
-    "op count with a plus": {4: b"PATCH v2 0 1\nK +3"},
-    "shift with a leading zero": {4: b"PATCH v2 0 1\nS 1 -04"},
-    "patch op count with a leading zero": {4: b"PATCH v2 0 01\nK 1"},
+    # 2 ops announced, 1 byte left
+    "op list shorter than its count": {"counts": varints(0, 2),
+                                       "kinds": b"K"},
+    # a NUL op kind
+    "empty op line": {"counts": varints(0, 1), "kinds": b"\0"},
+    # the body ends where the keep count belongs
+    "keep without count": {"counts": varints(0, 1), "kinds": b"K"},
+    # the body ends after the index and a two-byte offset
+    "growth record without bytes": {"counts": varints(1, 0),
+                                    "growth": varints(0, 300)},
+    # 2 records announced, 1 written
+    "growth records past the end": {"counts": varints(2, 0),
+                                    "growth": varints(0, 0, 8)},
+    # an index varint of 21 bytes
+    "growth index of 5000 digits": {
+        "counts": varints(1, 0),
+        "growth": b"\x81" * 20 + b"\x01" + varints(0, 8)},
+    # each count and shift is a minimal varint of at most 20 bytes
+    # a keep count with a zero continuation group inside
+    "op count with an underscore": {"counts": varints(0, 1), "kinds": b"K",
+                                    "numbers": b"\x83\x80\x00"},
+    # a keep count varint of 21 bytes
+    "op count in Arabic-Indic digits": {"counts": varints(0, 1),
+                                        "kinds": b"K",
+                                        "numbers": b"\xff" * 21},
+    # a keep count whose varint the body's end cuts
+    "op count with a plus": {"counts": varints(0, 1), "kinds": b"K",
+                             "numbers": b"\x80"},
+    # a shift delta varint with a trailing zero byte
+    "shift with a leading zero": {"counts": varints(0, 1), "kinds": b"S",
+                                  "numbers": varints(1) + b"\x88\x00"},
+    # an op count varint with a trailing zero byte
+    "patch op count with a leading zero": {
+        "counts": varints(0) + b"\x81\x00", "kinds": b"K",
+        "numbers": varints(1)},
+    # cases of the binary body alone
+    "insert line not UTF-8": {"counts": varints(0, 1), "kinds": b"I",
+                              "numbers": varints(1), "text": b"\xff\n"},
 }
-# Malformed header records, and a line past the patch; the reader
-# raises DeltaFormatError.
+# Faults in the header (seeds, nop, flags), and bytes past the last line
+# of the patch; the reader raises DeltaFormatError.
 HEADER_FAULTS = {
-    "empty seeds line": {1: b""},
-    "empty nop line": {2: b""},
-    "flags without default_padding": {3: b"flags sp_fp_opt=0 pad=1 shuffle=1"},
-    # each seed is exactly 16 lowercase hex digits, each flag 0 or 1
-    "negative seed": {1: b"seeds -000000000000001 0000000000000002 "
-                         b"0000000000000003"},
-    "160-bit seed": {1: b"seeds 0000000000000001 0000000000000002 " + b"f" * 40},
-    "short seed": {1: b"seeds 1 0000000000000002 0000000000000003"},
-    "uppercase seed": {1: b"seeds 000000000000000A 0000000000000002 "
-                          b"0000000000000003"},
-    "flag 7": {3: b"flags default_padding=7 sp_fp_opt=0 pad=1 shuffle=1"},
-    # each nop number is decimal digits without a sign, "_" or leading zero
-    "nop with underscores": {2: b"nop 0_1/0_5"},
-    "nop with a plus and a leading zero": {2: b"nop +1/05"},
-    # a line after the last op
-    "trailing data": {4: b"PATCH v2 0 0\nK 1"},
+    # no seeds: the 5 bytes after them are all that is left
+    "empty seeds line": {"seeds": b""},
+    # the body ends after the seeds
+    "empty nop line": _cut_after(24),
+    # the body ends after the nop fraction
+    "flags without default_padding": {"flags": b"", "counts": b""},
+    # each seed is 8 bytes; the body ends inside the seeds
+    "negative seed": _cut_after(8),
+    # 12 bytes more of seeds make a nop numerator far past the denominator
+    "160-bit seed": {"seeds": _SEEDS + b"\xff" * 12},
+    "short seed": _cut_after(17),
+    "uppercase seed": _cut_after(23),
+    # flag bit 7
+    "flag 7": {"flags": b"\x8d"},
+    # each nop number is a minimal varint
+    "nop with underscores": {"nop": b"\x81\x00" + varints(5)},
+    "nop with a plus and a leading zero": {"nop": varints(1) + b"\x85\x00"},
+    # a byte after the last line of the patch
+    "trailing data": {"text": b"\0"},
 }
 
 
@@ -213,3 +259,24 @@ def mutate(data, text):
     i, new = data.draw(line_edits(lines))
     lines[i:i + 1] = [] if new is None else [new]
     return "\n".join(lines)
+
+
+@st.composite
+def byte_edits(draw, body):
+    """body with one byte flipped, dropped or inserted, or cut short."""
+    i = draw(st.integers(0, len(body) - 1))
+    op = draw(st.sampled_from(("flip", "drop", "insert", "cut")))
+    if op == "flip":
+        return body[:i] + bytes([body[i] ^ draw(st.integers(1, 255))]) \
+            + body[i + 1:]
+    if op == "drop":
+        return body[:i] + body[i + 1:]
+    if op == "insert":
+        return body[:i] + bytes([draw(st.integers(0, 255))]) + body[i:]
+    return body[:i]
+
+
+def mutate_container(data, blob):
+    """A plain container of blob's inflated body with one byte edit."""
+    body = zlib.decompress(blob[deltadata.HEADER_LEN:], -15)
+    return _plain_container(data.draw(byte_edits(body)))

@@ -67,6 +67,7 @@ def matrix():
                 "reconstructed": emit_symbol_file(recon) == truth_text,
                 "div_sym_bytes": len(truth_text.encode()),
                 "dd_bytes": len(blob),
+                "blob": blob,
                 "payload": patch.payload_bytes,
                 "traces": traces,
             }
@@ -256,6 +257,15 @@ def test_c09_default_padding_histogram():
           "%d/%d without (mean |delta| %.4f vs %.4f bytes/function)"
           % (on.zero_mass, on.total, off.zero_mass, off.total,
              on.mean_abs, off.mean_abs))
+
+
+def test_writer_output_is_canonical(matrix):
+    # one delta, one body: the reader takes nothing the writer would
+    # write otherwise, so re-packing what it read gives the same bytes
+    for prog in matrix:
+        for run in prog["runs"]:
+            assert pack(unpack(run["blob"])) == run["blob"], \
+                prog["model"].module_name
 
 
 def test_c10_round_trips_and_tamper_detection():

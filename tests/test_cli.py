@@ -1,5 +1,4 @@
 import re
-import zlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,9 +12,9 @@ from divsym.diversify import parse_opportunity_log
 from divsym.progmodel import parse_model
 from divsym.replicate import replicate
 from divsym.symfile import parse_symbol_file
-from hostile import (HEADER_FAULTS, PATCH_FAULTS, _plain_container,
-                     bad_nop_container, edited_container, growth_faults,
-                     inflation_bomb, mutate, op_faults)
+from hostile import (HEADER_FAULTS, PATCH_FAULTS, bad_nop_container,
+                     edited_container, growth_faults, inflation_bomb, mutate,
+                     mutate_container, op_faults)
 from modeltools import sample_call_chains
 
 
@@ -282,11 +281,11 @@ def report_argv(tmp_path_factory):
 def test_report_on_a_mutated_input_exits_with_a_documented_code(
         report_argv, option, data):
     # one line of one input dropped, duplicated, truncated or with a
-    # token replaced; the delta's payload is mutated and re-wrapped
+    # token replaced; one byte of the delta's body flipped, dropped or
+    # inserted, or the body cut, and re-wrapped
     path = Path(report_argv[option])
     if option == "--delta":
-        payload = zlib.decompress(path.read_bytes()[deltadata.HEADER_LEN:], -15)
-        mutated = _plain_container(mutate(data, payload.decode()).encode())
+        mutated = mutate_container(data, path.read_bytes())
     else:
         mutated = mutate(data, path.read_text()).encode()
     target = path.with_name("mutated" + path.suffix)

@@ -560,10 +560,10 @@ def test_corpus_metrics_histogram_direction_and_determinism():
 # and no default padding with one.
 @pytest.mark.parametrize("seeds,options,digest", [
     ((SeedTuple(1, 2, 3), SeedTuple(4, 5, 6)), BuildOptions(),
-     "1d23bfc01d88321de6a083166810195de2df8b354c13ce6866bae8c26fca58a3"),
+     "67b00fe39995ca03d611d41aadd609fd8227804e20974b4cecf2f4bde37a62de"),
     ((SeedTuple(1, 2, 3),), BuildOptions(sp_fp_opt=True,
                                          default_padding=False),
-     "a56c0da4094520a1c81352d57de63f69e9f6b274ecdd2716799cefd8c1955f1a"),
+     "82bae8e8985868e2da0d0d40636656eae5f89fe11831cfaff87421425b6cebf1"),
 ], ids=["default", "spfp-nodefpad"])
 def test_corpus_metrics_text_is_pinned(seeds, options, digest):
     rep = corpus_metrics(generate_corpus(0x51, 3, "small"), list(seeds),

@@ -1,8 +1,8 @@
 import dataclasses
 import hashlib
+import hmac
 import random
 import struct
-import zlib
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -17,8 +17,8 @@ from divsym.progmodel import BuildOptions, generate_corpus
 from divsym.replicate import replicate
 from divsym.symfile import (CfiInitRecord, FuncRecord, LineRecord, SymbolFile,
                             emit_symbol_file)
-from hostile import (HEADER_FAULTS, PATCH_FAULTS, edited_container,
-                     growth_faults, op_faults)
+from hostile import (HEADER_FAULTS, PATCH_FAULTS, _plain_container,
+                     edited_container, growth_faults, op_faults, varints)
 from sfgen import random_symbol_file
 
 OPTS = BuildOptions()
@@ -202,7 +202,9 @@ def test_replay_pushes_later_functions_and_reuses_records():
 def test_payload_bytes_count_growth_records():
     p = Patch((PatchOp("K", 4),), (Growth(1, 0x10, 4), Growth(12, 0, -8)))
     assert p.payload_bytes == len("G 1 10 4\nG 12 0 -8\n")
-    assert "G 1 10 4\nG 12 0 -8\nK 4" in deltadata._emit_payload(small_dd(p))
+    # index deltas and bytes zigzagged: 1, 0x10, 4 then 11, 0, -8
+    assert deltadata._body_sections(small_dd(p))["growth"] == \
+        varints(2, 0x10, 8, 22, 0, 15)
     assert unpack(pack(small_dd(p))) == small_dd(p)
 
 
@@ -249,33 +251,33 @@ def prog000_delta(model, seeds, options=OPTS):
 
 def test_prog000_delta_stays_small(prog000):
     truth, approx, dd = prog000_delta(prog000, SeedTuple(11, 22, 33))
-    assert len(pack(dd)) <= 450
+    assert len(pack(dd)) <= 300
     assert emit_symbol_file(apply(approx, dd.patch)) == emit_symbol_file(truth)
 
 
-# The writer's uncompressed payload for prog000, pinned: a change to the
-# diff or to the payload grammar shows here.  DEFLATE output depends on
+# The writer's uncompressed body for prog000, pinned: a change to the
+# diff or to the body grammar shows here.  DEFLATE output depends on
 # the zlib build, so the packed bytes are not pinned.  Besides the
 # default: desync 1/4 (85 growth records), no default padding (R and I
 # ops) and sp/fp-opt with NOP probability 2/3.
 @pytest.mark.parametrize("seeds,options,digest", [
     (SeedTuple(11, 22, 33), OPTS,
-     "604856dd4ebfbc2036bc5bf5b954b16fa7a1aa36e41501543e2509b5429552a7"),
+     "d49500d6362ad266d6d58e8c7041bd5b6f4b969f39144f89d848da5c35ae54a7"),
     (SeedTuple(44, 55, 66), OPTS,
-     "a87f4eae3a4020b4e1960c0fd706c903e9fe754ea0effe5edecb90d05115d264"),
+     "fb78cc890636580ad7f896069e58df57605344b312ded09f26e85f942d9eff68"),
     (SeedTuple(11, 22, 33), BuildOptions(desync_num=1, desync_den=4),
-     "e8c4fe725ba776a04b9a5a67805c38a105af0541f59cdc343819a2f8cdbb20d2"),
+     "9db8960adcd3c405e2d2c225363b7e9d768edbb78c23ae90a1e8a05f0b97ce43"),
     (SeedTuple(11, 22, 33), BuildOptions(default_padding=False),
-     "ce46f4298fccee2d1f1774758295e0e8ae4995260429d771539cf90a388d48ff"),
+     "0a9e14d30f721e34135f336937c40bd2bc567ad181e4686ef73e0305def8ed61"),
     (SeedTuple(11, 22, 33), BuildOptions(sp_fp_opt=True, nop_num=2,
                                          nop_den=3),
-     "30abc882ed20d32e81cf9a19e1c6cea7393af370c7c98eeb89e9e2d53264aa4b"),
+     "64682f027c982bd4efc7ea7172d7d625551db98bfd6180ccf43194f865b70a79"),
 ], ids=["default-11-22-33", "default-44-55-66", "desync-1-4",
         "no-default-padding", "sp-fp-opt-nop-2-3"])
 def test_prog000_payload_is_pinned(prog000, seeds, options, digest):
     _, _, dd = prog000_delta(prog000, seeds, options)
-    payload = deltadata._emit_payload(dd).encode()
-    assert hashlib.sha256(payload).hexdigest() == digest
+    body = b"".join(deltadata._body_sections(dd).values())
+    assert hashlib.sha256(body).hexdigest() == digest
 
 
 def test_apply_rejects_wrong_length():
@@ -354,17 +356,37 @@ def test_truncated_and_corrupt_containers():
         unpack(blob[:6] + struct.pack("<I", len(cut)) + cut)
 
 
-def test_version_1_container_is_refused():
-    text = deltadata._emit_payload(small_dd()).replace(
-        "DDATA v2", "DDATA v1").replace("PATCH v2 0 0", "PATCH v1 0")
-    comp = zlib.compressobj(6, zlib.DEFLATED, -15)
-    payload = comp.compress(text.encode()) + comp.flush()
-    blob = b"DBPD" + bytes([1, 0]) + struct.pack("<I", len(payload)) + payload
-    with pytest.raises(DeltaFormatError, match="unsupported version 1"):
+def test_bytes_after_the_deflate_stream_are_refused():
+    # one delta, one blob: junk after the stream, with the length field
+    # (and the tag) fixed, is refused, not ignored
+    key = b"secret-key"
+    blob = pack(small_dd(Patch((PatchOp("K", 3),))))
+    payload = blob[deltadata.HEADER_LEN:]
+    for junk in (b"\0", b"junk!!!", b"\xff" * 8):
+        padded = blob[:6] + struct.pack("<I", len(payload) + len(junk)) \
+            + payload + junk
+        with pytest.raises(DeltaFormatError, match="after the end of the "
+                           "DEFLATE stream"):
+            unpack(padded)
+        signed = padded[:5] + bytes([deltadata.FLAG_AUTH]) + padded[6:]
+        signed += hmac.new(key, signed, hashlib.sha256).digest()
+        with pytest.raises(DeltaFormatError, match="after the end of the "
+                           "DEFLATE stream"):
+            unpack(signed, key)
+
+
+def test_version_2_container_is_refused():
+    # the text payload of container version 2, as its writer emitted it
+    text = (b"DDATA v2\nseeds 0000000000000051 0000000000000052 "
+            b"0000000000000053\nnop 1/5\nflags default_padding=1 "
+            b"sp_fp_opt=0 pad=1 shuffle=1\nPATCH v2 0 1\nK 3\n")
+    blob = _plain_container(text)
+    with pytest.raises(DeltaFormatError, match="unsupported version 2"):
+        unpack(blob[:4] + bytes([2]) + blob[5:])
+    # a version 2 payload in a version 3 container is no body: its text
+    # reads as seeds, a nop fraction of 48/48 ("00") and flags "0" (0x30)
+    with pytest.raises(DeltaFormatError, match="unknown payload flags 0x30"):
         unpack(blob)
-    # a v1 payload in a v2 container is refused as well
-    with pytest.raises(DeltaFormatError, match="payload header"):
-        unpack(b"DBPD" + bytes([2]) + blob[5:])
 
 
 @pytest.mark.parametrize("error,edits", [
@@ -377,39 +399,125 @@ def test_unpack_rejects_malformed_payload_records(error, edits):
         unpack(edited_container(edits))
 
 
-@pytest.mark.parametrize("patch_text", [
-    "PATCH v2 0 1\nK -1", "PATCH v2 0 1\nS 2", "PATCH v2 0 1\nK x",
-    "PATCH v2 0 1\nR 1 3\nonly one line", "PATCH v2 0 -1",
-    "PATCH v2 0 1\nK 1 2", "PATCH v2 0", "PATCH v1 0",
-    "PATCH v2 -1 0", "PATCH v2 1 0\nG 0 0 4 5", "PATCH v2 1 0\nG -1 0 4",
-    "PATCH v2 1 0\nG 0 -4 4", "PATCH v2 1 0\nG 0 A 4",
-    "PATCH v2 1 0\nG 0 0 +4", "PATCH v2 1 0\nG 01 0 4",
-    "PATCH v2 1 0\nG 0 04 4", "PATCH v2 1 0\nG 0 0 -04",
-    "PATCH v2 1 0\nK 1", "PATCH v2 1 1\nK 1\nG 0 0 4",
-    "PATCH v2 1 0\nG %s 0 4" % ("1" * 5000),
-])
-def test_malformed_patch_ops_raise_patch_corrupt(patch_text):
-    text = deltadata._emit_payload(small_dd())
-    assert "PATCH v2 0 0" in text
+# Each case keeps the name of the text payload (container version 2) it
+# replaced; the comment gives the binary fault, as section edits of a
+# body with an empty patch.
+MALFORMED_PATCHES = {
+    # a keep count whose varint the body's end cuts
+    "PATCH v2 0 1\nK -1": {"counts": varints(0, 1), "kinds": b"K",
+                           "numbers": b"\xff"},
+    # a shift without its delta
+    "PATCH v2 0 1\nS 2": {"counts": varints(0, 1), "kinds": b"S",
+                          "numbers": varints(2)},
+    # a keep count varint of 21 bytes
+    "PATCH v2 0 1\nK x": {"counts": varints(0, 1), "kinds": b"K",
+                          "numbers": b"\x80" * 20 + b"\x01"},
+    # a replace op wanting 3 lines from a text of 1
+    "PATCH v2 0 1\nR 1 3\nonly one line": {
+        "counts": varints(0, 1), "kinds": b"R", "numbers": varints(1, 3),
+        "text": b"only one line\n"},
+    # -1 ops, as a 64-bit two's complement
+    "PATCH v2 0 -1": {"counts": varints(0, (1 << 64) - 1)},
+    # an insert op with a second number, which leaves its line short
+    "PATCH v2 0 1\nK 1 2": {"counts": varints(0, 1), "kinds": b"I",
+                            "numbers": varints(1, 2)},
+    # the body ends where the op count belongs
+    "PATCH v2 0": {"counts": varints(0)},
+    # the body ends where the growth record count belongs
+    "PATCH v1 0": {"counts": b""},
+    # -1 growth records, as a 64-bit two's complement
+    "PATCH v2 -1 0": {"counts": varints((1 << 64) - 1, 0)},
+    # a growth record with a fourth number, read as an op kind
+    "PATCH v2 1 0\nG 0 0 4 5": {"counts": varints(1, 1),
+                                "growth": varints(0, 0, 8, 10)},
+    # a growth record at index -1
+    "PATCH v2 1 0\nG -1 0 4": {"counts": varints(1, 0),
+                               "growth": varints(1, 0, 8)},
+    # an offset varint that the body's end cuts
+    "PATCH v2 1 0\nG 0 -4 4": {"counts": varints(1, 0),
+                               "growth": varints(0) + b"\xfc\xff"},
+    # an offset varint of 21 bytes
+    "PATCH v2 1 0\nG 0 A 4": {"counts": varints(1, 0),
+                              "growth": varints(0) + b"\x8a" * 20 + b"\x01"
+                              + varints(8)},
+    # non-minimal varints: bytes, index, offset, bytes again
+    "PATCH v2 1 0\nG 0 0 +4": {"counts": varints(1, 0),
+                               "growth": varints(0, 0) + b"\x88\x00"},
+    "PATCH v2 1 0\nG 01 0 4": {"counts": varints(1, 0),
+                               "growth": b"\x80\x00" + varints(0, 8)},
+    "PATCH v2 1 0\nG 0 04 4": {"counts": varints(1, 0),
+                               "growth": varints(0) + b"\x84\x00"
+                               + varints(8)},
+    "PATCH v2 1 0\nG 0 0 -04": {"counts": varints(1, 0),
+                                "growth": varints(0, 0) + b"\x87\x80\x00"},
+    # 1 growth record announced, an op written in its place
+    "PATCH v2 1 0\nK 1": {"counts": varints(1, 0), "kinds": b"K",
+                          "numbers": varints(1)},
+    # the op before the growth record: "K" reads as index delta -38
+    "PATCH v2 1 1\nK 1\nG 0 0 4": {"counts": varints(1, 1),
+                                   "growth": b"K" + varints(1, 0, 0, 8)},
+    # an index varint of 5000 bytes
+    "PATCH v2 1 0\nG %s 0 4" % ("1" * 5000): {
+        "counts": varints(1, 0),
+        "growth": b"\x81" * 4999 + b"\x01" + varints(0, 8)},
+}
+
+
+@pytest.mark.parametrize("edits", MALFORMED_PATCHES.values(),
+                         ids=MALFORMED_PATCHES)
+def test_malformed_patch_ops_raise_patch_corrupt(edits):
     with pytest.raises(PatchCorruptError):
-        deltadata._parse_payload(text.replace("PATCH v2 0 0", patch_text))
+        unpack(edited_container(edits))
 
 
-@pytest.mark.parametrize("old,new", [
-    ("seeds 0", "seeds x"), ("nop 1/5", "nop 1"), ("nop 1/5", "nop a/5"),
-    ("pad=1", "pad"), ("pad=1", "pad=x"), ("shuffle=1", "shuffle=1 pad=1"),
-])
+# As above, faults in the header; each case is named by the text edit it
+# replaced.
+MALFORMED_HEADERS = {
+    # seeds cut to 10 bytes
+    ("seeds 0", "seeds x"): {"seeds": struct.pack("<Q", 1) + b"\0\0"},
+    # the body ends after the nop numerator
+    ("nop 1/5", "nop 1"): {"nop": varints(1), "flags": b"", "counts": b""},
+    # a numerator varint of 21 bytes
+    ("nop 1/5", "nop a/5"): {"nop": b"\x81" * 20 + b"\x01" + varints(5)},
+    # the body ends after the nop fraction
+    ("pad=1", "pad"): {"flags": b"", "counts": b""},
+    # flag bits 4-7, none defined
+    ("pad=1", "pad=x"): {"flags": b"\xfd"},
+    ("shuffle=1", "shuffle=1 pad=1"): {"flags": b"\x2d"},
+}
+
+
+@pytest.mark.parametrize("old,new", MALFORMED_HEADERS)
 def test_malformed_header_records_raise_delta_format(old, new):
-    text = deltadata._emit_payload(small_dd())
-    assert old in text
     with pytest.raises(DeltaFormatError):
-        deltadata._parse_payload(text.replace(old, new, 1))
+        unpack(edited_container(MALFORMED_HEADERS[old, new]))
 
 
 @pytest.mark.parametrize("seeds", [SeedTuple(-1, 2, 3), SeedTuple(1, 1 << 64, 3)])
 def test_pack_refuses_seed_outside_64_bits(seeds):
     with pytest.raises(DeltaFormatError, match="seed outside"):
         pack(delta_from_options(seeds, OPTS, Patch()))
+
+
+@pytest.mark.parametrize("edits,message", [
+    ({"counts": varints(2, 0), "growth": varints(0, 0, 8)},
+     "growth record count 2 exceeds the 4 bytes left"),
+    ({"counts": varints(0, 3), "kinds": b"KK"}, "op count 3 exceeds"),
+    ({"counts": varints(0, 1), "kinds": b"I", "numbers": varints(3),
+      "text": b"a\n"}, "insert op 0 line count 3 exceeds the 2 bytes left"),
+], ids=["growth records", "ops", "insert lines"])
+def test_counts_past_the_bytes_left_are_refused(edits, message):
+    # refused on reading the count, before any item is read
+    with pytest.raises(PatchCorruptError, match="^" + message):
+        unpack(edited_container(edits))
+
+
+@pytest.mark.parametrize("patch", [
+    Patch((PatchOp("K", -1),)), Patch(growth=(Growth(0, -4, 4),))],
+    ids=["negative keep count", "negative growth offset"])
+def test_pack_refuses_a_negative_unsigned_field(patch):
+    with pytest.raises(DeltaFormatError, match="cannot pack negative"):
+        pack(small_dd(patch))
 
 
 def test_compression_never_explodes():

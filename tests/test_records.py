@@ -2,7 +2,8 @@
 
 Every text the crash server reads either parses or raises a DivsymError:
 the property tests below mutate real emitted texts one line at a time
-(drop, duplicate, truncate, replace a token) and feed them to each parser.
+(drop, duplicate, truncate, replace a token), and a delta body one byte
+at a time (flip, drop, insert, cut), and feed them to each parser.
 """
 
 import functools
@@ -23,7 +24,7 @@ from divsym.progmodel import (BuildOptions, emit_model, generate_corpus,
                               parse_model)
 from divsym.replicate import replicate
 from divsym.symfile import emit_symbol_file, parse_symbol_file
-from hostile import edited_container, line_edits, mutate
+from hostile import mutate, mutate_container
 from modeltools import sample_call_chains
 
 SEEDS = SeedTuple(0x51, 0x52, 0x53)
@@ -142,13 +143,14 @@ def test_mutated_symbol_file_parses_or_raises(which, data):
 @given(st.data())
 def test_mutated_delta_payload_parses_or_raises(data):
     patch = fuzz_texts()["patch"]
-    assert patch.growth    # so mutations reach the G lines too
-    payload = deltadata._emit_payload(
-        deltadata.DeltaData(seeds=SEEDS, patch=patch))
-    i, new = data.draw(line_edits(payload.split("\n")))
-    blob = edited_container({i: b"" if new is None else new.encode()},
-                            SEEDS, patch)
-    parses_or_raises(deltadata.unpack, blob)
+    assert patch.growth    # so mutations reach the growth records too
+    # and ops of every kind, so they reach each number and the text
+    patch = replace(patch, ops=patch.ops + (
+        deltadata.PatchOp("S", 3, delta=-8), deltadata.PatchOp("D", 2),
+        deltadata.PatchOp("R", 1, lines=("FUNC 10 8 0 f",)),
+        deltadata.PatchOp("I", lines=("10 8 1 1",))))
+    blob = deltadata.pack(deltadata.DeltaData(seeds=SEEDS, patch=patch))
+    parses_or_raises(deltadata.unpack, mutate_container(data, blob))
 
 
 # ---------------------------------------------------------------------------
