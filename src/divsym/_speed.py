@@ -4,22 +4,40 @@ draws and the ARM immediate check.
 This module is the one definition of the decision streams that the
 build side and the crash server both replay.
 
-nop_masks computes the SplitMix64 draws of many blocks at once.  Draw
-g of a block is mix64(seed + g * gamma), so no draw depends on
-another, within a block or across blocks: the draws of one NOP pass
-are laid end to end, one per 128-bit lane, and cut into chunks of
-CHUNK_LANES lanes, each packed into one Python int.  A chunk may hold
-the tail of one block, many small blocks and the head of the next.
-Every step of the finalizer (xor-shift, mask, multiply) is one big-int
-operation over all lanes of a chunk.  A 64-bit product fits its 128-bit
-lane, and masking each lane back to 64 bits before the next shift keeps
-one lane's bits out of its neighbour.  The low 32 bits of each draw are
-compared with the threshold by one subtraction that cannot borrow, and
-byte 4 of each lane is then 1 exactly where the gap fires.  Those
-bytes, read off with one slice per chunk and cut per block, are the
-blocks' NOP masks; a span's NOP count is then one bytes.count over it.
-nop_gaps is the one-block form.
+A DrawPlan draws the NOP masks of a sequence of blocks.  Block k's
+seed is reseed's mix64(prefixes[k] ^ scheme_seed), prefixes[k] being
+the FNV-1a-64 hash of the block's key, and its draw g is
+mix64(seed + g * gamma), so no draw depends on another, within a block
+or across blocks, and everything but the scheme seed is fixed per
+sequence of blocks.  The plan does that seed-free part once: it lays
+the draws of all blocks end to end, one per 128-bit lane, and cuts
+them into chunks of CHUNK_LANES lanes, each packed into one Python
+int.  A chunk may hold the tail of one block, many small blocks and
+the head of the next; each piece of a block in a chunk is a run.  For
+each run the plan keeps its block's prefix and its step, so that the
+run's start is the block's seed plus the step, the same in every lane
+of the run; and for each block the end of its mask.  Per scheme seed,
+masks() then reseeds every run at once, the runs as lanes of one
+packed int, repeats each run's start over its lanes, chunk by chunk,
+and draws each chunk with _fire: every step of the finalizer
+(xor-shift, mask, multiply) is one big-int operation over all lanes
+of a chunk.  A 64-bit product fits its 128-bit lane, and masking each
+lane back to 64 bits before the next shift keeps one lane's bits out
+of its neighbour.  The low 32 bits of each draw are compared with the
+threshold by one subtraction that cannot borrow, and byte 4 of each
+lane is then 1 exactly where the gap fires.  Those bytes, read off
+with one slice per chunk and cut per block, are the blocks' NOP
+masks; a span's NOP count is then one bytes.count over it.  Only the
+loop over chunks runs in Python; nothing loops over blocks.
+
+tail() draws one gap past a block's mask, and nop_gaps is the
+one-block form, drawn from the block's seed itself.
 """
+
+import sys
+from array import array
+from itertools import islice
+from struct import Struct
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -31,10 +49,19 @@ LANE_BITS = 8 * LANE_BYTES
 CHUNK_LANES = 2048     # lanes per packed int
 
 
-def _packed_lanes(lane):
-    """One full chunk with every 16-byte lane set to `lane`."""
-    return int.from_bytes(lane.ljust(LANE_BYTES, b"\0") * CHUNK_LANES,
-                          "little")
+def _packed_lanes(lane, n=CHUNK_LANES):
+    """n lanes, by default one full chunk, with every 16-byte lane set to
+    `lane`."""
+    return int.from_bytes(lane.ljust(LANE_BYTES, b"\0") * n, "little")
+
+
+def _packed(values):
+    """One packed int with the 64-bit values in its lanes, in order."""
+    lanes = array("Q", bytes(LANE_BYTES * len(values)))
+    lanes[::2] = values
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    return int.from_bytes(lanes, "little")
 
 
 # The packed constants of one full chunk, built once: ones, the 64- and
@@ -69,17 +96,21 @@ def reseed(identifier_utf8, scheme_seed):
     return mix64(fnv1a64(identifier_utf8) ^ (scheme_seed & MASK64))
 
 
-def _fire(starts, n, bias_ones):
-    """Byte 4 of each of the first n lanes of a chunk: 1 where the low
-    32 bits of lane j's draw, mix64(starts[j] + j * gamma), are below
-    the threshold that bias_ones (2^32 + threshold - 1 in every lane of
-    a full chunk) was made from."""
+def _fire(runs, bias_ones):
+    """Byte 4 of each lane of a chunk of n lanes, the lanes `runs` joins
+    to: 1 where the low 32 bits of lane j's draw, mix64(starts[j] + j *
+    gamma), are below the threshold that bias_ones (2^32 + threshold - 1
+    in every lane of a full chunk) was made from."""
+    starts = b"".join(runs)
+    n = len(starts) // LANE_BYTES
     m64, m32, steps = _M64, _M32, _STEPS
     if n < CHUNK_LANES:
         low = (1 << LANE_BITS * n) - 1
         m64, m32, steps = m64 & low, m32 & low, steps & low
         bias_ones &= low
-    z = (int.from_bytes(starts, "little") + steps) & m64
+    z = int.from_bytes(starts, "little")
+    del starts                  # one chunk's bytes fewer at the peak
+    z = (z + steps) & m64
     z = ((z ^ (z >> 30)) & m64) * 0xBF58476D1CE4E5B9 & m64
     # no mask after the last multiply: bits 0..31 of z ^ (z >> 31)
     # come from bits 0..62 of each lane, which the product holds
@@ -90,57 +121,107 @@ def _fire(starts, n, bias_ones):
     return (bias_ones - z).to_bytes(n * LANE_BYTES, "little")[4::LANE_BYTES]
 
 
-def nop_masks(seeds, counts, threshold):
-    """The NOP masks of many blocks, in order: for the k-th block,
-    counts[k] bytes, byte g-1 is 1 exactly when gap g (after
-    instruction g, 1-based) receives a NOP, else 0.
+class DrawPlan:
+    """The seed-free part of drawing the NOP masks of blocks.
 
-    One SplitMix64 draw per gap, from the block's seeds[k]; gap g fires
-    when the low 32 bits of draw g are below threshold.  threshold =
-    (num << 32) // den.  The draws of all blocks are computed together,
-    CHUNK_LANES at a time, one per lane of a packed int (see the module
-    docstring).  A count of 0 or less gives b"".
+    Block k has the key hash prefixes[k] and counts[k] gaps (none when
+    it is 0 or less).  Per scheme seed, masks() gives every block's
+    mask: counts[k] bytes, byte g-1 1 exactly when the low 32 bits of
+    draw g of the block's seed, mix64(prefixes[k] ^ scheme_seed), are
+    below the threshold, else 0.  The plan never changes after it is
+    built; its tables are arrays, packed ints and two Structs, about
+    150 bytes per block.
     """
-    # Outside [1, 2^32 - 1] no draw or every draw is below threshold,
-    # and past [0, 2^32] the lane subtraction would borrow or carry
-    # into the next lane.
-    if threshold <= 0:
-        return [bytes(max(n, 0)) for n in counts]
-    if threshold >= 1 << 32:
-        return [b"\x01" * n for n in counts]
-    bias_ones = (threshold + 0xFFFFFFFF) * _ONES
-    fired = []
-    starts = []
-    lane = 0        # the chunk lane the next draw goes to
-    for seed, n in zip(seeds, counts):
-        g = 1       # the block's next gap
-        while g <= n:
-            take = min(n - g + 1, CHUNK_LANES - lane)
-            # lane j draws gap g + j - lane: seed + (g - lane) * gamma
-            # in the lane, plus the chunk's step j * gamma
-            start = (seed + (g - lane) * SPLITMIX_GAMMA) & MASK64
-            starts.append(start.to_bytes(LANE_BYTES, "little") * take)
-            g += take
-            lane += take
-            if lane == CHUNK_LANES:
-                fired.append(_fire(b"".join(starts), lane, bias_ones))
-                starts.clear()
-                lane = 0
-    if lane:
-        fired.append(_fire(b"".join(starts), lane, bias_ones))
-    lanes = b"".join(fired)
-    masks = []
-    pos = 0
-    for n in counts:
-        end = pos + max(n, 0)
-        masks.append(lanes[pos:end])
-        pos = end
-    return masks
+
+    __slots__ = ("prefixes", "counts", "_masks", "_runs", "_takes",
+                 "_chunk_runs", "_run_prefixes", "_run_steps", "_ones")
+
+    def __init__(self, prefixes, counts):
+        self.prefixes = array("Q", prefixes)
+        self.counts = array("q", counts)
+        # cuts the fired bytes of one draw into the blocks' masks
+        self._masks = Struct("%ds" * len(self.counts)
+                             % tuple(max(n, 0) for n in self.counts))
+        takes = array("I")          # the lanes of each run
+        chunk_runs = array("I")     # the runs of each chunk
+        run_prefixes = array("Q")   # the prefix of each run's block
+        steps = array("Q")          # the step of each run
+        lane = 0                    # the chunk lane the next draw goes to
+        runs = 0                    # the runs of the chunk so far
+        for h, n in zip(self.prefixes, self.counts):
+            g = 1                   # the block's next gap
+            while g <= n:
+                take = min(n - g + 1, CHUNK_LANES - lane)
+                # lane j draws gap g + j - lane: seed + (g - lane) * gamma
+                # in the lane, plus the chunk's step j * gamma (_fire)
+                run_prefixes.append(h)
+                steps.append(((g - lane) * SPLITMIX_GAMMA) & MASK64)
+                takes.append(take)
+                g += take
+                lane += take
+                runs += 1
+                if lane == CHUNK_LANES:
+                    chunk_runs.append(runs)
+                    lane = runs = 0
+        if runs:
+            chunk_runs.append(runs)
+        # cuts the runs' starts, packed, into one lane each
+        self._runs = Struct("%ds" % LANE_BYTES * len(takes))
+        self._takes = takes
+        self._chunk_runs = chunk_runs
+        self._run_prefixes = _packed(run_prefixes)
+        self._run_steps = _packed(steps)
+        self._ones = _packed_lanes(b"\x01", len(takes))
+
+    def masks(self, scheme_seed, threshold):
+        """Every block's mask under scheme_seed, in order, a tuple."""
+        ones = self._ones
+        m64 = ones * MASK64
+        # reseed every run at once: mix64(prefix ^ scheme_seed) per lane
+        z = self._run_prefixes ^ (scheme_seed & MASK64) * ones
+        z = ((z ^ (z >> 30)) & m64) * 0xBF58476D1CE4E5B9 & m64
+        z = ((z ^ (z >> 27)) & m64) * 0x94D049BB133111EB & m64
+        return self._masks.unpack(self._lanes((z ^ (z >> 31)) & m64,
+                                              threshold))
+
+    def tail(self, k, scheme_seed, threshold):
+        """Byte counts[k] of block k's mask were it one gap longer: the
+        mask of counts[k] + 1 gaps is masks()[k] plus this byte (b""
+        when that mask is empty)."""
+        n = self.counts[k]
+        if n < 0:
+            return b""
+        seed = mix64(self.prefixes[k] ^ (scheme_seed & MASK64))
+        draw = mix64(seed + (n + 1) * SPLITMIX_GAMMA)
+        return b"\x01" if (draw & 0xFFFFFFFF) < threshold else b"\x00"
+
+    def _lanes(self, run_seeds, threshold):
+        """The fired byte of every draw, the blocks' masks end to end,
+        from each run's block seed packed as the lane of the run."""
+        total = self._masks.size
+        # Outside [1, 2^32 - 1] no draw or every draw is below threshold,
+        # and past [0, 2^32] the lane subtraction would borrow or carry
+        # into the next lane.
+        if threshold <= 0:
+            return bytes(total)
+        if threshold >= 1 << 32:
+            return b"\x01" * total
+        starts = ((run_seeds + self._run_steps) & self._ones * MASK64) \
+            .to_bytes(self._runs.size, "little")
+        # each run's start, repeated over its lanes; a chunk joins its runs'
+        runs = map(bytes.__mul__, self._runs.unpack(starts), self._takes)
+        bias_ones = (threshold + 0xFFFFFFFF) * _ONES
+        return b"".join([_fire(islice(runs, k), bias_ones)
+                         for k in self._chunk_runs])
 
 
 def nop_gaps(seed, n_gaps, threshold):
-    """The NOP mask of one block: nop_masks of that block alone."""
-    return nop_masks((seed,), (n_gaps,), threshold)[0]
+    """The NOP mask of one block, drawn from its seed: n_gaps bytes, byte
+    g-1 1 exactly when the low 32 bits of mix64(seed + g * gamma) are
+    below threshold.  A DrawPlan of that block alone, every run of it
+    starting from `seed`."""
+    plan = DrawPlan((0,), (n_gaps,))
+    return plan._lanes((seed & MASK64) * plan._ones, threshold)
 
 
 def arm_imm_encodable(v):

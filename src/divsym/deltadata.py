@@ -47,7 +47,7 @@ import itertools
 import struct
 import zlib
 from dataclasses import astuple, dataclass, field
-from operator import attrgetter
+from operator import attrgetter, eq, sub
 
 from divsym.diversify import SeedTuple
 from divsym.errors import (AuthenticationError, DeltaFormatError,
@@ -55,7 +55,8 @@ from divsym.errors import (AuthenticationError, DeltaFormatError,
                            SymbolParseError)
 from divsym.progmodel import BuildOptions
 from divsym.symfile import (CfiInitRecord, FuncRecord, LineRecord,
-                            SymbolFile, entry_text, parse_entry,
+                            SymbolFile, cfi_entries, entry_text, func_entries,
+                            header_entries, parse_entry, public_entries,
                             symbol_file_entries, symbol_file_from_entries,
                             validate)
 
@@ -267,42 +268,49 @@ def replay(sf, growth):
 # ---------------------------------------------------------------------------
 # diff
 
-def _sections(sf):
-    """The entry count of each of sf's segments, by section: its header,
-    each FUNC block, its PUBLICs if any, and each CFI block."""
-    return ([bool(sf.module_id) + len(sf.files)],
-            [1 + len(f.lines) for f in sf.funcs],
-            [len(sf.publics)] if sf.publics else [],
-            [1 + len(c.deltas) for c in sf.cfi_regions])
-
-
 def _take(entries, n):
     """The next n entries of an iterator, or as many as are left."""
     return list(itertools.islice(entries, n))
 
 
-def _shift_runs(a, b):
-    """Ops for equal-length entry runs: per-entry shift classification."""
+def _shift_ops(a, b, texts):
+    """K, S and R ops for equal-length sequences of records a and b, each
+    record a tuple of its address and its other fields, all of one
+    length.  A run of records equal to their counterparts but for one
+    address delta is kept (delta 0) or shifted; a run of others is
+    replaced by texts(i, j), the lines of b[i:j]."""
+    if not a:
+        return []
+    # by columns: the address, then the other fields
+    addr_a, *rest_a = zip(*a)
+    addr_b, *rest_b = zip(*b)
+    deltas = list(map(sub, addr_b, addr_a))
+    if rest_a == rest_b:
+        if deltas.count(deltas[0]) == len(deltas):
+            return [_shifted(len(deltas), deltas[0])]
+        keys = zip(itertools.repeat(True), deltas)
+    else:
+        keys = zip(map(eq, zip(*rest_a), zip(*rest_b)), deltas)
     ops = []
-    deltas = []
-    for x, y in zip(a, b):
-        if x == y:
-            deltas.append(0)
-        elif x[1] is not None and (x[0], x[2]) == (y[0], y[2]):
-            deltas.append(y[1] - x[1])
-        else:
-            deltas.append(None)
     i = 0
-    for d, run in itertools.groupby(deltas):
+    for (same, delta), run in itertools.groupby(keys):
         n = len(list(run))
-        if d is None:
-            ops.append(PatchOp("R", n, lines=_texts(b[i:i + n])))
-        elif d == 0:
-            ops.append(PatchOp("K", n))
-        else:
-            ops.append(PatchOp("S", n, delta=d))
+        ops.append(_shifted(n, delta) if same
+                   else PatchOp("R", n, lines=texts(i, i + n)))
         i += n
     return ops
+
+
+def _shifted(n, delta):
+    """The op for n records equal but for an address delta."""
+    return PatchOp("S", n, delta=delta) if delta else PatchOp("K", n)
+
+
+def _entry_records(entries):
+    """Entries as records for _shift_ops: the address first, 0 for a
+    MODULE or FILE entry, which has none, so no run shifts it."""
+    return [(0 if addr is None else addr, kind, fields)
+            for kind, addr, fields in entries]
 
 
 def _texts(entries):
@@ -310,8 +318,11 @@ def _texts(entries):
 
 
 def _diff_entries(a, b):
+    """Ops turning entries a into entries b: by _shift_ops when their
+    lengths are equal, else along difflib's matching blocks."""
     if len(a) == len(b):
-        return _shift_runs(a, b)
+        return _shift_ops(_entry_records(a), _entry_records(b),
+                          lambda i, j: _texts(b[i:j]))
     sm = difflib.SequenceMatcher(None, a, b, autojunk=False)
     ops = []
     for tag, i1, i2, j1, j2 in sm.get_opcodes():
@@ -320,9 +331,38 @@ def _diff_entries(a, b):
         elif tag == "insert":
             ops.append(PatchOp("I", lines=_texts(b[j1:j2])))
         elif i2 - i1 == j2 - j1:    # equal, or replaced by as many
-            ops.extend(_shift_runs(a[i1:i2], b[j1:j2]))
+            ops.extend(_diff_entries(a[i1:i2], b[j1:j2]))
         else:
             ops.append(PatchOp("R", i2 - i1, lines=_texts(b[j1:j2])))
+    return ops
+
+
+def _func_records(f):
+    """A FUNC's own record, then its line records: four fields each."""
+    return ((f.address, f.size, f.param_size, f.name),) + f.lines
+
+
+def _cfi_records(c):
+    """A CFI region's INIT record, then its deltas: two fields each."""
+    return ((c.address, (c.size, c.init_rules)),) + c.deltas
+
+
+def _diff_segments(xs, ys, records, entries):
+    """Ops turning the segments xs into the segments ys, paired by
+    position, each segment a FUNC or a CFI region with its lines.  A
+    pair of equal length is diffed on its records, and only the lines
+    it replaces become entries; any other pair, or a surplus segment,
+    goes through entries whole."""
+    ops = []
+    for x, y in itertools.zip_longest(xs, ys):
+        a = () if x is None else records(x)
+        b = () if y is None else records(y)
+        if len(a) == len(b):
+            ops += _shift_ops(a, b, lambda i, j, y=y: _texts(
+                itertools.islice(entries(y), i, j)))
+        else:
+            ops += _diff_entries([] if x is None else list(entries(x)),
+                                 [] if y is None else list(entries(y)))
     return ops
 
 
@@ -342,23 +382,27 @@ def diff(approx, truth):
     """Growth records plus the edit script that turns the approximation,
     with the records replayed, into the exact symbol file.
 
-    Each section's segments pair by position, segment i of the
-    approximation with segment i of the truth, so a desync in one
-    function never degrades the encoding of its neighbours; a surplus
-    segment on either side is deleted or inserted whole.  A truth that
-    fails validate() raises SymbolFormatError.
+    Each section's segments pair by position: the header, FUNC i of the
+    approximation with FUNC i of the truth, the PUBLICs, and CFI region
+    i with CFI region i, so a desync in one function never degrades the
+    encoding of its neighbours; a surplus segment on either side is
+    deleted or inserted whole.  A FUNC or CFI pair of equal length is
+    diffed function by function, on its records: each record's shift
+    comes from the records themselves, and only the lines of a replaced
+    run are made into entries.  A pair of unequal length is diffed on
+    its entries.  A truth that fails validate() raises SymbolFormatError.
     """
     validate(truth)
     growth = derive_growth(approx, truth)
     approx = replay(approx, growth)
-    # entries are made segment by segment and die with it: held for the
-    # whole diff, they would reach the collector's oldest generation
-    a = symbol_file_entries(approx)
-    b = symbol_file_entries(truth)
-    ops = []
-    for sizes_a, sizes_b in zip(_sections(approx), _sections(truth)):
-        for n, m in itertools.zip_longest(sizes_a, sizes_b, fillvalue=0):
-            ops.extend(_diff_entries(_take(a, n), _take(b, m)))
+    ops = _diff_entries(list(header_entries(approx)),
+                        list(header_entries(truth)))
+    ops += _diff_segments(approx.funcs, truth.funcs, _func_records,
+                          func_entries)
+    ops += _diff_entries(list(public_entries(approx)),
+                         list(public_entries(truth)))
+    ops += _diff_segments(approx.cfi_regions, truth.cfi_regions,
+                          _cfi_records, cfi_entries)
     return Patch(tuple(_coalesce(ops)), growth)
 
 

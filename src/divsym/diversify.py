@@ -15,9 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress, count, repeat
+from operator import contains, itemgetter
 from types import SimpleNamespace
 
-from divsym._speed import FNV_PRIME, MASK64, fnv1a64, mix64, nop_masks
+from divsym._speed import FNV_PRIME, MASK64, DrawPlan, fnv1a64, mix64
 from divsym.errors import ModelError
 from divsym.prng import Prng
 from divsym.progmodel import ALIGNMENTS, SAVEABLE, BuildOptions, layout
@@ -25,7 +27,7 @@ from divsym.records import fields, read_records
 
 __all__ = [
     "SeedTuple", "function_padding",
-    "function_order", "gap_decisions", "clear_gap_memo",
+    "function_order", "draw_plan", "gap_decisions", "clear_gap_memo",
     "shuffle_permutation", "desync_blocks", "build_default",
     "build_diversified", "OpportunityLog", "LogFunction", "LogBlock",
     "DecisionLog", "log_from_layout", "emit_opportunity_log",
@@ -94,12 +96,6 @@ def function_padding(identifier, seeds, options):
     return DEFAULT_PAD if options.default_padding else 0
 
 
-# The draws of one (nop_seed, num, den): (that triple, {(identifier,
-# block_index, n_gaps): mask}).  A call with another triple replaces the
-# whole slot in one assignment, so threads under the GIL never see a
-# dict tagged with the wrong triple.
-_drawn = (None, {})
-
 # Identifiers whose hash is cached: four times the functions of the
 # largest generated program, about 240 KB besides the identifiers
 # themselves.
@@ -109,21 +105,53 @@ BLOCK_HASH_CACHE = 2048
 @lru_cache(maxsize=BLOCK_HASH_CACHE)
 def _identifier_hash(identifier):
     """FNV-1a-64 of the identifier, hashed once per function: the
-    padding draw starts from it, and the reseed hashes of its blocks and
-    of its desync draw continue it (_reseed)."""
+    padding draw starts from it, and the hashes of its blocks' keys and
+    of its desync draw continue it (_prefix)."""
     return fnv1a64(identifier.encode("utf-8"))
 
 
-def _reseed(identifier, suffix, scheme_seed):
-    """function_reseed(identifier + suffix, scheme_seed), continuing the
-    cached identifier hash over the suffix bytes."""
+def _prefix(identifier, suffix):
+    """FNV-1a-64 of identifier + suffix, continuing the cached identifier
+    hash over the suffix bytes."""
     h = _identifier_hash(identifier)
     for b in suffix:
         h = ((h ^ b) * FNV_PRIME) & MASK64
-    return mix64(h ^ (scheme_seed & MASK64))
+    return h
 
 
-def gap_decisions(keys, nop_seed, num, den):
+def _reseed(identifier, suffix, scheme_seed):
+    """function_reseed(identifier + suffix, scheme_seed)."""
+    return mix64(_prefix(identifier, suffix) ^ (scheme_seed & MASK64))
+
+
+# The last draws: (key tuple, its DrawPlan, (nop_seed, num, den), the
+# masks drawn on that plan for that triple), the last two None when
+# nothing is drawn yet.  One slot, replaced in one assignment, so
+# threads under the GIL never see masks tagged with the wrong keys or
+# triple.
+_draws = ((), None, None, None)
+
+
+def _slot(keys):
+    """The slot, if it holds an equal key tuple, else a new one holding
+    the DrawPlan of `keys` and no masks, which replaces it."""
+    global _draws
+    slot = _draws
+    if slot[1] is None or slot[0] is not keys and slot[0] != keys:
+        slot = (keys, DrawPlan([_prefix(ident, b"#%d" % bi)
+                                for ident, bi, _ in keys],
+                               [n for _, _, n in keys]), None, None)
+        _draws = slot
+    return slot
+
+
+def draw_plan(keys):
+    """The DrawPlan of a key tuple (gap_decisions): the slot's if its key
+    tuple is equal, else a new one, which takes the slot."""
+    return _slot(tuple(keys))[1]
+
+
+def gap_decisions(keys, nop_seed, num, den, tails=()):
     """The NOP masks of code blocks, one per key, in order.
 
     Each key is (identifier, block_index, n_gaps); its mask has n_gaps
@@ -132,41 +160,40 @@ def gap_decisions(keys, nop_seed, num, den):
     one draw per gap; a gap fires when the draw's low 32 bits are below
     num/den of 2^32.  Raises ModelError unless 0 <= num/den <= 1.
 
-    The build system and the replicator each call this once per pass,
-    and a mask is a pure function of its key and (nop_seed, num, den),
-    so masks are memoised for the last (nop_seed, num, den): a build
-    followed by a replicate with the same seeds draws each code block
-    once.  A block whose gap count differs between the two (a desynced
-    block) draws again.  The misses of a call are drawn together
-    (_speed.nop_masks).
+    The key at each index in `tails` is drawn one gap longer: its mask
+    is the key's mask plus the draw of gap n_gaps + 1, which is how a
+    desynced block (desync_blocks) gets the draws of its one phantom
+    instruction more.
+
+    The draws come from the DrawPlan of the key tuple (draw_plan), and
+    the masks of the last (key tuple, nop_seed, num, den) are kept in
+    one slot, before any tail draw.  The build system and the
+    replicator each call this once per pass, with equal key tuples: the
+    build's base keys are the replicator's, in model order, and the
+    build's desynced blocks are tail draws.  So a build followed by a
+    replicate with the same seeds draws each code block once, and the
+    replicate draws nothing.
     """
-    global _drawn
+    global _draws
     if num < 0 or den <= 0 or num > den:
         raise ModelError("NOP probability %d/%d outside [0, 1]" % (num, den))
-    if num == 0:
-        return [bytes(max(n, 0)) for _, _, n in keys]
-    tag = (nop_seed, num, den)
-    drawn_tag, drawn = _drawn
-    if drawn_tag != tag:
-        drawn = {}
-        _drawn = (tag, drawn)
-    masks = [drawn.get(key) for key in keys]
-    if None in masks:
-        missing = list(dict.fromkeys(key for key, mask in zip(keys, masks)
-                                     if mask is None))
-        drawn.update(zip(missing, nop_masks(
-            [_reseed(ident, b"#%d" % bi, nop_seed)
-             for ident, bi, _ in missing],
-            [n for _, _, n in missing], (num << 32) // den)))
-        masks = [drawn[key] for key in keys]
+    keys, plan, tag, masks = _slot(tuple(keys))
+    threshold = (num << 32) // den
+    if masks is None or tag != (nop_seed, num, den):
+        masks = plan.masks(nop_seed, threshold)
+        _draws = (keys, plan, (nop_seed, num, den), masks)
+    masks = list(masks)
+    for k in tails:
+        masks[k] += plan.tail(k, nop_seed, threshold)
     return masks
 
 
 def clear_gap_memo():
-    """Empty the gap_decisions memo, so the next draws are cold (as on a
-    crash server, which never ran the build)."""
-    global _drawn
-    _drawn = (None, {})
+    """Drop the masks gap_decisions keeps, not the plan they were drawn
+    on, so the next draws are cold (as on a crash server, which never
+    ran the build)."""
+    global _draws
+    _draws = _draws[:2] + (None, None)
 
 
 def mask_gaps(mask):
@@ -179,30 +206,27 @@ def _nop_pass(model, nop_seed, num, den, desyncs=()):
     the whole program.  The masks hold, per function and per block,
     (mask, phantom) for a code block, or None for a data block.
 
-    A block in `desyncs` (desync_blocks) is drawn one instruction
-    longer, and its phantom is 1 (else 0): one more instruction, which
-    the layout adds to the block's last span.
+    The keys are the model's gap_keys, the code blocks' in model order,
+    as the replicator draws them.  A block in `desyncs` (desync_blocks)
+    is drawn one gap longer, by a tail draw, and its phantom is 1 (else
+    0): one more instruction, which the layout adds to the block's last
+    span.
     """
+    keys = model.gap_keys
     hit = set(desyncs)
-    keys = [(f.identifier, b.index, b.instr_count - 1
-             + ((f.identifier, b.index) in hit))
-            for f in model.functions for b in f.blocks if b.kind == "code"]
-    masks = iter(gap_decisions(keys, nop_seed, num, den))
-    per_function = []
-    nops = []
-    for f in model.functions:
-        ident = f.identifier
-        blocks = []
-        for b in f.blocks:
-            if b.kind != "code":
-                blocks.append(None)
-                continue
-            mask = next(masks)
-            if 1 in mask:
-                nops.append((ident, b.index, mask))
-            blocks.append((mask, int((ident, b.index) in hit)))
-        per_function.append(tuple(blocks))
-    return tuple(per_function), tuple(nops)
+    tails = list(compress(count(), map(hit.__contains__,
+                                       map(itemgetter(0, 1), keys))))
+    masks = gap_decisions(keys, nop_seed, num, den, tails)
+    entries = list(zip(masks, repeat(0)))
+    for k in tails:
+        entries[k] = (masks[k], 1)
+    entries.append(None)        # entry -1, every data block's
+    per_function = tuple(tuple(map(entries.__getitem__, slots))
+                         for slots in model.gap_slots)
+    nops = tuple(compress(zip(map(itemgetter(0), keys),
+                              map(itemgetter(1), keys), masks),
+                          map(contains, masks, repeat(1))))
+    return per_function, nops
 
 
 def shuffle_permutation(n, shuffle_seed):

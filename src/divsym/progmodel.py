@@ -131,6 +131,23 @@ class ProgramModel:
         validate_model(self)
         return True
 
+    @cached_property
+    def gap_keys(self):
+        """The NOP draw key of each code block, in model order:
+        (function identifier, block index, gaps), one gap after each of
+        its instructions but the last (diversify.gap_decisions)."""
+        return tuple((f.identifier, b.index, b.instr_count - 1)
+                     for f in self.functions for b in f.blocks
+                     if b.kind == "code")
+
+    @cached_property
+    def gap_slots(self):
+        """Per function, per block: the position of the block's key in
+        gap_keys, or -1 for a data block."""
+        keys = iter(range(len(self.gap_keys)))
+        return tuple(tuple(next(keys) if b.kind == "code" else -1
+                           for b in f.blocks) for f in self.functions)
+
 
 class Region(NamedTuple):
     address: int

@@ -35,10 +35,11 @@ objects build it once.
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import accumulate
 from typing import NamedTuple
 
-from divsym.diversify import (LogFunction, function_order, function_padding,
-                              gap_decisions)
+from divsym.diversify import (LogFunction, draw_plan, function_order,
+                              function_padding, gap_decisions)
 from divsym.errors import ReplicationInputError
 from divsym.progmodel import (INSTR_BYTES, align_up, epilogue_extras,
                               prologue_extras)
@@ -228,6 +229,12 @@ class ReplicationPlan:
         self.functions = tuple(_plan_function(func, cfi, lf, options, share)
                                for func, cfi, lf in
                                _pair_records(default_sf, log))
+        # the draw key of every code block, in model order, and the index
+        # of each function's first one
+        self.keys = tuple(key for fp in self.functions for key in fp.keys)
+        self.first = tuple(accumulate((len(fp.keys) for fp in self.functions),
+                                      initial=0))
+        draw_plan(self.keys)
 
     def replicate(self, seeds, options):
         """Approximate diversified symbol file for seeds and options, whose
@@ -237,16 +244,16 @@ class ReplicationPlan:
                 "plan built for default_padding=%s" % self.default_padding)
         fplans = self.functions
         order = function_order(len(fplans), seeds, options)
-        masks = iter(gap_decisions(
-            [key for idx in order for key in fplans[idx].keys],
-            seeds.nop_seed, options.nop_num, options.nop_den))
+        masks = gap_decisions(self.keys, seeds.nop_seed, options.nop_num,
+                              options.nop_den)
+        first = self.first
         funcs = []
         cfi_regions = []
         cursor = 0
         for idx in order:
             f, c = _replicate_function(fplans[idx], seeds, options,
                                        align_up(cursor, fplans[idx].lf.alignment),
-                                       masks)
+                                       masks[first[idx]:first[idx + 1]])
             funcs.append(f)
             cfi_regions.append(c)
             cursor = f.address + f.size
@@ -258,7 +265,7 @@ class ReplicationPlan:
 
 def _replicate_function(fp, seeds, options, fbase, masks):
     """(FuncRecord, CfiInitRecord) of one planned function placed at
-    fbase; `masks` yields the NOP mask of each of its code blocks in
+    fbase; `masks` holds the NOP mask of each of its code blocks in
     order."""
     func, cfi, lf, _, blocks, tail, planned_deltas = fp
     total_new = lf.local_size + function_padding(lf.identifier, seeds, options)
@@ -273,8 +280,7 @@ def _replicate_function(fp, seeds, options, fbase, masks):
     spans = []          # (new start, new end) of each code block
     cursor = 0
     recs = iter(func.lines)
-    for gap, items in blocks:
-        mask = next(masks)
+    for (gap, items), mask in zip(blocks, masks):
         cursor += gap
         start = cursor
         # zip takes the next item first, so recs stays at the next block

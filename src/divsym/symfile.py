@@ -228,20 +228,40 @@ def _rule_items(rules):
 def symbol_file_entries(sf: SymbolFile):
     """The entries of sf's canonical lines, in order, one at a time.  sf
     is not validated."""
+    yield from header_entries(sf)
+    for f in sf.funcs:
+        yield from func_entries(f)
+    yield from public_entries(sf)
+    for c in sf.cfi_regions:
+        yield from cfi_entries(c)
+
+
+def header_entries(sf: SymbolFile):
+    """The entries of sf's MODULE and FILE lines."""
     if sf.module_id:
         yield ("MODULE", None, (sf.module_id,))
     for fp in sf.files:
         yield ("FILE", None, fp)
-    for f in sf.funcs:
-        yield ("FUNC", f.address, (f.size, f.param_size, f.name))
-        for ln in f.lines:
-            yield ("LINE", ln[0], ln[1:])
+
+
+def func_entries(f: FuncRecord):
+    """The entries of a FUNC line and its line records."""
+    yield ("FUNC", f.address, (f.size, f.param_size, f.name))
+    for ln in f.lines:
+        yield ("LINE", ln[0], ln[1:])
+
+
+def public_entries(sf: SymbolFile):
+    """The entries of sf's PUBLIC lines."""
     for addr, name in sf.publics:
         yield ("PUBLIC", addr, (name,))
-    for c in sf.cfi_regions:
-        yield ("CFI INIT", c.address, (c.size, _rule_items(c.init_rules)))
-        for addr, rules in c.deltas:
-            yield ("CFI", addr, (_rule_items(rules),))
+
+
+def cfi_entries(c: CfiInitRecord):
+    """The entries of a STACK CFI INIT line and its deltas."""
+    yield ("CFI INIT", c.address, (c.size, _rule_items(c.init_rules)))
+    for addr, rules in c.deltas:
+        yield ("CFI", addr, (_rule_items(rules),))
 
 
 # The line of each entry kind: its address, if any, then its fields.

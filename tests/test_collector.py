@@ -574,7 +574,8 @@ def test_corpus_metrics_text_is_pinned(seeds, options, digest):
 def test_corpus_metrics_times_a_cold_reconstruction(monkeypatch):
     # the writer's replicate reuses the build's draws; the timed
     # reconstruction after it must draw every block again, as a crash
-    # server that never ran the build would
+    # server that never ran the build would, on the draw plan the
+    # server's replication plan built
     model = _model()
     _, log = build_default(model, OPTS)
     blocks = sum(1 for f in log.functions for b in f.blocks
@@ -595,12 +596,21 @@ def test_corpus_metrics_times_a_cold_reconstruction(monkeypatch):
         builds.append(len(per_replicate))
         real_build(plan, *args)
 
-    def drawing(seeds, counts, threshold):
-        # a block with no gap draws nothing
-        draws.extend(seed for seed, n in zip(seeds, counts) if n > 0)
-        return _speed.nop_masks(seeds, counts, threshold)
+    masks = _speed.DrawPlan.masks
+    plans = []
+    real_plan = _speed.DrawPlan.__init__
 
-    monkeypatch.setattr(diversify, "nop_masks", drawing)
+    def drawing(plan, scheme_seed, threshold):
+        # a block with no gap draws nothing
+        draws.extend(n for n in plan.counts if n > 0)
+        return masks(plan, scheme_seed, threshold)
+
+    def planning(plan, *args):
+        plans.append(len(builds))
+        real_plan(plan, *args)
+
+    monkeypatch.setattr(_speed.DrawPlan, "masks", drawing)
+    monkeypatch.setattr(_speed.DrawPlan, "__init__", planning)
     monkeypatch.setattr(ReplicationPlan, "replicate", counted)
     monkeypatch.setattr(ReplicationPlan, "__init__", building)
     diversify.clear_gap_memo()
@@ -610,7 +620,9 @@ def test_corpus_metrics_times_a_cold_reconstruction(monkeypatch):
     # combined scheme's reconstruction
     assert per_replicate == [0, 0, 0, 0, blocks]
     # with the one plan the server built before any of them, and timed
-    # apart from them
+    # apart from them; its draw plan was built with it, and every build
+    # and replicate drew on that one
     assert builds == [0]
+    assert plans == [1]
     assert set(rep.timings) == {"plan", "delta_generation", "reconstruction"}
     assert all(t > 0 for t in rep.timings.values())

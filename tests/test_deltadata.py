@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import hmac
+import itertools
 import random
 import struct
 
@@ -16,7 +17,7 @@ from divsym.errors import (AuthenticationError, DeltaFormatError,
 from divsym.progmodel import BuildOptions, generate_corpus
 from divsym.replicate import replicate
 from divsym.symfile import (CfiInitRecord, FuncRecord, LineRecord, SymbolFile,
-                            emit_symbol_file)
+                            emit_symbol_file, symbol_file_entries)
 from hostile import (HEADER_FAULTS, PATCH_FAULTS, _plain_container,
                      edited_container, growth_faults, op_faults, varints)
 from sfgen import random_symbol_file
@@ -94,6 +95,93 @@ def test_diff_apply_round_trip_on_random_pairs():
         b = random_symbol_file(seed + 1000)
         p = diff(a, b)
         assert emit_symbol_file(apply(a, p)) == emit_symbol_file(b)
+
+
+def _entry_oracle(approx, truth):
+    """The patch ops of diff, made on entries alone: both files' entries
+    cut into segments (the header, each FUNC, the PUBLICs, each CFI
+    region), segment i paired with segment i by section and diffed by
+    _diff_entries, a surplus segment against none, then coalesced."""
+    def sections(sf):
+        entries = iter(symbol_file_entries(sf))
+        sizes = ([bool(sf.module_id) + len(sf.files)],
+                 [1 + len(f.lines) for f in sf.funcs],
+                 [len(sf.publics)] if sf.publics else [],
+                 [1 + len(c.deltas) for c in sf.cfi_regions])
+        return [[[next(entries) for _ in range(n)] for n in section]
+                for section in sizes]
+
+    ops = []
+    for xs, ys in zip(sections(approx), sections(truth)):
+        for a, b in itertools.zip_longest(xs, ys, fillvalue=[]):
+            ops += deltadata._diff_entries(a, b)
+    return tuple(deltadata._coalesce(ops))
+
+
+def _edit_func(sf, i, **changes):
+    funcs = list(sf.funcs)
+    funcs[i] = dataclasses.replace(funcs[i], **changes)
+    return dataclasses.replace(sf, funcs=tuple(funcs))
+
+
+def _edit_cfi(sf, i, **changes):
+    regions = list(sf.cfi_regions)
+    regions[i] = dataclasses.replace(regions[i], **changes)
+    return dataclasses.replace(sf, cfi_regions=tuple(regions))
+
+
+def _diff_cases():
+    """(name, approx, truth, op kinds its patch holds), each file valid."""
+    sf = random_symbol_file(7, n_funcs=8)
+    f3 = sf.funcs[3]
+    line = f3.lines[0]
+    c = next(i for i, c in enumerate(sf.cfi_regions) if len(c.deltas) > 1)
+    deltas = sf.cfi_regions[c].deltas
+    moved = shift_function(shift_function(sf, 6, 12), 7, 12)
+    yield "kept", sf, sf, "K"
+    yield "shifted", sf, moved, "KS"
+    yield "shifted function, kept CFI", sf, shift_function(sf, 7, 8, False), \
+        "KS"
+    yield "changed line", sf, _edit_func(
+        moved, 3, lines=(line._replace(line=line.line + 1),) + f3.lines[1:]), \
+        "KSR"
+    yield "changed FUNC name", sf, _edit_func(moved, 2, name="renamed"), "KSR"
+    yield "line record split", sf, _edit_func(sf, 3, lines=(
+        line._replace(size=4), line._replace(address=line.address + 4,
+                                             size=line.size - 4))
+        + f3.lines[1:]), "KR"
+    yield "surplus function in the truth", dataclasses.replace(
+        sf, funcs=sf.funcs[:-1], cfi_regions=sf.cfi_regions[:-1]), sf, "KI"
+    yield "surplus function in the approximation", sf, dataclasses.replace(
+        sf, funcs=sf.funcs[:-1], cfi_regions=sf.cfi_regions[:-1]), "KD"
+    yield "changed CFI INIT rules", sf, _edit_cfi(moved, 5, init_rules={
+        **sf.cfi_regions[5].init_rules, ".cfa": ("sp", 1000, "+")}), "KSR"
+    yield "changed CFI delta rules", sf, _edit_cfi(moved, c, deltas=tuple(
+        (addr, {**rules, "r4": ("sp", 8, "+")}) for addr, rules in deltas)), \
+        "KSR"
+    yield "CFI delta dropped", sf, _edit_cfi(moved, c, deltas=deltas[1:]), \
+        "KSD"
+    yield "PUBLIC added", sf, dataclasses.replace(
+        moved, publics=sf.publics + ((0xFFFF0, "late"),)), "KSI"
+    model = generate_corpus(5, 1)[0]
+    options = BuildOptions(desync_num=1, desync_den=3)
+    dres, log = build_default(model, options)
+    for k, seeds in enumerate((SEEDS, SeedTuple(1, 2, 3))):
+        truth, _ = build_diversified(model, seeds, options)
+        yield "pipeline %d" % k, replicate(dres.symfile, log, seeds, options), \
+            truth.symfile, "KS"
+
+
+@pytest.mark.parametrize("approx,truth,kinds", [
+    pytest.param(*case, id=name) for name, *case in _diff_cases()])
+def test_diff_by_function_is_the_entry_level_diff(approx, truth, kinds):
+    # diff pairs FUNC and CFI segments by position and takes the shifts
+    # of equal-length ones from their records; the oracle makes every
+    # line an entry
+    p = diff(approx, truth)
+    assert {op.op for op in p.ops} == set(kinds)
+    assert p.ops == _entry_oracle(replay(approx, p.growth), truth)
+    assert apply(approx, p) == truth
 
 
 def grow_line(sf, fi, li, n):

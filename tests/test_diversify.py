@@ -310,24 +310,75 @@ def _oracle_mask(identifier, block_index, n_gaps, nop_seed, num, den):
     return _speed.nop_gaps(seed, n_gaps, (num << 32) // den)
 
 
-def test_block_seed_is_the_function_reseed_of_the_block_key(monkeypatch):
+def test_block_seed_is_the_function_reseed_of_the_block_key():
     # the cached '<identifier>#' hash continued over the index digits
-    # gives the seed of the whole '<identifier>#<block_index>' string
-    seeds = []
-
-    def recording(block_seeds, counts, threshold):
-        seeds.extend(block_seeds)
-        return _speed.nop_masks(block_seeds, counts, threshold)
-
-    monkeypatch.setattr(diversify, "nop_masks", recording)
+    # gives the plan's prefix, whose reseed is the seed of the whole
+    # '<identifier>#<block_index>' string
     for nop_seed in (0, 0x5EED, 1 << 63, (1 << 64) - 1):
-        clear_gap_memo()
         for ident in ("f@o:s", "fünf@mödul.o:.text.ß", "関数@o:s", "x"):
-            for bi in (0, 9, 10, 99, 1000, 123456):
-                seeds.clear()
-                gap_decisions([(ident, bi, 5)], nop_seed, 1, 5)
-                assert seeds == [function_reseed("%s#%d" % (ident, bi),
-                                                 nop_seed)]
+            keys = [(ident, bi, 5) for bi in (0, 9, 10, 99, 1000, 123456)]
+            plan = diversify.draw_plan(keys)
+            assert [_speed.mix64(h ^ nop_seed) for h in plan.prefixes] == \
+                [function_reseed("%s#%d" % (ident, bi), nop_seed)
+                 for ident, bi, _ in keys]
+
+
+CHUNK = _speed.CHUNK_LANES
+
+
+# (num, den) giving the thresholds 0, 1, 2^32 - 1 and 2^32, and 1/5
+@pytest.mark.parametrize("num,den", [(0, 5), (1, 1 << 32),
+                                     ((1 << 32) - 1, 1 << 32), (7, 7),
+                                     (1, 5)])
+def test_plan_masks_are_the_per_block_nop_gaps(num, den):
+    # blocks of no gap, of more than two chunks, blocks that straddle a
+    # chunk boundary, and a key drawn twice
+    keys = [("a@o:s", 0, 0), ("a@o:s", 1, 2 * CHUNK + 9),
+            ("b@o:s", 0, CHUNK - 20), ("b@o:s", 1, 45), ("c@o:s", 7, 1),
+            ("a@o:s", 1, 2 * CHUNK + 9), ("d@o:s", 2, CHUNK),
+            ("b@o:s", 3, 0), ("e@o:s", 0, 3 * CHUNK + 1)]
+    threshold = (num << 32) // den
+    for nop_seed in (0, 0x5EED, (1 << 64) - 1):
+        clear_gap_memo()
+        assert gap_decisions(keys, nop_seed, num, den) == \
+            [_oracle_mask(*key, nop_seed, num, den) for key in keys]
+        plan = diversify.draw_plan(keys)
+        assert plan.masks(nop_seed, threshold) == tuple(
+            _speed.nop_gaps(function_reseed("%s#%d" % key[:2], nop_seed),
+                            key[2], threshold) for key in keys)
+
+
+@pytest.mark.parametrize("num,den", [(1, 5), (0, 5), (1, 1)])
+def test_a_tail_draw_is_the_mask_one_gap_longer(num, den):
+    # a desynced block's mask is the key's mask plus the draw of one gap
+    # more: nop_gaps of n + 1 gaps from the block's seed
+    keys = [("f@o:s", bi, n) for bi, n in
+            enumerate((0, 1, 17, CHUNK - 1, CHUNK, 2 * CHUNK + 3))]
+    tails = [0, 2, 3, 4, 5]
+    for nop_seed in (3, 0xFFFF_FFFF_FFFF_FFFF):
+        got = gap_decisions(keys, nop_seed, num, den, tails)
+        for k, (ident, bi, n) in enumerate(keys):
+            assert got[k] == _oracle_mask(ident, bi, n + (k in tails),
+                                          nop_seed, num, den)
+        # the tail draws leave the kept masks as they were
+        assert gap_decisions(keys, nop_seed, num, den) == \
+            [_oracle_mask(*key, nop_seed, num, den) for key in keys]
+
+
+def test_a_desynced_block_of_the_build_is_drawn_one_gap_longer():
+    model = generate_corpus(3, 1)[0]
+    options = BuildOptions(desync_num=1, desync_den=2)
+    hits = desync_blocks(model, SEEDS, 1, 2)
+    assert hits
+    masks, _ = diversify._nop_pass(model, SEEDS.nop_seed, 1, 5, hits)
+    for f, fm in zip(model.functions, masks):
+        for b, entry in zip(f.blocks, fm):
+            if b.kind == "code":
+                desynced = (f.identifier, b.index) in hits
+                assert entry == (_oracle_mask(
+                    f.identifier, b.index, b.instr_count - 1 + desynced,
+                    SEEDS.nop_seed, 1, 5), int(desynced))
+    assert build_diversified(model, SEEDS, options)[1].desyncs == hits
 
 
 def test_block_hash_cache_stays_within_its_bound():
@@ -436,31 +487,47 @@ def _block_seeds(blocks, nop_seed):
     return sorted(function_reseed("%s#%d" % key, nop_seed) for key in blocks)
 
 
+def count_draws(monkeypatch):
+    """Record the seed of each block the DrawPlans draw, as (kind, seed):
+    "mask" for a block with a gap drawn by masks(), "tail" for a tail
+    draw."""
+    draws = []
+    masks, tail = _speed.DrawPlan.masks, _speed.DrawPlan.tail
+
+    def drawing(plan, scheme_seed, threshold):
+        # a block with no gap draws nothing
+        draws.extend(("mask", _speed.mix64(h ^ scheme_seed))
+                     for h, n in zip(plan.prefixes, plan.counts) if n > 0)
+        return masks(plan, scheme_seed, threshold)
+
+    def tailing(plan, k, scheme_seed, threshold):
+        draws.append(("tail", _speed.mix64(plan.prefixes[k] ^ scheme_seed)))
+        return tail(plan, k, scheme_seed, threshold)
+
+    monkeypatch.setattr(_speed.DrawPlan, "masks", drawing)
+    monkeypatch.setattr(_speed.DrawPlan, "tail", tailing)
+    return draws
+
+
 @pytest.mark.parametrize("desync_num", [0, 1])
 def test_build_then_replicate_draws_each_block_once(monkeypatch, desync_num):
+    # the build draws each code block once, a desynced block with one
+    # tail draw, and the replicate after it draws nothing
     model = generate_corpus(3, 1)[0]
     options = BuildOptions(desync_num=desync_num, desync_den=3)
     dres, log = build_default(model, options)
-    draws = []
-
-    def counting(seeds, counts, threshold):
-        # a block with no gap draws nothing
-        draws.extend(seed for seed, n in zip(seeds, counts) if n > 0)
-        return _speed.nop_masks(seeds, counts, threshold)
-
-    monkeypatch.setattr(diversify, "nop_masks", counting)
+    draws = count_draws(monkeypatch)
     clear_gap_memo()
     _, dec = build_diversified(model, SEEDS, options)
-    built = len(draws)
+    built = list(draws)
     replicate(dres.symfile, log, SEEDS, options)
     clear_gap_memo()
-    desynced = with_phantoms(model, desync_blocks(model, SEEDS, desync_num, 3))
-    assert sorted(draws[:built]) == \
-        _block_seeds(_drawn_blocks(desynced), SEEDS.nop_seed)
-    # the log's gap count of a desynced block differs from the build's
-    redrawn = [d for d in dec.desyncs if d in _drawn_blocks(model)]
-    assert bool(redrawn) == bool(desync_num)
-    assert sorted(draws[built:]) == _block_seeds(redrawn, SEEDS.nop_seed)
+    assert draws == built
+    assert sorted(seed for kind, seed in built if kind == "mask") == \
+        _block_seeds(_drawn_blocks(model), SEEDS.nop_seed)
+    assert bool(dec.desyncs) == bool(desync_num)
+    assert sorted(seed for kind, seed in built if kind == "tail") == \
+        _block_seeds(dec.desyncs, SEEDS.nop_seed)
 
 
 def test_replicate_is_the_same_from_a_cold_and_a_warm_memo():

@@ -202,5 +202,5 @@ def test_process_state_is_the_known_list():
     modules = {p.stem: p.read_text(encoding="utf-8")
                for p in sorted(SRC.glob("*.py"))}
     assert process_state(modules) == [
-        ("collector", "_server"), ("diversify", "_drawn"),
+        ("collector", "_server"), ("diversify", "_draws"),
         ("diversify", "_identifier_hash"), ("replicate", "_last_plan")]

@@ -145,33 +145,48 @@ MASK_THRESHOLDS = (0, 1, (1 << 32) // 5, (1 << 32) - 1, 1 << 32,
                    (1 << 32) + 1, 1 << 40)
 
 
+def _plan_masks(blocks, scheme_seed, threshold):
+    """The masks of a DrawPlan of (prefix, n) blocks."""
+    plan = _speed.DrawPlan([h for h, _ in blocks], [n for _, n in blocks])
+    return plan.masks(scheme_seed, threshold)
+
+
 @settings(max_examples=80, deadline=None)
 @given(blocks=st.lists(
            st.tuples(st.integers(0, (1 << 64) - 1),
                      st.integers(-1, 40) | st.integers(CHUNK - 40, CHUNK + 40)
                      | st.integers(0, 3 * CHUNK)),
            max_size=8),
+       scheme_seed=st.sampled_from(EDGE_SEEDS) | st.integers(0, (1 << 64) - 1),
        threshold=st.sampled_from(MASK_THRESHOLDS) | st.integers(0, 1 << 32))
-@example(blocks=[(1, CHUNK - 5), (2, 10), (3, 7)], threshold=1 << 31)
+@example(blocks=[(1, CHUNK - 5), (2, 10), (3, 7)], scheme_seed=0,
+         threshold=1 << 31)
 @example(blocks=[(4, CHUNK), (5, 1), (6, CHUNK - 1), (7, 2)],
-         threshold=(1 << 32) - 1)
-@example(blocks=[(8, 3), (9, 2 * CHUNK + 7), (10, 5)], threshold=1)
-def test_nop_masks_are_the_per_block_nop_gaps(blocks, threshold):
+         scheme_seed=0x6A9, threshold=(1 << 32) - 1)
+@example(blocks=[(8, 3), (9, 2 * CHUNK + 7), (10, 5)],
+         scheme_seed=(1 << 64) - 1, threshold=1)
+def test_plan_masks_are_the_per_block_nop_gaps(blocks, scheme_seed, threshold):
     # blocks share chunks, straddle chunk boundaries and span several
-    # chunks; each block's mask is still its own draws
-    seeds = [seed for seed, _ in blocks]
-    counts = [n for _, n in blocks]
-    assert _speed.nop_masks(seeds, counts, threshold) == \
-        [_speed.nop_gaps(seed, n, threshold) for seed, n in blocks]
+    # chunks; each block's mask is still the draws of its own seed, the
+    # reseed of its prefix, and its tail the draw one gap further
+    plan = _speed.DrawPlan([h for h, _ in blocks], [n for _, n in blocks])
+    seeds = [_speed.mix64(h ^ scheme_seed) for h, _ in blocks]
+    assert plan.masks(scheme_seed, threshold) == \
+        tuple(_speed.nop_gaps(seed, n, threshold)
+              for seed, (_, n) in zip(seeds, blocks))
+    assert [mask + plan.tail(k, scheme_seed, threshold) for k, mask in
+            enumerate(plan.masks(scheme_seed, threshold))] == \
+        [_speed.nop_gaps(seed, n + 1, threshold)
+         for seed, (_, n) in zip(seeds, blocks)]
 
 
-def test_nop_masks_across_chunks_match_the_mix64_stream():
+def test_plan_masks_across_chunks_match_the_mix64_stream():
     # 3 blocks over 2.5 chunks: the second straddles a boundary
     blocks = [(0x5EED, CHUNK - 100), (0x6A9, CHUNK + 3), (1, 150)]
     for thr in MASK_THRESHOLDS:
-        assert _speed.nop_masks([s for s, _ in blocks],
-                                [n for _, n in blocks], thr) == \
-            [_stream_mask(seed, n, thr) for seed, n in blocks]
+        assert _plan_masks(blocks, 0x77, thr) == \
+            tuple(_stream_mask(_speed.mix64(h ^ 0x77), n, thr)
+                  for h, n in blocks)
 
 
 def test_packed_constants_stay_within_their_bound():
