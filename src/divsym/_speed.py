@@ -37,6 +37,7 @@ one-block form, drawn from the block's seed itself.
 import sys
 from array import array
 from itertools import islice
+from operator import itemgetter
 from struct import Struct
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -45,6 +46,7 @@ FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
 
 LANE_BYTES = 16        # one draw per 128-bit lane
+_LANE = Struct("%ds" % LANE_BYTES)
 LANE_BITS = 8 * LANE_BYTES
 CHUNK_LANES = 2048     # lanes per packed int
 
@@ -129,12 +131,12 @@ class DrawPlan:
     mask: counts[k] bytes, byte g-1 1 exactly when the low 32 bits of
     draw g of the block's seed, mix64(prefixes[k] ^ scheme_seed), are
     below the threshold, else 0.  The plan never changes after it is
-    built; its tables are arrays, packed ints and two Structs, about
-    150 bytes per block.
+    built; its tables are arrays, packed ints and a Struct, about 100
+    bytes per block.
     """
 
-    __slots__ = ("prefixes", "counts", "_masks", "_runs", "_takes",
-                 "_chunk_runs", "_run_prefixes", "_run_steps", "_ones")
+    __slots__ = ("prefixes", "counts", "_masks", "_takes", "_chunk_runs",
+                 "_run_prefixes", "_run_steps")
 
     def __init__(self, prefixes, counts):
         self.prefixes = array("Q", prefixes)
@@ -165,23 +167,20 @@ class DrawPlan:
                     lane = runs = 0
         if runs:
             chunk_runs.append(runs)
-        # cuts the runs' starts, packed, into one lane each
-        self._runs = Struct("%ds" % LANE_BYTES * len(takes))
         self._takes = takes
         self._chunk_runs = chunk_runs
         self._run_prefixes = _packed(run_prefixes)
         self._run_steps = _packed(steps)
-        self._ones = _packed_lanes(b"\x01", len(takes))
 
     def masks(self, scheme_seed, threshold):
         """Every block's mask under scheme_seed, in order, a tuple."""
-        ones = self._ones
+        ones = _packed_lanes(b"\x01", len(self._takes))
         m64 = ones * MASK64
         # reseed every run at once: mix64(prefix ^ scheme_seed) per lane
         z = self._run_prefixes ^ (scheme_seed & MASK64) * ones
         z = ((z ^ (z >> 30)) & m64) * 0xBF58476D1CE4E5B9 & m64
         z = ((z ^ (z >> 27)) & m64) * 0x94D049BB133111EB & m64
-        return self._masks.unpack(self._lanes((z ^ (z >> 31)) & m64,
+        return self._masks.unpack(self._lanes((z ^ (z >> 31)) & m64, m64,
                                               threshold))
 
     def tail(self, k, scheme_seed, threshold):
@@ -195,9 +194,10 @@ class DrawPlan:
         draw = mix64(seed + (n + 1) * SPLITMIX_GAMMA)
         return b"\x01" if (draw & 0xFFFFFFFF) < threshold else b"\x00"
 
-    def _lanes(self, run_seeds, threshold):
+    def _lanes(self, run_seeds, m64, threshold):
         """The fired byte of every draw, the blocks' masks end to end,
-        from each run's block seed packed as the lane of the run."""
+        from each run's block seed packed as the lane of the run; m64
+        holds 2^64 - 1 in the lane of each run."""
         total = self._masks.size
         # Outside [1, 2^32 - 1] no draw or every draw is below threshold,
         # and past [0, 2^32] the lane subtraction would borrow or carry
@@ -206,10 +206,11 @@ class DrawPlan:
             return bytes(total)
         if threshold >= 1 << 32:
             return b"\x01" * total
-        starts = ((run_seeds + self._run_steps) & self._ones * MASK64) \
-            .to_bytes(self._runs.size, "little")
+        starts = ((run_seeds + self._run_steps) & m64) \
+            .to_bytes(LANE_BYTES * len(self._takes), "little")
         # each run's start, repeated over its lanes; a chunk joins its runs'
-        runs = map(bytes.__mul__, self._runs.unpack(starts), self._takes)
+        runs = map(bytes.__mul__, map(itemgetter(0), _LANE.iter_unpack(starts)),
+                   self._takes)
         bias_ones = (threshold + 0xFFFFFFFF) * _ONES
         return b"".join([_fire(islice(runs, k), bias_ones)
                          for k in self._chunk_runs])
@@ -221,7 +222,8 @@ def nop_gaps(seed, n_gaps, threshold):
     below threshold.  A DrawPlan of that block alone, every run of it
     starting from `seed`."""
     plan = DrawPlan((0,), (n_gaps,))
-    return plan._lanes((seed & MASK64) * plan._ones, threshold)
+    ones = _packed_lanes(b"\x01", len(plan._takes))
+    return plan._lanes((seed & MASK64) * ones, ones * MASK64, threshold)
 
 
 def arm_imm_encodable(v):

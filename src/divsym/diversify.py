@@ -146,9 +146,10 @@ def _slot(keys):
 
 
 def draw_plan(keys):
-    """The DrawPlan of a key tuple (gap_decisions): the slot's if its key
-    tuple is equal, else a new one, which takes the slot."""
-    return _slot(tuple(keys))[1]
+    """(key tuple, DrawPlan) of the keys (gap_decisions): the slot's if
+    its key tuple is equal, so that equal keys share one tuple, else the
+    keys with a new plan, which take the slot."""
+    return _slot(tuple(keys))[:2]
 
 
 def gap_decisions(keys, nop_seed, num, den, tails=()):

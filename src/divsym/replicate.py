@@ -110,7 +110,6 @@ class _FunctionPlan(NamedTuple):
     func: FuncRecord          # the default file's own records
     cfi: CfiInitRecord
     lf: LogFunction
-    keys: tuple               # the draw key of each code block
     # One entry per code block: (bytes of data and pools before it,
     # ((lo, hi, base, extras), ...) for each of its line records, in the
     # order of func.lines).  A record's NOPs are the ones of its block's
@@ -131,7 +130,6 @@ def _plan_function(func, cfi, lf, options, share):
     push, fps, alloc_def = prologue_extras(lf.saved_count, lf.has_fp, total_def)
     dealloc_def, pop = epilogue_extras(lf.saved_count, lf.has_fp, total_def)
     base = func.address
-    keys = []
     blocks = []
     spans = []          # (old start, old end) of each code block
     epilogues = []      # the code block number of each epilogue block
@@ -175,7 +173,6 @@ def _plan_function(func, cfi, lf, options, share):
             epilogues.append(len(spans))
         spans.append((recs[0].address - base,
                        recs[-1].address + recs[-1].size - base))
-        keys.append((lf.identifier, b.index, b.model_instrs - 1))
         items = tuple(items)
         block = (gap, share(items, items))
         blocks.append(share(block, block))
@@ -204,7 +201,7 @@ def _plan_function(func, cfi, lf, options, share):
                 if k >= 0 and off < spans[k][1] else (_KEPT, 0, off)
         deltas.append((*where, rules,
                        bool(total_def) and rules.get(".cfa") == frame_cfa))
-    return _FunctionPlan(func, cfi, lf, tuple(keys), tuple(blocks), gap,
+    return _FunctionPlan(func, cfi, lf, tuple(blocks), gap,
                          tuple(deltas))
 
 
@@ -229,12 +226,14 @@ class ReplicationPlan:
         self.functions = tuple(_plan_function(func, cfi, lf, options, share)
                                for func, cfi, lf in
                                _pair_records(default_sf, log))
-        # the draw key of every code block, in model order, and the index
-        # of each function's first one
-        self.keys = tuple(key for fp in self.functions for key in fp.keys)
-        self.first = tuple(accumulate((len(fp.keys) for fp in self.functions),
-                                      initial=0))
-        draw_plan(self.keys)
+        # the draw key of every code block, in model order, as the build
+        # draws them (ProgramModel.gap_keys), and the index of each
+        # function's first one; their draw plan is built here
+        self.keys, _ = draw_plan((lf.identifier, b.index, b.model_instrs - 1)
+                                 for lf in log.functions for b in lf.blocks
+                                 if b.kind == "code")
+        self.first = tuple(accumulate(
+            (len(fp.blocks) for fp in self.functions), initial=0))
 
     def replicate(self, seeds, options):
         """Approximate diversified symbol file for seeds and options, whose
@@ -267,7 +266,7 @@ def _replicate_function(fp, seeds, options, fbase, masks):
     """(FuncRecord, CfiInitRecord) of one planned function placed at
     fbase; `masks` holds the NOP mask of each of its code blocks in
     order."""
-    func, cfi, lf, _, blocks, tail, planned_deltas = fp
+    func, cfi, lf, blocks, tail, planned_deltas = fp
     total_new = lf.local_size + function_padding(lf.identifier, seeds, options)
     push, fps, alloc_new = prologue_extras(lf.saved_count, lf.has_fp, total_new)
     dealloc_new, pop = epilogue_extras(lf.saved_count, lf.has_fp, total_new)

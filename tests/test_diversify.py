@@ -317,7 +317,7 @@ def test_block_seed_is_the_function_reseed_of_the_block_key():
     for nop_seed in (0, 0x5EED, 1 << 63, (1 << 64) - 1):
         for ident in ("f@o:s", "fünf@mödul.o:.text.ß", "関数@o:s", "x"):
             keys = [(ident, bi, 5) for bi in (0, 9, 10, 99, 1000, 123456)]
-            plan = diversify.draw_plan(keys)
+            _, plan = diversify.draw_plan(keys)
             assert [_speed.mix64(h ^ nop_seed) for h in plan.prefixes] == \
                 [function_reseed("%s#%d" % (ident, bi), nop_seed)
                  for ident, bi, _ in keys]
@@ -342,7 +342,7 @@ def test_plan_masks_are_the_per_block_nop_gaps(num, den):
         clear_gap_memo()
         assert gap_decisions(keys, nop_seed, num, den) == \
             [_oracle_mask(*key, nop_seed, num, den) for key in keys]
-        plan = diversify.draw_plan(keys)
+        _, plan = diversify.draw_plan(keys)
         assert plan.masks(nop_seed, threshold) == tuple(
             _speed.nop_gaps(function_reseed("%s#%d" % key[:2], nop_seed),
                             key[2], threshold) for key in keys)
