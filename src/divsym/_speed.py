@@ -16,8 +16,8 @@ int.  A chunk may hold the tail of one block, many small blocks and
 the head of the next; each piece of a block in a chunk is a run.  For
 each run the plan keeps its block's prefix and its step, so that the
 run's start is the block's seed plus the step, the same in every lane
-of the run; and for each block the end of its mask.  Per scheme seed,
-masks() then reseeds every run at once, the runs as lanes of one
+of the run, and it keeps the length of every block's mask.  Per scheme
+seed, masks() then reseeds every run at once, the runs as lanes of one
 packed int, repeats each run's start over its lanes, chunk by chunk,
 and draws each chunk with _fire: every step of the finalizer
 (xor-shift, mask, multiply) is one big-int operation over all lanes
@@ -26,9 +26,10 @@ lane back to 64 bits before the next shift keeps one lane's bits out
 of its neighbour.  The low 32 bits of each draw are compared with the
 threshold by one subtraction that cannot borrow, and byte 4 of each
 lane is then 1 exactly where the gap fires.  Those bytes, read off
-with one slice per chunk and cut per block, are the blocks' NOP
-masks; a span's NOP count is then one bytes.count over it.  Only the
-loop over chunks runs in Python; nothing loops over blocks.
+with one slice per chunk and cut per block by one Struct, are the
+blocks' NOP masks; a span's NOP count is then one bytes.count over
+it.  Only the loop over chunks runs in Python; nothing loops over
+blocks.
 
 tail() draws one gap past a block's mask, and nop_gaps is the
 one-block form, drawn from the block's seed itself.

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, count, repeat
+from itertools import compress, repeat
 from operator import contains, itemgetter
 from types import SimpleNamespace
 
@@ -215,8 +215,8 @@ def _nop_pass(model, nop_seed, num, den, desyncs=()):
     """
     keys = model.gap_keys
     hit = set(desyncs)
-    tails = list(compress(count(), map(hit.__contains__,
-                                       map(itemgetter(0, 1), keys))))
+    tails = [k for k, key in enumerate(keys) if key[:2] in hit] \
+        if hit else []
     masks = gap_decisions(keys, nop_seed, num, den, tails)
     entries = list(zip(masks, repeat(0)))
     for k in tails:
@@ -224,6 +224,7 @@ def _nop_pass(model, nop_seed, num, den, desyncs=()):
     entries.append(None)        # entry -1, every data block's
     per_function = tuple(tuple(map(entries.__getitem__, slots))
                          for slots in model.gap_slots)
+    # (identifier, block index, mask) of each block a NOP goes into
     nops = tuple(compress(zip(map(itemgetter(0), keys),
                               map(itemgetter(1), keys), masks),
                           map(contains, masks, repeat(1))))

@@ -80,6 +80,8 @@ def main(argv=None):
     ap.add_argument("--seconds", type=float, default=50)
     ap.add_argument("--smoke", action="store_true",
                     help="tiny inputs, for the script's own test")
+    ap.add_argument("--json", type=Path,
+                    help="also write every run's metrics to this file")
     args = ap.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
@@ -91,6 +93,9 @@ def main(argv=None):
                                        args.seconds, args.smoke))
         print("pair seed %d done" % seed, file=sys.stderr)
     print(report(summary(*runs, better), args.pairs))
+    if args.json:
+        args.json.write_text(json.dumps({"parent": runs[0],
+                                         "change": runs[1]}))
     return 0
 
 
