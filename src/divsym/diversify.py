@@ -133,23 +133,34 @@ _draws = ((), None, None, None)
 
 
 def _slot(keys):
-    """The slot, if it holds an equal key tuple, else a new one holding
-    the DrawPlan of `keys` and no masks, which replaces it."""
+    """The slot, holding `keys` and their DrawPlan.  A slot that holds an
+    equal key tuple takes `keys` in its place and keeps its plan and
+    masks: the build's keys are cached on its model, so the slot keeps
+    no older tuple alive beside them.  Any other slot is replaced by
+    `keys` with a new plan and no masks."""
     global _draws
     slot = _draws
-    if slot[1] is None or slot[0] is not keys and slot[0] != keys:
-        slot = (keys, DrawPlan([_prefix(ident, b"#%d" % bi)
-                                for ident, bi, _ in keys],
-                               [n for _, _, n in keys]), None, None)
+    if slot[0] is not keys or slot[1] is None:
+        if slot[1] is not None and slot[0] == keys:
+            slot = (keys,) + slot[1:]
+        else:
+            slot = (keys, DrawPlan([_prefix(ident, b"#%d" % bi)
+                                    for ident, bi, _ in keys],
+                                   [n for _, _, n in keys]), None, None)
         _draws = slot
     return slot
 
 
 def draw_plan(keys):
-    """(key tuple, DrawPlan) of the keys (gap_decisions): the slot's if
-    its key tuple is equal, so that equal keys share one tuple, else the
-    keys with a new plan, which take the slot."""
-    return _slot(tuple(keys))[:2]
+    """(key tuple, DrawPlan) of the keys (gap_decisions): the slot's
+    tuple and plan if its keys are equal, so that a caller may keep that
+    tuple in place of its own, else the keys with a new plan, which take
+    the slot."""
+    keys = tuple(keys)
+    slot = _draws
+    if slot[1] is not None and slot[0] == keys:
+        return slot[:2]
+    return _slot(keys)[:2]
 
 
 def gap_decisions(keys, nop_seed, num, den, tails=()):

@@ -21,12 +21,16 @@ does the seed-free part once: it pairs each FUNC and CFI region with
 its log function, partitions the line records by log block, derives
 each record's body and the materialisation bytes of each block's last
 record, the old block spans, which block each CFI delta moves with,
-and the draw key of each code block.  All of it depends only on the
-default file, the log and options.default_padding, and every check of
-the inputs runs here.  plan.replicate(seeds, options) does the seeded
-part: the paddings, the link order, one gap_decisions call, the
-per-span NOP counts, the line records, the base addresses and the CFI
-moves.  replicate() keeps the last plan in one slot, the only place a
+and the draw key of each code block in model order, the keys the
+build draws too, whose draw plan (diversify.draw_plan) it builds.  All
+of it depends only on the default file, the log and
+options.default_padding, and every check of the inputs runs here.
+plan.replicate(seeds, options) does the seeded part: the paddings, the
+link order, one gap_decisions call, whose masks come in model order
+and are read per function as a slice, the per-span NOP counts, the
+line records, the base addresses and the CFI moves.  After a build
+with the same seeds the call draws nothing.  replicate() keeps the
+last plan in one slot, the only place a
 plan is kept; the delta writer, report() and every SymbolServer
 replicate through it, so calls with the same default file and log
 objects build it once.

@@ -145,12 +145,6 @@ MASK_THRESHOLDS = (0, 1, (1 << 32) // 5, (1 << 32) - 1, 1 << 32,
                    (1 << 32) + 1, 1 << 40)
 
 
-def _plan_masks(blocks, scheme_seed, threshold):
-    """The masks of a DrawPlan of (prefix, n) blocks."""
-    plan = _speed.DrawPlan([h for h, _ in blocks], [n for _, n in blocks])
-    return plan.masks(scheme_seed, threshold)
-
-
 @settings(max_examples=80, deadline=None)
 @given(blocks=st.lists(
            st.tuples(st.integers(0, (1 << 64) - 1),
@@ -183,10 +177,28 @@ def test_plan_masks_are_the_per_block_nop_gaps(blocks, scheme_seed, threshold):
 def test_plan_masks_across_chunks_match_the_mix64_stream():
     # 3 blocks over 2.5 chunks: the second straddles a boundary
     blocks = [(0x5EED, CHUNK - 100), (0x6A9, CHUNK + 3), (1, 150)]
+    plan = _speed.DrawPlan([h for h, _ in blocks], [n for _, n in blocks])
     for thr in MASK_THRESHOLDS:
-        assert _plan_masks(blocks, 0x77, thr) == \
+        assert plan.masks(0x77, thr) == \
             tuple(_stream_mask(_speed.mix64(h ^ 0x77), n, thr)
                   for h, n in blocks)
+
+
+def test_draw_plan_tables_stay_compact():
+    # a plan of a 308-function program's 5,542 code blocks, about 66 gaps
+    # each, keeps arrays and packed ints, not per-block objects: about
+    # 0.54 MB; lists of slices or bytes per run held several MB
+    rng = random.Random(5)
+    prefixes = [rng.getrandbits(64) for _ in range(5542)]
+    counts = [rng.randrange(0, 133) for _ in range(5542)]
+    tracemalloc.start()
+    try:
+        plan = _speed.DrawPlan(prefixes, counts)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 20
+    assert len(plan.masks(1, 1 << 31)) == 5542
 
 
 def test_packed_constants_stay_within_their_bound():
