@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
 from operator import contains, itemgetter
 from types import SimpleNamespace
 
@@ -233,8 +233,9 @@ def _nop_pass(model, nop_seed, num, den, desyncs=()):
     for k in tails:
         entries[k] = (masks[k], 1)
     entries.append(None)        # entry -1, every data block's
-    per_function = tuple(tuple(map(entries.__getitem__, slots))
-                         for slots in model.gap_slots)
+    slots, counts = model.gap_slots
+    blocks = map(entries.__getitem__, slots)
+    per_function = tuple(map(tuple, map(islice, repeat(blocks), counts)))
     # (identifier, block index, mask) of each block a NOP goes into
     nops = tuple(compress(zip(map(itemgetter(0), keys),
                               map(itemgetter(1), keys), masks),

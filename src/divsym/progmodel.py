@@ -17,8 +17,10 @@ server-side replication imperfect:
 from __future__ import annotations
 
 import bisect
+from array import array
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import accumulate
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -142,11 +144,14 @@ class ProgramModel:
 
     @cached_property
     def gap_slots(self):
-        """Per function, per block: the position of the block's key in
-        gap_keys, or -1 for a data block."""
-        keys = iter(range(len(self.gap_keys)))
-        return tuple(tuple(next(keys) if b.kind == "code" else -1
-                           for b in f.blocks) for f in self.functions)
+        """(slots, counts): slots holds, for every block of every
+        function in model order, the position of the block's key in
+        gap_keys, or -1 for a data block; counts holds each function's
+        number of blocks.  Two arrays, 4 bytes a block."""
+        code = [b.kind == "code" for f in self.functions for b in f.blocks]
+        return (array("i", [k - 1 if c else -1
+                            for c, k in zip(code, accumulate(code))]),
+                array("i", [len(f.blocks) for f in self.functions]))
 
 
 class Region(NamedTuple):
