@@ -172,6 +172,8 @@ def cmd_metrics(args):
     for ln in Path(args.seeds_file).read_text(encoding="utf-8").splitlines():
         if ln.strip():
             seeds.append(_parse_seeds(ln.split()))
+    if not seeds:
+        raise DivsymError("no seed tuples in %s" % args.seeds_file)
     rep = collector.corpus_metrics(corpus, seeds, _options(args))
     Path(args.out).write_text(rep.text(include_timings=True), encoding="utf-8")
     sys.stdout.write(rep.text())

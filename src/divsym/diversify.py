@@ -15,14 +15,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, islice, repeat
+from itertools import compress, repeat
 from operator import contains, itemgetter
 from types import SimpleNamespace
 
 from divsym._speed import FNV_PRIME, MASK64, DrawPlan, fnv1a64, mix64
 from divsym.errors import ModelError
 from divsym.prng import Prng
-from divsym.progmodel import ALIGNMENTS, SAVEABLE, BuildOptions, layout
+from divsym.progmodel import (ALIGNMENTS, INSTR_BYTES, SAVEABLE, BuildOptions,
+                              layout)
 from divsym.records import fields, read_records
 
 __all__ = [
@@ -187,10 +188,8 @@ def gap_decisions(keys, nop_seed, num, den, tails=()):
     replicate draws nothing.
     """
     global _draws
-    if num < 0 or den <= 0 or num > den:
-        raise ModelError("NOP probability %d/%d outside [0, 1]" % (num, den))
+    threshold = _threshold(num, den, "NOP probability")
     keys, plan, tag, masks = _slot(tuple(keys))
-    threshold = (num << 32) // den
     if masks is None or tag != (nop_seed, num, den):
         masks = plan.masks(nop_seed, threshold)
         _draws = (keys, plan, (nop_seed, num, den), masks)
@@ -208,6 +207,14 @@ def clear_gap_memo():
     _draws = _draws[:2] + (None, None)
 
 
+def _threshold(num, den, what):
+    """num/den of 2^32, the bound a draw's low 32 bits must stay below
+    to fire; raises ModelError naming `what` unless 0 <= num/den <= 1."""
+    if num < 0 or den <= 0 or num > den:
+        raise ModelError("%s %d/%d outside [0, 1]" % (what, num, den))
+    return (num << 32) // den
+
+
 def mask_gaps(mask):
     """The gaps a NOP mask fires, 1-based, in order."""
     return tuple(g for g, fired in enumerate(mask, 1) if fired)
@@ -215,32 +222,22 @@ def mask_gaps(mask):
 
 def _nop_pass(model, nop_seed, num, den, desyncs=()):
     """(NOP masks, decision-log nops) from one gap_decisions call for
-    the whole program.  The masks hold, per function and per block,
-    (mask, phantom) for a code block, or None for a data block.
-
-    The keys are the model's gap_keys, the code blocks' in model order,
-    as the replicator draws them.  A block in `desyncs` (desync_blocks)
-    is drawn one gap longer, by a tail draw, and its phantom is 1 (else
-    0): one more instruction, which the layout adds to the block's last
-    span.
+    the whole program.  The masks are the code blocks', one per
+    gap_keys entry, in model order, as the replicator draws them; the
+    layout cuts them per function at gap_first.  A block in `desyncs`
+    (desync_blocks) is drawn one gap longer, by a tail draw: its mask's
+    one byte more is one more instruction in the layout.
     """
     keys = model.gap_keys
     hit = set(desyncs)
     tails = [k for k, key in enumerate(keys) if key[:2] in hit] \
         if hit else []
     masks = gap_decisions(keys, nop_seed, num, den, tails)
-    entries = list(zip(masks, repeat(0)))
-    for k in tails:
-        entries[k] = (masks[k], 1)
-    entries.append(None)        # entry -1, every data block's
-    slots, counts = model.gap_slots
-    blocks = map(entries.__getitem__, slots)
-    per_function = tuple(map(tuple, map(islice, repeat(blocks), counts)))
     # (identifier, block index, mask) of each block a NOP goes into
     nops = tuple(compress(zip(map(itemgetter(0), keys),
                               map(itemgetter(1), keys), masks),
                           map(contains, masks, repeat(1))))
-    return per_function, nops
+    return masks, nops
 
 
 def shuffle_permutation(n, shuffle_seed):
@@ -266,13 +263,10 @@ def desync_blocks(model, seeds, num, den):
     num/den fraction of functions that gains one phantom instruction,
     emulating CFG/size perturbations the replicator cannot see.  Empty
     when num is 0; raises ModelError unless 0 <= num/den <= 1."""
-    if num < 0 or den <= 0 or num > den:
-        raise ModelError("desync probability %d/%d outside [0, 1]"
-                         % (num, den))
+    threshold = _threshold(num, den, "desync probability")
     if num == 0:
         return ()
     dseed = mix64(seeds.pad_seed ^ mix64(seeds.nop_seed ^ mix64(seeds.shuffle_seed)))
-    threshold = (num << 32) // den
     hits = []
     for f in model.functions:
         v = _reseed(f.identifier, b"#desync", dseed)
@@ -289,15 +283,18 @@ def log_from_layout(result, module_name):
         blocks = []
         for r in fl.regions:
             if r.kind == "code":
-                blocks.append(LogBlock("code", r.block_index, r.n_instrs,
+                blocks.append(LogBlock("code", r.block_index,
+                                       r.size // INSTR_BYTES,
                                        r.model_instrs, r.epilogue))
             elif r.kind == "data":
                 blocks.append(LogBlock("data", r.block_index, r.size))
             else:
                 blocks.append(LogBlock("pool", -1, r.size))
-        functions.append(LogFunction(fl.identifier, fl.alignment,
-                                     fl.local_size, fl.saved_count,
-                                     fl.has_fp, tuple(blocks)))
+        f = fl.func
+        functions.append(LogFunction(f.identifier, f.alignment,
+                                     f.frame.local_size,
+                                     len(f.frame.callee_saved), f.has_fp,
+                                     tuple(blocks)))
     return OpportunityLog(module_name, tuple(functions))
 
 
@@ -314,10 +311,10 @@ def build_default(model, options=BuildOptions()):
 def build_diversified(model, seeds, options=BuildOptions()):
     """Diversified build: padding, then NOPs, then shuffling.
 
-    The paddings, and each code block's NOP mask with its desync
-    phantom, go to the layout beside the model, which it lays out
-    without copying; the decision log's nops come from the same pass,
-    so every code block's gaps are drawn exactly once.
+    The paddings, and each code block's NOP mask (a desynced block's
+    one byte longer), go to the layout beside the model, which it lays
+    out without copying; the decision log's nops come from the same
+    pass, so every code block's gaps are drawn exactly once.
     """
     paddings = tuple(function_padding(f.identifier, seeds, options)
                      for f in model.functions)

@@ -110,8 +110,9 @@ def crash_info(result, decisions, module_name):
             if r.kind != "code":
                 continue
             blocks.append(CrashBlock(r.block_index, r.address, r.pre_extras,
-                                     nop_map.get((fl.identifier, r.block_index), ())))
-        fns.append(CrashFn(fl.identifier, fl.name, fl.base, fl.size,
+                                     nop_map.get((fl.func.identifier,
+                                                  r.block_index), ())))
+        fns.append(CrashFn(fl.func.identifier, fl.func.name, fl.base, fl.size,
                            fl.padding, tuple(blocks)))
     return ImageInfo(module_name, result.symfile.module_id, tuple(fns),
                      _text_bytes(result))

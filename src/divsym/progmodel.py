@@ -17,10 +17,9 @@ server-side replication imperfect:
 from __future__ import annotations
 
 import bisect
-from array import array
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, repeat
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -143,15 +142,13 @@ class ProgramModel:
                      if b.kind == "code")
 
     @cached_property
-    def gap_slots(self):
-        """(slots, counts): slots holds, for every block of every
-        function in model order, the position of the block's key in
-        gap_keys, or -1 for a data block; counts holds each function's
-        number of blocks.  Two arrays, 4 bytes a block."""
-        code = [b.kind == "code" for f in self.functions for b in f.blocks]
-        return (array("i", [k - 1 if c else -1
-                            for c, k in zip(code, accumulate(code))]),
-                array("i", [len(f.blocks) for f in self.functions]))
+    def gap_first(self):
+        """The position in gap_keys of each function's first key, in
+        model order, then len(gap_keys): function i's keys are
+        gap_keys[gap_first[i]:gap_first[i + 1]], as replicate cuts its
+        masks (ReplicationPlan.first)."""
+        return tuple(accumulate((sum(b.kind == "code" for b in f.blocks)
+                                 for f in self.functions), initial=0))
 
 
 class Region(NamedTuple):
@@ -159,7 +156,6 @@ class Region(NamedTuple):
     size: int
     kind: str                 # "code" | "data" | "pool"
     block_index: int | None
-    n_instrs: int = 0         # code: laid-out instruction count
     model_instrs: int = 0     # code: model (body) instruction count
     pre_extras: int = 0       # code: prologue instructions before the body
     epilogue: bool = False
@@ -168,15 +164,10 @@ class Region(NamedTuple):
 
 @dataclass(frozen=True)
 class FunctionLayout:
-    identifier: str
-    name: str
-    alignment: int
+    func: FunctionModel       # the model's own function
     base: int
     size: int
     regions: tuple
-    local_size: int
-    saved_count: int
-    has_fp: bool
     padding: int
 
 
@@ -310,8 +301,9 @@ def align_up(x, a):
     return (x + a - 1) & ~(a - 1)
 
 
-def _place_function(func, options, base, forced, nops, padding):
-    """One placement attempt.
+def _place_function(func, options, base, forced, bodies, padding):
+    """One placement attempt, with `bodies` holding the body instruction
+    count of each code block in order.
 
     Pools are emitted after the block where the running distance from
     the earliest pending reference crosses POOL_REACH - 8, plus at any
@@ -334,18 +326,16 @@ def _place_function(func, options, base, forced, nops, padding):
     cursor = base
     violation = None
     threshold = POOL_REACH - 8
+    bodies = iter(bodies)
     for pos, b in enumerate(func.blocks):
         if b.kind == "code":
-            body = b.instr_count
-            if nops:
-                mask, phantom = nops[pos]
-                body += mask.count(1) + phantom
+            body = next(bodies)
             pre = (push + fps + alloc) if pos == 0 else 0
             epi = (dealloc + pop) if b.epilogue else 0
             n = pre + body + mat.get(b.index, 0) + epi
             size = INSTR_BYTES * n
-            regions.append(Region(cursor, size, "code", b.index, n,
-                                  body, pre, b.epilogue))
+            regions.append(Region(cursor, size, "code", b.index, body,
+                                  pre, b.epilogue))
             for c in b.consts:
                 pending.append((cursor, c))
         else:
@@ -378,11 +368,18 @@ def _emit_pool(regions, pending, cursor):
     return cursor + pool.size, out_of_reach
 
 
-def _layout_function(func, options, base, nops, padding):
+def _layout_function(func, options, base, masks, padding):
+    """The function's regions.  masks holds the NOP mask of each code
+    block in order, or is None for no NOPs: a block's body is then one
+    instruction per mask byte and one more, plus one per fired gap."""
+    if masks is None:
+        bodies = [b.instr_count for b in func.blocks if b.kind == "code"]
+    else:
+        bodies = [len(mask) + 1 + mask.count(1) for mask in masks]
     forced = set()
     for _ in range(64):
         regions, violation = _place_function(func, options, base, forced,
-                                             nops, padding)
+                                             bodies, padding)
         if violation is None:
             return regions
         if violation == 0 or violation - 1 in forced:
@@ -391,26 +388,26 @@ def _layout_function(func, options, base, nops, padding):
     raise LayoutError("pool pass did not converge for %s" % func.identifier)
 
 
-def _function_lines(func, regions, nops):
+def _function_lines(func, regions, masks):
+    """The line records of the function's code blocks.  A span holding
+    instructions lo+1..hi grows by mask.count(1, lo, hi); a block's first
+    span also holds any prologue, and its last runs to the block's end."""
     lines = []
-    by_index = {r.block_index: r for r in regions if r.kind == "code"}
-    for b in func.blocks:
-        if b.kind != "code":
-            continue
-        region = by_index[b.index]
-        post = region.n_instrs - region.pre_extras - region.model_instrs
-        mask, phantom = nops[b.index] if nops else (b"", 0)
+    code = [b for b in func.blocks if b.kind == "code"]
+    for b, region, mask in zip(code, (r for r in regions if r.kind == "code"),
+                               masks or repeat(b"")):
         addr = region.address
+        size = INSTR_BYTES * region.pre_extras
         hi = 0
-        for si, span in enumerate(b.spans):
+        for span in b.spans[:-1]:
             lo, hi = hi, hi + span.instrs
-            size = INSTR_BYTES * (hi - lo + mask.count(1, lo, hi))
-            if si == 0:
-                size += INSTR_BYTES * region.pre_extras
-            if si == len(b.spans) - 1:
-                size += INSTR_BYTES * (post + phantom)
+            size += INSTR_BYTES * (span.instrs + mask.count(1, lo, hi))
             lines.append(LineRecord(addr, size, span.line, span.filenum))
             addr += size
+            size = 0
+        last = b.spans[-1]
+        lines.append(LineRecord(addr, region.address + region.size - addr,
+                                last.line, last.filenum))
     return tuple(lines)
 
 
@@ -474,12 +471,13 @@ def layout(model, order, options, paddings, nops=None):
 
     Deterministic: identical inputs give identical results.  paddings
     holds each function's stack padding in model order
-    (diversify.function_padding), and nops (diversify._nop_pass), per
-    function and per block, a code block's (NOP mask, phantom): a span
-    holding instructions lo+1..hi grows by mask.count(1, lo, hi), as a
-    line record does in replicate, and the block's last span by the
-    phantom, a desync's one extra instruction.  The model is laid out
-    as if it carried both, without being copied.
+    (diversify.function_padding), and nops the NOP mask of each code
+    block in model order (diversify._nop_pass), one per gap_keys entry,
+    cut per function at gap_first as replicate cuts them: a span holding
+    instructions lo+1..hi grows by mask.count(1, lo, hi), as a line
+    record does in replicate.  A desynced block's mask is one byte
+    longer, which adds its one extra instruction.  The model is laid
+    out as if it carried both, without being copied.
     """
     model.valid                 # raises ModelError on a malformed model
     n = len(model.functions)
@@ -492,21 +490,17 @@ def layout(model, order, options, paddings, nops=None):
     funcs = []
     cfi = []
     cursor = 0
+    first = model.gap_first
     for idx in order:
         f = model.functions[idx]
-        fnops = nops[idx] if nops else None
+        masks = nops[first[idx]:first[idx + 1]] if nops else None
         padding = paddings[idx]
         fbase = align_up(cursor, f.alignment)
-        regions = _layout_function(f, options, fbase, fnops, padding)
+        regions = _layout_function(f, options, fbase, masks, padding)
         size = regions[-1].address + regions[-1].size - fbase
-        image.append(FunctionLayout(
-            identifier=f.identifier, name=f.name, alignment=f.alignment,
-            base=fbase, size=size, regions=tuple(regions),
-            local_size=f.frame.local_size,
-            saved_count=len(f.frame.callee_saved), has_fp=f.has_fp,
-            padding=padding))
+        image.append(FunctionLayout(f, fbase, size, tuple(regions), padding))
         funcs.append(FuncRecord(fbase, size, f.param_size, f.name,
-                                _function_lines(f, regions, fnops)))
+                                _function_lines(f, regions, masks)))
         cfi.append(_function_cfi(f, fbase, size, regions, padding))
         cursor = fbase + size
     sf = SymbolFile(module_id=_module_id(model.module_name),

@@ -51,7 +51,7 @@ def pool_placements(result):
         after = None
         for r in fl.regions:
             if r.kind == "pool":
-                out.append((fl.identifier, after, r.size))
+                out.append((fl.func.identifier, after, r.size))
             else:
                 after = r.block_index
     return tuple(out)

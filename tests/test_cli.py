@@ -415,6 +415,22 @@ def test_metrics_command(tmp_path, capsys):
     assert "timing" not in shown  # deterministic rendering on stdout
 
 
+@pytest.mark.parametrize("text", ["", "\n  \n\t\n"])
+def test_metrics_refuses_a_seeds_file_without_seed_tuples(tmp_path, capsys,
+                                                          text):
+    corpus = tmp_path / "corpus"
+    run("gen", "--seed", "13", "--n", "1", "--out", str(corpus))
+    seeds_file = tmp_path / "seeds.txt"
+    seeds_file.write_text(text)
+    out = tmp_path / "report.txt"
+    capsys.readouterr()
+    assert run("metrics", "--corpus", str(corpus),
+               "--seeds-file", str(seeds_file), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == "error: no seed tuples in %s\n" % seeds_file
+    assert not out.exists()
+
+
 def _replaced(path, old, new):
     data = path.read_bytes()
     assert old in data

@@ -110,26 +110,30 @@ def _mask(gaps, n):
     return bytes(g in gaps for g in range(1, n + 1))
 
 
-def _span_growth(sizes, mask, phantom=0):
+def _span_growth(sizes, mask):
     """The instructions layout adds to each span of a one-block,
     frameless function with spans of the given sizes, from the block's
-    NOP mask and phantom: each line record's size less its span's."""
+    NOP mask: each line record's size less its span's."""
     spans = tuple(LineSpan(10 * (i + 1), 1, n) for i, n in enumerate(sizes))
     f = FunctionModel("f", "f.o", ".text.f", 4, False, FrameModel(),
                       (BlockModel("code", 0, spans=spans, epilogue=True),))
     model = ProgramModel("m", ((1, "a.c"),), (f,))
     lines = layout(model, [0], BuildOptions(), (0,),
-                   (((mask, phantom),),)).symfile.funcs[0].lines
+                   [mask]).symfile.funcs[0].lines
     return [r.size // 4 - n for r, n in zip(lines, sizes)]
+
+
+def _code_blocks(model):
+    """The code blocks of every function, in model order: one per
+    gap_keys entry."""
+    return [b for f in model.functions for b in f.blocks if b.kind == "code"]
 
 
 def test_insert_nops_zero_probability():
     m = _nop_model()
     masks, nops = diversify._nop_pass(m, 99, 0, 5)
     assert nops == ()
-    assert masks == tuple(
-        tuple((bytes(b.instr_count - 1), 0) if b.kind == "code" else None
-              for b in f.blocks) for f in m.functions)
+    assert masks == [bytes(b.instr_count - 1) for b in _code_blocks(m)]
 
 
 def test_insert_nops_probability_one_doubles_gaps():
@@ -137,17 +141,19 @@ def test_insert_nops_probability_one_doubles_gaps():
     masks, _ = diversify._nop_pass(m, 99, 1, 1)
     n = len(m.functions)
     res = layout(m, list(range(n)), BuildOptions(), (0,) * n, masks)
-    for f, fl, fm in zip(m.functions, res.image, masks):
-        code = {r.block_index: r for r in fl.regions if r.kind == "code"}
-        for b, bm in zip(f.blocks, fm):
-            if b.kind == "code":
-                # every gap fires; the last instruction has none after it
-                assert bm == (b"\x01" * (b.instr_count - 1), 0)
-                assert code[b.index].model_instrs == 2 * b.instr_count - 1
-                growth = _span_growth([s.instrs for s in b.spans], bm[0])
-                assert growth[-1] == b.spans[-1].instrs - 1
-            else:
-                assert bm is None
+    first = m.gap_first
+    assert len(masks) == first[-1] == len(m.gap_keys)
+    for i, (f, fl) in enumerate(zip(m.functions, res.image)):
+        code = [r for r in fl.regions if r.kind == "code"]
+        fm = masks[first[i]:first[i + 1]]
+        blocks = [b for b in f.blocks if b.kind == "code"]
+        assert len(code) == len(fm) == len(blocks)
+        for b, r, mask in zip(blocks, code, fm):
+            # every gap fires; the last instruction has none after it
+            assert mask == b"\x01" * (b.instr_count - 1)
+            assert r.model_instrs == 2 * b.instr_count - 1
+            growth = _span_growth([s.instrs for s in b.spans], mask)
+            assert growth[-1] == b.spans[-1].instrs - 1
 
 
 def test_insert_nops_rate_twenty_percent():
@@ -185,7 +191,7 @@ def test_nops_inherit_preceding_line():
     f = FunctionModel("f", "f.o", ".text.f", 4, False, FrameModel(),
                       (BlockModel("code", 0, spans=spans, epilogue=True),))
     model = ProgramModel("m", ((1, "a.c"),), (f,))
-    lines = layout(model, [0], BuildOptions(), (0,), (((mask, 0),),)) \
+    lines = layout(model, [0], BuildOptions(), (0,), [mask]) \
         .symfile.funcs[0].lines
     assert [(r.line, r.size) for r in lines] == [(10, 16), (20, 16)]
 
@@ -225,13 +231,14 @@ def test_bucket_gaps_matches_linear_scan(gaps, sizes):
 @given(st.lists(st.integers(1, 12), min_size=1, max_size=8),
        st.integers(0, 1), st.data())
 def test_span_counts_match_the_linear_scan_on_any_mask(sizes, phantom, data):
-    # a desynced block is drawn one gap longer, and its phantom is one
-    # more instruction on the last span
+    # a desynced block is drawn one gap longer: its mask's one byte more
+    # is one more instruction on the last span, where the scan also puts
+    # that gap's NOP
     n = sum(sizes) - 1 + phantom
     mask = bytes(x & 1 for x in data.draw(st.binary(min_size=n, max_size=n)))
     want = _linear_gap_counts(_gaps(mask), sizes)
     want[-1] += phantom
-    assert _span_growth(sizes, mask, phantom) == want
+    assert _span_growth(sizes, mask) == want
 
 
 def _grown_model(model, nop_seed, num, den):
@@ -371,13 +378,10 @@ def test_a_desynced_block_of_the_build_is_drawn_one_gap_longer():
     hits = desync_blocks(model, SEEDS, 1, 2)
     assert hits
     masks, _ = diversify._nop_pass(model, SEEDS.nop_seed, 1, 5, hits)
-    for f, fm in zip(model.functions, masks):
-        for b, entry in zip(f.blocks, fm):
-            if b.kind == "code":
-                desynced = (f.identifier, b.index) in hits
-                assert entry == (_oracle_mask(
-                    f.identifier, b.index, b.instr_count - 1 + desynced,
-                    SEEDS.nop_seed, 1, 5), int(desynced))
+    assert len(masks) == len(model.gap_keys)
+    for (ident, bi, n), mask in zip(model.gap_keys, masks):
+        assert mask == _oracle_mask(ident, bi, n + ((ident, bi) in hits),
+                                    SEEDS.nop_seed, 1, 5)
     assert build_diversified(model, SEEDS, options)[1].desyncs == hits
 
 
@@ -605,14 +609,17 @@ def test_opportunity_log_matches_layout():
     m = _nop_model()
     res, log = build_default(m)
     assert len(log.functions) == len(m.functions)
-    for fl, lf in zip(res.image, log.functions):
-        assert fl.identifier == lf.identifier
+    for f, fl, lf in zip(m.functions, res.image, log.functions):
+        # the layout points at the model's own function
+        assert fl.func is f
+        assert (lf.identifier, lf.alignment, lf.local_size, lf.saved_count,
+                lf.has_fp) == (f.identifier, f.alignment, f.frame.local_size,
+                               len(f.frame.callee_saved), f.has_fp)
         regions = list(fl.regions)
         assert len(regions) == len(lf.blocks)
         for r, b in zip(regions, lf.blocks):
             if r.kind == "code":
                 assert b.kind == "code"
-                assert b.size == r.n_instrs
                 assert 4 * b.size == r.size
                 assert b.model_instrs == r.model_instrs
             else:
@@ -658,14 +665,15 @@ def test_desync_blocks_targets_and_rate():
     f0, f0b = m.functions[0], m2.functions[0]
     assert sum(b.instr_count for b in f0b.blocks if b.kind == "code") == \
         sum(b.instr_count for b in f0.blocks if b.kind == "code") + 1
-    # with no NOPs drawn, the hit block's mask is one gap longer and its
-    # phantom is the one instruction the layout adds: on its last span
+    # with no NOPs drawn, the hit block's mask is one gap longer, and
+    # that byte is the one instruction the layout adds: on its last span
     masks, nops = diversify._nop_pass(m, 99, 0, 5, hits)
     (_, bi), = hits
     assert nops == ()
-    assert masks[0][bi] == (bytes(f0.blocks[bi].instr_count), 1)
-    assert [(fi, b) for fi, fm in enumerate(masks)
-            for b, entry in enumerate(fm) if entry and entry[1]] == [(0, bi)]
+    k = m.gap_keys.index((ident, bi, f0.blocks[bi].instr_count - 1))
+    assert masks[k] == bytes(f0.blocks[bi].instr_count)
+    assert [j for j, (key, mask) in enumerate(zip(m.gap_keys, masks))
+            if len(mask) != key[2]] == [k]
     n = len(m.functions)
 
     def line_sizes(block_nops):

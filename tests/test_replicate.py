@@ -140,7 +140,7 @@ def _pool_signature(result):
                 pools.append((prev_code, r.size))
             elif r.block_index is not None:
                 prev_code = r.block_index
-        sig[fl.identifier] = tuple(pools)
+        sig[fl.func.identifier] = tuple(pools)
     return sig
 
 
@@ -355,6 +355,20 @@ def test_plan_replicates_as_a_fresh_plan_and_as_pinned(plan_programs, name,
                                               options)) == text
             h.update(text.encode())
     assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("default_padding", [True, False])
+def test_build_and_plan_cut_one_mask_list_at_the_same_offsets(
+        plan_programs, default_padding):
+    # the build's layout and the replicator draw one key tuple in model
+    # order and read each function's masks as the same slice of it
+    options = BuildOptions(default_padding=default_padding)
+    for model in plan_programs:
+        res, log = build_default(model, options)
+        plan = ReplicationPlan(res.symfile, log, options)
+        assert model.gap_keys == plan.keys
+        assert model.gap_first == plan.first
+        assert len(model.gap_first) == len(model.functions) + 1
 
 
 def test_one_plan_serves_fifty_seed_tuples():
